@@ -25,7 +25,6 @@ from .algebra import (
     check_left_leibniz,
     hemi_semidirect,
     leibniz_kernel,
-    lie_quotient,
     quotient_data,
     trivial_algebra,
 )
@@ -76,6 +75,7 @@ from .ext import (
     e2_first,
     e2_second,
     ext1_hemi_closed,
+    ext1_hemi_oracle,
     ext_base_sym,
     ext_dims,
     ext_simple_closed,

@@ -10,10 +10,11 @@ need a broken table pass ``check=False``).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import Mat, SubspaceBasis, as_scalar, complement_pivot_indices, span_of
+from .linear import Mat, SubspaceBasis, as_scalar, complement_pivot_indices, lincomb, solve, span_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -171,8 +172,6 @@ class QuotientData:
             tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
         ]
         bmat = Mat.from_cols(basis_cols, rows=n)
-        from .linear import solve
-
         coords = solve(bmat, Mat.identity(n))
         if coords is None:  # unreachable: basis_cols spans K^n
             raise AlgebraAxiomError("internal: quotient coordinates unsolvable")
@@ -196,19 +195,15 @@ class QuotientData:
         raise AttributeError("QuotientData is immutable")
 
 
+@lru_cache(maxsize=None)
 def quotient_data(a: LeibnizAlgebra) -> QuotientData:
-    return QuotientData(a)
-
-
-def lie_quotient(a: LeibnizAlgebra) -> tuple:
-    """The canonical Lie quotient and the projection onto it.
+    """The canonical Lie quotient of ``a``, built once per algebra.
 
     The quotient is validated as a Lie algebra on construction; for an
-    algebra that is already Lie this returns an equal algebra with the
-    identity projection.
+    algebra that is already Lie it is an equal algebra with the identity
+    projection.  Algebras are immutable, so the result can be shared.
     """
-    data = QuotientData(a)
-    return data.lie, data.projection
+    return QuotientData(a)
 
 
 class LeftModule:
@@ -252,11 +247,7 @@ class LeftModule:
 
     def act_by(self, coords: Sequence) -> Mat:
         """Action matrix of an arbitrary algebra element."""
-        out = Mat.zero(self.dim, self.dim)
-        for i, xi in enumerate(coords):
-            if xi:
-                out = out + self.action[i].scale(xi)
-        return out
+        return lincomb(self.action, coords, self.dim)
 
     def __eq__(self, other):
         return (
@@ -343,6 +334,11 @@ def hemi_semidirect(g: LieAlgebra, m: LeftModule) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON booleans decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
     """Build an algebra from its JSON form.
 
@@ -360,9 +356,13 @@ def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
         bracket = spec["bracket"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"algebra spec missing field: {exc}") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InputError("algebra dim must be a nonnegative integer")
-    if len(bracket) != dim or any(len(row) != dim for row in bracket):
+    if not isinstance(bracket, list) or len(bracket) != dim or any(
+        not isinstance(row, list) or len(row) != dim
+        or any(not isinstance(cell, list) for cell in row)
+        for row in bracket
+    ):
         raise InputError("bracket table must be dim x dim")
     c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
@@ -372,9 +372,9 @@ def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
                     k, num, den = triple
                 except (TypeError, ValueError) as exc:
                     raise InputError("bracket entries must be [k, num, den] triples") from exc
-                if not isinstance(k, int) or not 0 <= k < dim:
+                if not _is_int(k) or not 0 <= k < dim:
                     raise InputError(f"bracket index {k} out of range")
-                if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+                if not _is_int(num) or not _is_int(den) or den == 0:
                     raise InputError("bracket coefficients must be exact integers num/den")
                 c[i][j][k] += Fraction(num, den)
     labels = spec.get("labels")

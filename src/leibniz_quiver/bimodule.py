@@ -25,6 +25,7 @@ from .linear import (
     intersect_kernels,
     kernel_basis,
     kron,
+    lincomb,
     restrict_and_project,
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, lift_module, quotient_data, trivial_algebra
@@ -91,18 +92,10 @@ class Bimodule:
         return LeftModule(self.algebra, self.dim, self.left)
 
     def left_by(self, coords: Sequence) -> Mat:
-        out = Mat.zero(self.dim, self.dim)
-        for i, xi in enumerate(coords):
-            if xi:
-                out = out + self.left[i].scale(xi)
-        return out
+        return lincomb(self.left, coords, self.dim)
 
     def right_by(self, coords: Sequence) -> Mat:
-        out = Mat.zero(self.dim, self.dim)
-        for i, xi in enumerate(coords):
-            if xi:
-                out = out + self.right[i].scale(xi)
-        return out
+        return lincomb(self.right, coords, self.dim)
 
 
 def _axiom_failure(b: Bimodule) -> str | None:

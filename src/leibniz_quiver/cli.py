@@ -26,21 +26,13 @@ from .errors import (
     InputError,
     VerificationError,
 )
-from .algebra import algebra_from_spec, check_left_leibniz, leibniz_kernel, quotient_data
+from .algebra import (algebra_from_spec, check_left_leibniz, leibniz_kernel, quotient_data,
+                      trivial_algebra)
 from .bimodule import OneDimBimodule, bimodule_from_spec
 from .cohomology import ce_cohomology, leibniz_cohomology
-from .ext import SimpleDescriptor, ext_dims, ext_simple_closed, ext_trivial_closed, nhat
+from .ext import SimpleDescriptor, ext1_hemi_oracle, ext_dims, ext_simple_closed, ext_trivial_closed
 from .quiver import quiver_hemi, quiver_trivial, to_dot, to_json
-from .repsl2 import (
-    SL2Module,
-    decompose,
-    hemi_sl2,
-    hom_dim,
-    simple_module,
-    sl2,
-)
-from .algebra import LeftModule
-from .linear import Mat
+from .repsl2 import simple_module, sl2
 
 
 class _UsageError(Exception):
@@ -133,6 +125,21 @@ def _bases_doc(result) -> list:
     ]
 
 
+def _print_cohomology(args, out, name: str, result) -> int:
+    """The dims of ``result`` (and with --bases its witness bases) as a
+    text table or one JSON document keyed by ``name``."""
+    if args.format == "json":
+        doc = {name: result.dims}
+        if args.bases:
+            doc["bases"] = _bases_doc(result)
+        out.write(json.dumps(doc) + "\n")
+    else:
+        _print_dim_table(name, result.dims, out)
+        if args.bases:
+            _print_bases(result, out)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns an exit status.
 # ---------------------------------------------------------------------------
@@ -156,17 +163,7 @@ def _cmd_check(args, out) -> int:
 def _cmd_cohomology(args, out) -> int:
     h = algebra_from_spec(_load_json(args.algebra))
     b = bimodule_from_spec(h, _load_json(args.bimodule))
-    result = leibniz_cohomology(h, b, args.qmax)
-    if args.format == "json":
-        doc = {"HL": result.dims}
-        if args.bases:
-            doc["bases"] = _bases_doc(result)
-        out.write(json.dumps(doc) + "\n")
-    else:
-        _print_dim_table("HL", result.dims, out)
-        if args.bases:
-            _print_bases(result, out)
-    return 0
+    return _print_cohomology(args, out, "HL", leibniz_cohomology(h, b, args.qmax))
 
 
 _PLAIN_MODULE_RX = re.compile(r"^V_?(\d+)$")
@@ -180,28 +177,30 @@ def _cmd_ce(args, out) -> int:
         if not m:
             raise InputError(f"expected a plain weight module such as V2, got {args.module!r}")
         weight = int(m.group(1))
-    g = sl2()
-    if weight == 0:
-        mod = LeftModule(g, 1, [Mat.zero(1, 1)] * 3)
-    else:
-        mod = simple_module(weight).underlying
-    result = ce_cohomology(g, mod, args.pmax)
+    result = ce_cohomology(sl2(), simple_module(weight).underlying, args.pmax)
+    return _print_cohomology(args, out, "H", result)
+
+
+def _report(args, out, src, dst, results: dict, as_dims) -> int:
+    """Print one line per method (text) or one JSON pair, the methods in
+    the order computed; ``as_dims`` turns a result into its list of
+    dimensions.  When two methods disagree, write a diagnostic to
+    stderr and return 2 (JSON mode then prints nothing)."""
+    (first, value), *others = results.items()
+    diverged = any(v != value for _, v in others)
     if args.format == "json":
-        doc = {"H": result.dims}
-        if args.bases:
-            doc["bases"] = _bases_doc(result)
-        out.write(json.dumps(doc) + "\n")
+        if not diverged:
+            doc = {"ext": {"pairs": [{"src": src.label(), "dst": dst.label(),
+                                      "dims": as_dims(value), "certified": True}]}}
+            out.write(json.dumps(doc) + "\n")
     else:
-        _print_dim_table("H", result.dims, out)
-        if args.bases:
-            _print_bases(result, out)
+        for v in results.values():
+            out.write(" ".join(str(d) for d in as_dims(v)) + "\n")
+    if diverged:
+        [(second, other)] = others
+        sys.stderr.write(f"error: {first} {value} != {second} {other}\n")
+        return 2
     return 0
-
-
-def _ext_json(out, src_label: str, dst_label: str, dims, certified: bool) -> None:
-    doc = {"ext": {"pairs": [{"src": src_label, "dst": dst_label,
-                              "dims": list(dims), "certified": certified}]}}
-    out.write(json.dumps(doc) + "\n")
 
 
 def _cmd_ext_trivial(args, out) -> int:
@@ -209,40 +208,13 @@ def _cmd_ext_trivial(args, out) -> int:
     dst = _parse_one_dim_kind(args.dst)
     if args.nmax < 0:
         raise InputError("nmax must be nonnegative")
-    from .algebra import trivial_algebra
-
     results = {}
     if args.method in ("closed", "both"):
         results["closed"] = ext_trivial_closed(src, dst, args.nmax)
     if args.method in ("spectral", "both"):
         res = ext_dims(trivial_algebra(), src, dst.realize(), args.nmax)
         results["spectral"] = list(res.dims)
-    if args.format == "json":
-        if len(results) == 2 and results["closed"] != results["spectral"]:
-            sys.stderr.write(
-                f"error: closed {results['closed']} != spectral {results['spectral']}\n")
-            return 2
-        dims = next(iter(results.values()))
-        _ext_json(out, src.label(), dst.label(), dims, True)
-        return 0
-    for method in ("closed", "spectral"):
-        if method in results:
-            out.write(" ".join(str(d) for d in results[method]) + "\n")
-    if len(results) == 2 and results["closed"] != results["spectral"]:
-        sys.stderr.write(
-            f"error: closed {results['closed']} != spectral {results['spectral']}\n")
-        return 2
-    return 0
-
-
-def _hemi_oracle_ext1(n: int, src: SimpleDescriptor, dst: SimpleDescriptor) -> int:
-    if src.kind == "antisymmetric" or dst.kind == "symmetric":
-        return 0
-    h = hemi_sl2(n)
-    glie = quotient_data(h).lie
-    v = simple_module(dst.weight)
-    nh = nhat(h, LeftModule(glie, v.dim, v.underlying.action))
-    return hom_dim(decompose(simple_module(src.weight)), decompose(SL2Module(nh)))
+    return _report(args, out, src, dst, results, list)
 
 
 def _cmd_ext_hemi(args, out) -> int:
@@ -254,22 +226,11 @@ def _cmd_ext_hemi(args, out) -> int:
     if args.method in ("closed", "both"):
         results["closed"] = ext_simple_closed(args.n, src, dst, 1)
     if args.method in ("oracle", "both"):
-        results["oracle"] = _hemi_oracle_ext1(args.n, src, dst)
-    if args.format == "json":
-        if len(results) == 2 and results["closed"] != results["oracle"]:
-            sys.stderr.write(
-                f"error: closed {results['closed']} != oracle {results['oracle']}\n")
-            return 2
-        _ext_json(out, src.label(), dst.label(), [next(iter(results.values()))], True)
-        return 0
-    for method in ("closed", "oracle"):
-        if method in results:
-            out.write(f"{results[method]}\n")
-    if len(results) == 2 and results["closed"] != results["oracle"]:
-        sys.stderr.write(
-            f"error: closed {results['closed']} != oracle {results['oracle']}\n")
-        return 2
-    return 0
+        if src.kind == "antisymmetric" or dst.kind == "symmetric":
+            results["oracle"] = 0
+        else:
+            results["oracle"] = ext1_hemi_oracle(args.n, dst.weight).multiplicity(src.weight)
+    return _report(args, out, src, dst, results, lambda k: [k])
 
 
 def _cmd_quiver_trivial(args, out) -> int:

@@ -28,7 +28,9 @@ from .linear import (
     Mat,
     SubspaceBasis,
     image_basis,
+    intersect_kernels,
     kernel_basis,
+    lincomb,
     rank,
     restrict_and_project,
 )
@@ -215,32 +217,32 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     return out
 
 
-def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, q: int) -> LeftModule:
-    """HL^q(h, m) as a module over the Lie quotient of h.
+def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
+                   sub: SubspaceBasis, quot: SubspaceBasis) -> LeftModule:
+    """Left module over the Lie quotient of h induced on
+    span(sub)/span(quot) by one action matrix per h basis element.
 
-    The cochain action is restricted to cocycles and projected modulo
-    coboundaries; failure to preserve either space raises
-    StabilityError, as does a Leibniz-kernel element acting nonzero on
-    the quotient.
+    Failure to preserve either space raises StabilityError, as does a
+    Leibniz-kernel element acting nonzero on the quotient.
     """
-    dq = leibniz_differential(h, m, q)
-    cocycles = kernel_basis(dq)
+    data = quotient_data(h)
+    induced = [restrict_and_project(a, sub, quot) for a in actions]
+    dim = sub.dim - quot.dim
+    for kv in data.kernel.vectors:
+        if not lincomb(induced, kv, dim).is_zero():
+            raise StabilityError("Leibniz kernel acts nonzero on the quotient")
+    return LeftModule(data.lie, dim, [induced[i] for i in data.complement])
+
+
+def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, q: int) -> LeftModule:
+    """HL^q(h, m) as a module over the Lie quotient of h: the cochain
+    action restricted to cocycles and projected modulo coboundaries."""
+    cocycles = kernel_basis(leibniz_differential(h, m, q))
     if q == 0:
         coboundaries = SubspaceBasis.empty(m.dim)
     else:
         coboundaries = image_basis(leibniz_differential(h, m, q - 1))
-    actions = cochain_action(h, m, q)
-    induced = [restrict_and_project(a, cocycles, coboundaries) for a in actions]
-    data = quotient_data(h)
-    hdim = cocycles.dim - coboundaries.dim
-    for kv in data.kernel.vectors:
-        acc = Mat.zero(hdim, hdim)
-        for i, xi in enumerate(kv):
-            if xi:
-                acc = acc + induced[i].scale(xi)
-        if not acc.is_zero():
-            raise StabilityError("Leibniz kernel acts nonzero on cohomology")
-    return LeftModule(data.lie, hdim, [induced[i] for i in data.complement])
+    return induced_module(h, cochain_action(h, m, q), cocycles, coboundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def invariants_dim(g: LieAlgebra, m: LeftModule) -> int:
     """Dimension of the g-invariant subspace of m."""
     if m.dim == 0:
         return 0
-    return kernel_basis(Mat.vstack(list(m.action))).dim
+    return intersect_kernels(m.action).dim
 
 
 def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:

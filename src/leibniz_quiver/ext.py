@@ -39,13 +39,11 @@ from .bimodule import (
     KIND_TRIVIAL,
     hom_module_action,
 )
-from .cohomology import ce_cohomology, ce_dims_via_invariants, hl_module_structure, leibniz_differential
-from .repsl2 import clebsch_gordan, sl2, simple_module
+from .cohomology import (ce_cohomology, ce_dims_via_invariants, hl_module_structure,
+                         induced_module, leibniz_differential)
+from .repsl2 import SL2Module, WeightMultiset, clebsch_gordan, decompose, hemi_sl2, sl2, simple_module
 
 _ZERO = Fraction(0)
-
-CERTIFIED = "Certified"
-NOT_CERTIFIED = "NotCertified"
 
 
 class E2Page:
@@ -85,19 +83,14 @@ class E2Page:
 class CollapseCertificate:
     """Outcome of the zero-pattern collapse check.
 
-    status is Certified when no differential d_r (r >= 2) can be nonzero
-    on dimension grounds; otherwise witness = (r, p, q) locates the first
-    potentially nonzero differential out of position (p, q).
+    Certified (witness None) when no differential d_r (r >= 2) can be
+    nonzero on dimension grounds; otherwise witness = (r, p, q) locates
+    the first potentially nonzero differential out of position (p, q).
     """
 
-    __slots__ = ("status", "witness")
+    __slots__ = ("witness",)
 
-    def __init__(self, status: str, witness: tuple | None = None):
-        if status not in (CERTIFIED, NOT_CERTIFIED):
-            raise InputError(f"unknown certificate status {status!r}")
-        if (status == NOT_CERTIFIED) != (witness is not None):
-            raise InputError("witness exactly when not certified")
-        object.__setattr__(self, "status", status)
+    def __init__(self, witness: tuple | None = None):
         object.__setattr__(self, "witness", witness)
 
     def __setattr__(self, name, value):
@@ -105,7 +98,7 @@ class CollapseCertificate:
 
     @property
     def certified(self) -> bool:
-        return self.status == CERTIFIED
+        return self.witness is None
 
 
 class ExtResult:
@@ -174,8 +167,7 @@ class SimpleDescriptor:
             return LeftModule(glie, 1, [Mat.zero(1, 1)] * glie.dim)
         if glie != sl2():
             raise InputError("weight descriptors need an sl2 quotient")
-        v = simple_module(self.weight)
-        return LeftModule(glie, v.dim, v.underlying.action)
+        return simple_module(self.weight).underlying
 
     def realize(self, h: LeibnizAlgebra) -> Bimodule:
         """The bimodule over h this descriptor names."""
@@ -201,22 +193,13 @@ def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement])
 
 
-def _induced_module_on_h_indexed(h: LeibnizAlgebra, actions: Sequence[Mat],
-                                 sub: SubspaceBasis, quot: SubspaceBasis) -> LeftModule:
-    """Left module over the Lie quotient induced on span(sub)/span(quot)
-    by per-h-basis-element action matrices.  Checks that the Leibniz
-    kernel acts by zero on the quotient."""
-    data = quotient_data(h)
-    induced = [restrict_and_project(a, sub, quot) for a in actions]
-    dim = sub.dim - quot.dim
-    for kv in data.kernel.vectors:
-        acc = Mat.zero(dim, dim)
-        for i, xi in enumerate(kv):
-            if xi:
-                acc = acc + induced[i].scale(xi)
-        if not acc.is_zero():
-            raise StabilityError("Leibniz kernel acts nonzero on the quotient")
-    return LeftModule(data.lie, dim, [induced[i] for i in data.complement])
+def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
+    """hom / im(f) with the induced action; im(f) must be a submodule
+    (StabilityError otherwise)."""
+    imf = image_basis(f)
+    full = SubspaceBasis.full(hom.dim)
+    induced = [restrict_and_project(a, full, imf) for a in hom.action]
+    return LeftModule(hom.algebra, hom.dim - imf.dim, induced)
 
 
 def base_change_map(h: LeibnizAlgebra, x: Bimodule) -> tuple:
@@ -253,19 +236,15 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, q: int) -> LeftModule:
     """
     if q < 0:
         raise DimensionError("degree must be nonnegative")
-    data = quotient_data(h)
-    if q >= 2:
-        return hom_module_action(data.lie, h_as_lie_module(h), hl_module_structure(h, x, q - 1))
-    f, z0 = base_change_map(h, x)
     if q == 0:
-        return _induced_module_on_h_indexed(h, list(x.left), kernel_basis(f),
-                                            SubspaceBasis.empty(x.dim))
-    hl0 = hl_module_structure(h, x, 0)
-    hom = hom_module_action(data.lie, h_as_lie_module(h), hl0)
-    imf = image_basis(f)
-    full = SubspaceBasis.full(hom.dim)
-    induced = [restrict_and_project(a, full, imf) for a in hom.action]
-    return LeftModule(data.lie, hom.dim - imf.dim, induced)
+        f, _ = base_change_map(h, x)
+        return induced_module(h, x.left, kernel_basis(f), SubspaceBasis.empty(x.dim))
+    hom = hom_module_action(quotient_data(h).lie, h_as_lie_module(h),
+                            hl_module_structure(h, x, q - 1))
+    if q >= 2:
+        return hom
+    f, _ = base_change_map(h, x)
+    return _cokernel_module(hom, f)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +303,8 @@ def certify_collapse(page: E2Page) -> CollapseCertificate:
                 continue
             for r in range(2, min(page.pmax - p, q + 1) + 1):
                 if page.entry(p + r, q - r + 1) > 0:
-                    return CollapseCertificate(NOT_CERTIFIED, (r, p, q))
-    return CollapseCertificate(CERTIFIED)
+                    return CollapseCertificate((r, p, q))
+    return CollapseCertificate()
 
 
 def assemble_ext(page: E2Page, nmax: int) -> ExtResult:
@@ -382,11 +361,13 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
             for i, ci in enumerate(act.col(b)):
                 if ci:
                     grid[i * dh + j][b] = ci
-    f = Mat(dh * dn, dn, grid)
-    imf = image_basis(f)
-    full = SubspaceBasis.full(hom.dim)
-    induced = [restrict_and_project(a, full, imf) for a in hom.action]
-    return LeftModule(data.lie, hom.dim - imf.dim, induced)
+    return _cokernel_module(hom, Mat(dh * dn, dn, grid))
+
+
+def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:
+    """decompose(N-hat(V_m)) over V_n x_hs sl2: its multiplicity of V_p
+    is dim Ext^1(V_p^s, V_m^a), the oracle for ``ext1_hemi_closed``."""
+    return decompose(SL2Module(nhat(hemi_sl2(n), simple_module(m).underlying)))
 
 
 def ext1_hemi_closed(n: int, p: int, m: int) -> int:

@@ -14,6 +14,7 @@ is the inclusion of the zero space.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -389,24 +390,14 @@ def kernel_basis(m: Mat) -> "SubspaceBasis":
     pivots = _forward_eliminate(rows, n)
     pivot_set = set(pivots)
     vecs = []
-    nontrivial = len(pivots)
     for fc in range(n):
         if fc in pivot_set:
             continue
-        # Solve A x = 0 with x[fc] = 1 and all other free coords 0.
-        x = [_ZERO] * n
+        # Solve A x = 0 with x[fc] = 1 and all other free coords 0; the
+        # pivots right of fc stay 0, so only the rows left of it are solved.
+        k = bisect(pivots, fc)
+        x = _back_substitute(rows, pivots[:k], n, [-rows[r][fc] for r in range(k)])
         x[fc] = _ONE
-        for r in range(nontrivial - 1, -1, -1):
-            pc = pivots[r]
-            if pc > fc:
-                continue
-            row = rows[r]
-            s = _ZERO
-            for j in range(pc + 1, n):
-                aj = row[j]
-                if aj and x[j]:
-                    s -= aj * x[j]
-            x[pc] = s / row[pc]
         vecs.append(tuple(x))
     return SubspaceBasis(n, vecs, check=False)
 
@@ -532,6 +523,22 @@ class SubspaceBasis:
         if not self.vectors:
             return other.matrix().is_zero()
         return solve(self.matrix(), other.matrix()) is not None
+
+
+def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:
+    """The ``dim x dim`` matrix sum of ``coords[i] * mats[i]``.
+
+    >>> lincomb([Mat.identity(2), Mat.zero(2, 2)], [3, 5], 2) == Mat.identity(2).scale(3)
+    True
+    """
+    grid = [[_ZERO] * dim for _ in range(dim)]
+    for m, x in zip(mats, coords, strict=True):
+        if x:
+            for out, row in zip(grid, m._data):
+                for j, a in enumerate(row):
+                    if a:
+                        out[j] += x * a
+    return Mat(dim, dim, grid)
 
 
 def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:

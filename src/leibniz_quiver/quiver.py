@@ -16,15 +16,13 @@ from typing import Sequence
 
 from .errors import InputError, VerificationError
 from .linear import as_scalar
-from .algebra import LeftModule, quotient_data
 from .bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
     KIND_TRIVIAL,
     OneDimBimodule,
 )
-from .ext import ext1_hemi_closed, nhat
-from .repsl2 import SL2Module, decompose, hemi_sl2, hom_dim, simple_module
+from .ext import ext1_hemi_closed, ext1_hemi_oracle
 
 
 class Vertex:
@@ -163,21 +161,15 @@ def quiver_hemi(n: int, max_weight: int, verify: bool = False) -> Quiver:
                if v.kind in (KIND_TRIVIAL, KIND_ANTISYMMETRIC)]
     oracle = None
     if verify:
-        h = hemi_sl2(n)
-        glie = quotient_data(h).lie
-        oracle = {}
-        for j in targets:
-            m = vertices[j].weight
-            v = simple_module(m)
-            nh = nhat(h, LeftModule(glie, v.dim, v.underlying.action))
-            oracle[m] = decompose(SL2Module(nh))
+        oracle = {vertices[j].weight: ext1_hemi_oracle(n, vertices[j].weight)
+                  for j in targets}
     edges = []
     for i in sources:
         for j in targets:
             p, m = vertices[i].weight, vertices[j].weight
             k = ext1_hemi_closed(n, p, m)
             if verify:
-                k_oracle = hom_dim(decompose(simple_module(p)), oracle[m])
+                k_oracle = oracle[m].multiplicity(p)
                 if k_oracle != k:
                     raise VerificationError(
                         f"closed form gives {k} but the cokernel oracle gives "

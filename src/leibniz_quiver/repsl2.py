@@ -8,8 +8,9 @@ v_0, ..., v_m with
     e . v_k = k (m - k + 1) v_{k-1}
     f . v_k = v_{k+1}
 
-Decomposition into simples goes by h-eigenspace differencing: the
-multiplicity of weight m is dim ker(rho_h - m) - dim ker(rho_h - (m+2)).
+Decomposition into simples counts highest-weight vectors: every simple
+summand V_m contributes one line to ker e, on which h acts by m, so the
+multiplicity of V_m is dim ker(h|_{ker e} - m).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import Mat, kron, rank
+from .linear import Mat, SubspaceBasis, kernel_basis, kron, rank, restrict_and_project
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
 
 _ZERO = Fraction(0)
@@ -177,34 +178,33 @@ class WeightMultiset:
 
 
 def decompose(v: SL2Module) -> WeightMultiset:
-    """Decompose into simples by h-eigenspace differencing.
+    """Decompose into simples by the highest-weight rule.
 
-    Raises NonIntegralWeightError when the integer h-eigenspaces do not
-    fill the module (which cannot happen for an actual sl2-module over
-    the rationals, but guards corrupted inputs).
+    The highest-weight vectors span ker e, which h preserves; with s =
+    dim ker e summands, the multiplicity of V_m is the nullity of the
+    s x s matrix of h - m on ker e.  Raises NonIntegralWeightError when
+    those eigenvalues are not integers 0..dim-1 or the weights do not
+    account for the module, and StabilityError when h does not preserve
+    ker e (neither can happen for an actual sl2-module over the
+    rationals, but both guard corrupted inputs).
     """
     d = v.dim
     if d == 0:
         return WeightMultiset({})
-    rho_h = v.h
-    null = {}
-    total = 0
-    for w in range(-(d - 1), d + 2):
-        shifted = rho_h - Mat.identity(d).scale(Fraction(w))
-        null[w] = d - rank(shifted)
-        if -(d - 1) <= w <= d - 1:
-            total += null[w]
-    if total != d:
-        raise NonIntegralWeightError(
-            f"integer h-eigenspaces cover {total} of {d} dimensions"
-        )
+    top = kernel_basis(v.e)
+    s = top.dim
+    h_top = restrict_and_project(v.h, top, SubspaceBasis.empty(d))
     mults = {}
+    found = 0
     for m in range(d):
-        k = null[m] - null[m + 2]
-        if k < 0:
-            raise NonIntegralWeightError("eigenspace dimensions are not unimodal")
+        if found == s:
+            break
+        k = s - rank(h_top - Mat.identity(s).scale(m))
         if k:
             mults[m] = k
+            found += k
+    if found != s:
+        raise NonIntegralWeightError(f"integer weights cover {found} of {s} highest-weight vectors")
     out = WeightMultiset(mults)
     if out.module_dim() != d:
         raise NonIntegralWeightError("weight multiset does not account for the module")

@@ -16,7 +16,6 @@ from leibniz_quiver.algebra import (
     check_left_leibniz,
     hemi_semidirect,
     leibniz_kernel,
-    lie_quotient,
     lift_module,
     one_dim_module,
     quotient_data,
@@ -112,7 +111,7 @@ def test_hemi_kernel_is_module_block():
 
 def test_lie_quotient_of_hemi_is_sl2():
     h = hemi_sl2(2)
-    glie, proj = lie_quotient(h)
+    glie, proj = quotient_data(h).lie, quotient_data(h).projection
     assert glie == sl2()
     assert proj.rows == 3 and proj.cols == 6
     # projection kills the module block and is identity on the sl2 block
@@ -123,7 +122,7 @@ def test_lie_quotient_of_hemi_is_sl2():
 
 def test_lie_quotient_of_lie_algebra_is_identity():
     g = sl2()
-    glie, proj = lie_quotient(g)
+    glie, proj = quotient_data(g).lie, quotient_data(g).projection
     assert glie == g
     assert proj == Mat.identity(3)
 
@@ -195,6 +194,14 @@ def test_spec_rejects_malformed_input():
         algebra_from_spec({"dim": 1, "bracket": [[[[0, "x", 1]]]]})
     with pytest.raises(InputError):
         algebra_from_spec({"dim": 1, "bracket": [[[[3, 1, 1]]]]})
+    for bracket in (5, [5], [[5]], "x"):
+        with pytest.raises(InputError):
+            algebra_from_spec({"dim": 1, "bracket": bracket})
+    for triple in ([True, 1, 1], [0, True, 1], [0, 1, True]):
+        with pytest.raises(InputError):
+            algebra_from_spec({"dim": 2, "bracket": [[[triple], []], [[], []]]}, check=False)
+    with pytest.raises(InputError):
+        algebra_from_spec({"dim": True, "bracket": [[[]]]})
     with pytest.raises(AlgebraAxiomError):
         algebra_from_spec({"dim": 1, "bracket": [[[[0, 1, 1]]]]})
 
@@ -217,7 +224,7 @@ def test_abelian_algebras_are_leibniz_with_zero_kernel(d):
     a = LeibnizAlgebra(d, zero)
     assert check_left_leibniz(a)
     assert leibniz_kernel(a).dim == 0
-    glie, proj = lie_quotient(a)
+    glie, proj = quotient_data(a).lie, quotient_data(a).projection
     assert glie.dim == d
     assert proj == Mat.identity(d)
 

@@ -68,11 +68,12 @@ def test_ext_trivial_bad_descriptor(capsys):
 
 def test_ext_trivial_method_divergence_is_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ext_trivial_closed", lambda mk, nk, nmax: [9] * (nmax + 1))
-    code, out, err = run(capsys, "ext", "trivial", "--src", "K", "--dst", "K",
-                         "--nmax", "1", "--method", "both")
-    assert code == 2
-    assert out == "9 9\n1 2\n"
-    assert "closed" in err and "spectral" in err
+    for fmt, expected_out in (("text", "9 9\n1 2\n"), ("json", "")):
+        code, out, err = run(capsys, "ext", "trivial", "--src", "K", "--dst", "K",
+                             "--nmax", "1", "--method", "both", "--format", fmt)
+        assert code == 2
+        assert out == expected_out
+        assert "closed" in err and "spectral" in err
 
 
 def test_ext_trivial_uncertified_collapse_is_exit_two(capsys, monkeypatch):
@@ -109,11 +110,12 @@ def test_ext_hemi_json_document(capsys):
 
 def test_ext_hemi_oracle_divergence_is_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ext_simple_closed", lambda n, s, d, deg: 7)
-    code, out, err = run(capsys, "ext", "hemi", "--n", "1", "--src", "V1^s",
-                         "--dst", "V0^a", "--method", "both")
-    assert code == 2
-    assert out == "7\n1\n"
-    assert "oracle" in err
+    for fmt, expected_out in (("text", "7\n1\n"), ("json", "")):
+        code, out, err = run(capsys, "ext", "hemi", "--n", "1", "--src", "V1^s",
+                             "--dst", "V0^a", "--method", "both", "--format", fmt)
+        assert code == 2
+        assert out == expected_out
+        assert "oracle" in err
 
 
 def test_ext_hemi_rejects_bad_weight_syntax(capsys):

@@ -31,6 +31,7 @@ from leibniz_quiver.ext import (
     e2_first,
     e2_second,
     ext1_hemi_closed,
+    ext1_hemi_oracle,
     ext_base_sym,
     ext_dims,
     ext_simple_closed,
@@ -261,9 +262,11 @@ def test_ext1_closed_equals_nhat_oracle_window():
                       SimpleDescriptor(KIND_ANTISYMMETRIC, m))
             nmod = target.underlying_module(sl2())
             hat = decompose(SL2Module(nhat(h, nmod)))
+            oracle = ext1_hemi_oracle(n, m)
             for p in range(5):
                 src = decompose(simple_module(p))
                 assert ext1_hemi_closed(n, p, m) == hom_dim(src, hat)
+                assert ext1_hemi_closed(n, p, m) == oracle.multiplicity(p)
 
 
 # ------------------------------------------------------- hemi spectral checks

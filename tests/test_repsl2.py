@@ -54,11 +54,23 @@ def test_clebsch_gordan_values():
         clebsch_gordan(-1, 0)
 
 
+def _shear_conjugate(v):
+    """v in the basis given by the columns of L L^T, with L the lower
+    unitriangular all-ones matrix, so that e, h and f are dense instead
+    of being given in a weight basis."""
+    d = v.dim
+    low = Mat.from_rows([[int(j <= i) for j in range(d)] for i in range(d)])
+    low_inv = Mat.from_rows([[int(i == j) - int(i == j + 1) for j in range(d)] for i in range(d)])
+    p, p_inv = low * low.transpose(), low_inv.transpose() * low_inv
+    return SL2Module(LeftModule(sl2(), d, [p_inv * a * p for a in v.underlying.action]))
+
+
 def test_tensor_decomposition_matches_clebsch_gordan_small():
     for m in range(4):
         for n in range(4):
-            got = decompose(tensor(simple_module(m), simple_module(n)))
-            assert got.mults == clebsch_gordan(m, n).mults
+            t = tensor(simple_module(m), simple_module(n))
+            assert decompose(t).mults == clebsch_gordan(m, n).mults
+            assert decompose(_shear_conjugate(t)).mults == clebsch_gordan(m, n).mults
 
 
 def test_dual_of_simple_is_isomorphic():
