@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ComplexError, DimensionError, StabilityError
+from .errors import ComplexError, DimensionError, InputError, StabilityError
 from .linear import (
     Mat,
     SubspaceBasis,
@@ -37,7 +37,12 @@ from .linear import (
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
 from .bimodule import Bimodule, right_invariants
 
-_ZERO = Fraction(0)
+
+# The largest cochain space, dim h^(q+1) * dim M, that a Leibniz
+# differential may map into.  HL^4(hemi_sl2(2), V_2^a) needs 23 328;
+# degree 5 over a 6-dimensional algebra with a 3-dimensional bimodule
+# would need 139 968 rows and is refused.
+COCHAIN_BUDGET = 50_000
 
 
 class CochainComplex:
@@ -130,37 +135,52 @@ def _tuple_index(t: tuple, d: int) -> int:
     return idx
 
 
-def _add_block(grid: list, r0: int, c0: int, block: Mat, sign: int) -> None:
+def _add_block(rows: list, r0: int, c0: int, block: Mat) -> None:
     for i in range(block.rows):
-        row = block.row(i)
-        target = grid[r0 + i]
-        for j, v in enumerate(row):
-            if v:
-                target[c0 + j] += v if sign > 0 else -v
+        target = rows[r0 + i]
+        for j, v in block.nonzeros(i):
+            k = c0 + j
+            t = target.get(k)
+            target[k] = v if t is None else t + v
 
 
-def _add_scaled_identity(grid: list, r0: int, c0: int, coeff: Fraction, dm: int) -> None:
+def _add_scaled_identity(rows: list, r0: int, c0: int, coeff: Fraction, dm: int) -> None:
     for i in range(dm):
-        grid[r0 + i][c0 + i] += coeff
+        target = rows[r0 + i]
+        k = c0 + i
+        t = target.get(k)
+        target[k] = coeff if t is None else t + coeff
+
+
+def _check_budget(h: LeibnizAlgebra, m: Bimodule, q: int) -> None:
+    """Refuse, before anything is allocated, a differential into a
+    cochain space CL^(q+1) of dimension above COCHAIN_BUDGET."""
+    size = h.dim ** (q + 1) * m.dim
+    if size > COCHAIN_BUDGET:
+        raise InputError(f"the cochain space CL^{q + 1} has dimension {size}, "
+                         f"above the budget of {COCHAIN_BUDGET}")
 
 
 def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
-    """Matrix of d: CL^n -> CL^(n+1) for the bimodule m over h."""
+    """Matrix of d: CL^n -> CL^(n+1) for the bimodule m over h;
+    InputError when CL^(n+1) exceeds COCHAIN_BUDGET."""
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
+    _check_budget(h, m, n)
     d = h.dim
     dm = m.dim
     rows = d ** (n + 1) * dm
     cols = d ** n * dm
-    grid = [[_ZERO] * cols for _ in range(rows)]
+    grid = [{} for _ in range(rows)]
     c = h.c
+    left = (m.left, [-a for a in m.left])  # left[i % 2] is (-1)^i L
+    right = m.right if (n - 1) % 2 == 0 else [-a for a in m.right]
     for y in itertools.product(range(d), repeat=n + 1):
         r0 = _tuple_index(y, d) * dm
         for i in range(n):
             t = y[:i] + y[i + 1:]
-            _add_block(grid, r0, _tuple_index(t, d) * dm, m.left[y[i]], -1 if i % 2 else 1)
-        right_sign = 1 if (n - 1) % 2 == 0 else -1
-        _add_block(grid, r0, _tuple_index(y[:n], d) * dm, m.right[y[n]], right_sign)
+            _add_block(grid, r0, _tuple_index(t, d) * dm, left[i % 2][y[i]])
+        _add_block(grid, r0, _tuple_index(y[:n], d) * dm, right[y[n]])
         for i in range(n + 1):
             si = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
             for j in range(i + 1, n + 1):
@@ -172,12 +192,13 @@ def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
                         _add_scaled_identity(
                             grid, r0, _tuple_index(tuple(base), d) * dm, si * ck, dm
                         )
-    return Mat(rows, cols, grid)
+    return Mat.from_sparse(rows, cols, grid)
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
+    _check_budget(h, m, qmax)
     d, dm = h.dim, m.dim
     dims = [d ** q * dm for q in range(qmax + 2)]
     diffs = [leibniz_differential(h, m, q) for q in range(qmax + 1)]
@@ -202,18 +223,18 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     size = d ** q * dm
     out = []
     for a in range(d):
-        grid = [[_ZERO] * size for _ in range(size)]
+        grid = [{} for _ in range(size)]
         la = m.left[a]
         for y in itertools.product(range(d), repeat=q):
             r0 = _tuple_index(y, d) * dm
-            _add_block(grid, r0, r0, la, 1)
+            _add_block(grid, r0, r0, la)
             for i in range(q):
                 coeffs = h.c[a][y[i]]
                 for k, ck in enumerate(coeffs):
                     if ck:
                         t = y[:i] + (k,) + y[i + 1:]
                         _add_scaled_identity(grid, r0, _tuple_index(t, d) * dm, -ck, dm)
-        out.append(Mat(size, size, grid))
+        out.append(Mat.from_sparse(size, size, grid))
     return out
 
 
@@ -258,13 +279,13 @@ def ce_differential(g: LieAlgebra, m: LeftModule, p: int) -> Mat:
     cols_combos = list(itertools.combinations(range(n), p))
     rows_combos = list(itertools.combinations(range(n), p + 1))
     col_index = {t: i for i, t in enumerate(cols_combos)}
-    grid = [[_ZERO] * (len(cols_combos) * dm) for _ in range(len(rows_combos) * dm)]
+    grid = [{} for _ in range(len(rows_combos) * dm)]
+    action = (m.action, [-a for a in m.action])  # action[i % 2] is (-1)^i rho
     for ri, T in enumerate(rows_combos):
         r0 = ri * dm
         for i, ti in enumerate(T):
             sub = T[:i] + T[i + 1:]
-            sign = -1 if i % 2 else 1
-            _add_block(grid, r0, col_index[sub] * dm, m.action[ti], sign)
+            _add_block(grid, r0, col_index[sub] * dm, action[i % 2][ti])
         for i in range(p + 1):
             for j in range(i + 1, p + 1):
                 base_sign = -1 if (i + j) % 2 else 1
@@ -285,7 +306,7 @@ def ce_differential(g: LieAlgebra, m: LeftModule, p: int) -> Mat:
                         Fraction(base_sign * wedge_sign) * ck,
                         dm,
                     )
-    return Mat(len(rows_combos) * dm, len(cols_combos) * dm, grid)
+    return Mat.from_sparse(len(rows_combos) * dm, len(cols_combos) * dm, grid)
 
 
 def _binomial(n: int, p: int) -> int:

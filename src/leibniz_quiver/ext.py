@@ -19,7 +19,6 @@ independent of the linear-algebra stack so they can serve as oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -42,8 +41,6 @@ from .bimodule import (
 from .cohomology import (ce_cohomology, ce_dims_via_invariants, hl_module_structure,
                          induced_module, leibniz_differential)
 from .repsl2 import SL2Module, WeightMultiset, clebsch_gordan, decompose, hemi_sl2, sl2, simple_module
-
-_ZERO = Fraction(0)
 
 
 class E2Page:
@@ -214,7 +211,7 @@ def base_change_map(h: LeibnizAlgebra, x: Bimodule) -> tuple:
         raise DimensionError("bimodule is not over the given algebra")
     z0 = kernel_basis(leibniz_differential(h, x, 0))
     dh, dx, dz = h.dim, x.dim, z0.dim
-    grid = [[_ZERO] * dx for _ in range(dz * dh)]
+    grid = [{} for _ in range(dz * dh)]
     for j in range(dh):
         s = x.left[j] + x.right[j]
         for b in range(dx):
@@ -224,7 +221,7 @@ def base_change_map(h: LeibnizAlgebra, x: Bimodule) -> tuple:
             for i, ci in enumerate(coeffs):
                 if ci:
                     grid[i * dh + j][b] = ci
-    return Mat(dz * dh, dx, grid), z0
+    return Mat.from_sparse(dz * dh, dx, grid), z0
 
 
 def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, q: int) -> LeftModule:
@@ -354,14 +351,12 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     hmod = h_as_lie_module(h)
     hom = hom_module_action(data.lie, hmod, n)
     dh, dn = h.dim, n.dim
-    grid = [[_ZERO] * dn for _ in range(dh * dn)]
+    grid = [{} for _ in range(dh * dn)]
     for j in range(dh):
         act = n.act_by(data.projection.col(j))
-        for b in range(dn):
-            for i, ci in enumerate(act.col(b)):
-                if ci:
-                    grid[i * dh + j][b] = ci
-    return _cokernel_module(hom, Mat(dh * dn, dn, grid))
+        for i in range(dn):
+            grid[i * dh + j] = dict(act.nonzeros(i))
+    return _cokernel_module(hom, Mat.from_sparse(dh * dn, dn, grid))
 
 
 def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:

@@ -1,11 +1,41 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Matrices are immutable grids of `fractions.Fraction` entries.  Ranks,
-kernels, solutions and quotients all go through one fraction-free
-Gaussian elimination (rows are scaled to integers first, then combined
-by cross-multiplication), with the pivot always taken as the first
-nonzero entry in column order, so every basis this module produces is
-reproducible bit for bit.
+Matrices are immutable and sparse: each row is stored as one dict
+``{column: Fraction}`` holding its nonzero entries only, never a stored
+zero, so every operation costs in proportion to the nonzeros it
+touches rather than to the cells of the grid.  ``Mat(rows, cols, data)``
+takes a dense grid and ``Mat.from_sparse`` takes one ``{column: value}``
+mapping per row; both validate their input and refuse floats.  Dense
+views (``row``, ``col``, ``m[i, j]``, ``row_lists``) remain available,
+and ``nonzeros(i)`` yields the (column, value) pairs of one row.
+
+Ranks, kernels, solutions and quotients all go through one elimination
+core.  Each row is scaled to integers by the lcm of its denominators,
+which changes neither the row space nor the null space.  The rows are
+then reduced one at a time, fraction-free, against a map from pivot
+column to echelon row: while the row's leading column already has an
+echelon row with leading entry p, and the row has entry q there, the
+row becomes (p/g) * row - (q/g) * echelon row with g = gcd(p, q); a row
+whose leading column is new is divided by the gcd of its entries and
+becomes that column's echelon row, and a row that cancels to nothing is
+dropped.  No rational division happens until back-substitution, which
+solves all right-hand sides at once in integers (one common denominator
+per solved coordinate) and walks only the nonzeros of each echelon row.
+Fill-in stays where the nonzeros are: a cochain differential in a weight
+basis never mixes h-weights, so neither does its elimination.
+
+Why the results do not depend on the order of elimination: column j
+is the leading column of some row of an echelon basis exactly when
+column j of the matrix is not a combination of the columns before it.
+That is a property of the null space, hence of the row space, so every
+echelon basis of the row space has the same leading-column set.  Given
+that set, the null-space vector with a 1 at free column f and 0 at the
+other free columns is unique, and so is the solution of ``a x = b``
+whose free coordinates are 0.  Hence the rank, the pivot columns,
+``kernel_basis`` (one vector per free column, in increasing order),
+``image_basis`` (the pivot columns of the matrix itself), ``solve`` and
+``complement_pivot_indices`` are reproducible bit for bit, whichever
+row ends up as the echelon row of a column.
 
 Zero-row and zero-column matrices are first class throughout: a 0 x n
 matrix is the unique linear map onto the zero space and an n x 0 matrix
@@ -14,10 +44,9 @@ is the inclusion of the zero space.
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import StabilityError
 
@@ -25,10 +54,14 @@ Scalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # Entries larger than this trigger a gcd reduction of the row during
 # fraction-free elimination; pure growth control, no effect on results.
 _REDUCE_BOUND = 1 << 96
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def as_scalar(value) -> Fraction:
@@ -40,25 +73,89 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
+def _wrap(rows: int, cols: int, data: Iterable[dict]) -> "Mat":
+    """A Mat over trusted row dicts: Fraction values, no zeros, columns
+    in range.  The dicts become the matrix and are never mutated."""
+    m = _new(Mat)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "_rows", tuple(data))
+    return m
+
+
+def _from_vectors(vectors: Sequence[Sequence], rows: int) -> "Mat":
+    """The matrix with the given Fraction vectors as its columns."""
+    out = [{} for _ in range(rows)]
+    for j, v in enumerate(vectors):
+        for i, x in enumerate(v):
+            if x:
+                out[i][j] = x
+    return _wrap(rows, len(vectors), out)
+
+
+def _axpy(acc: dict, x, row: Mapping) -> None:
+    """acc += x * row for a nonzero x, dropping entries that cancel."""
+    for j, v in row.items():
+        t = acc.get(j)
+        if t is None:
+            acc[j] = x * v
+        else:
+            t += x * v
+            if t:
+                acc[j] = t
+            else:
+                del acc[j]
+
+
 class Mat:
     """An immutable ``rows x cols`` matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        grid = tuple(tuple(as_scalar(x) for x in row) for row in data)
+        _check_shape(rows, cols)
+        grid = [[as_scalar(x) for x in row] for row in data]
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ValueError(f"data does not have shape {rows} x {cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", grid)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_rows", tuple({j: x for j, x in enumerate(r) if x} for r in grid))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, data: Iterable[Mapping]) -> "Mat":
+        """A matrix from one ``{column: value}`` mapping per row.
+
+        Values are coerced like the entries of ``Mat(...)`` (floats raise
+        TypeError) and zeros are dropped; a column outside ``0..cols-1``
+        or a row count other than ``rows`` raises ValueError.
+
+        >>> Mat.from_sparse(2, 3, [{2: 5}, {}]) == Mat.from_rows([[0, 0, 5], [0, 0, 0]])
+        True
+        """
+        _check_shape(rows, cols)
+        out = []
+        for entries in data:
+            row = {}
+            for j, x in entries.items():
+                x = as_scalar(x)
+                if not (isinstance(j, int) and 0 <= j < cols):
+                    raise ValueError(f"column {j!r} is outside a matrix with {cols} columns")
+                if x:
+                    row[j] = x
+            out.append(row)
+        if len(out) != rows:
+            raise ValueError(f"data does not have shape {rows} x {cols}")
+        return _wrap(rows, cols, out)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "Mat":
@@ -73,21 +170,26 @@ class Mat:
             if not ncols:
                 raise ValueError("row count required for a matrix with no columns")
             rows = len(cols_data[0])
-        data = [[cols_data[j][i] for j in range(ncols)] for i in range(rows)]
-        return cls(rows, ncols, data)
+        vectors = [[as_scalar(x) for x in col] for col in cols_data]
+        if any(len(v) != rows for v in vectors):
+            raise ValueError(f"data does not have shape {rows} x {ncols}")
+        return _from_vectors(vectors, rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        _check_shape(rows, cols)
+        return _wrap(rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        _check_shape(n, n)
+        return _wrap(n, n, ({i: _ONE} for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Mat":
         n = len(entries)
-        return cls(n, n, [[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+        diag = [as_scalar(x) for x in entries]
+        return _wrap(n, n, ({i: x} if x else {} for i, x in enumerate(diag)))
 
     @classmethod
     def hstack(cls, mats: Sequence["Mat"]) -> "Mat":
@@ -96,8 +198,14 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("hstack row mismatch")
-        data = [sum((list(m._data[i]) for m in mats), []) for i in range(rows)]
-        return cls(rows, sum(m.cols for m in mats), data)
+        out = [dict(r) for r in mats[0]._rows]
+        off = mats[0].cols
+        for m in mats[1:]:
+            for acc, row in zip(out, m._rows):
+                for j, x in row.items():
+                    acc[off + j] = x
+            off += m.cols
+        return _wrap(rows, off, out)
 
     @classmethod
     def vstack(cls, mats: Sequence["Mat"]) -> "Mat":
@@ -106,24 +214,32 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack column mismatch")
-        data = [row for m in mats for row in m._data]
-        return cls(sum(m.rows for m in mats), cols, data)
+        return _wrap(sum(m.rows for m in mats), cols, (r for m in mats for r in m._rows))
 
     # -- access -------------------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        return self._rows[i].get(range(self.cols)[j], _ZERO)
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
+        out = [_ZERO] * self.cols
+        for j, x in self._rows[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._data)
+        j = range(self.cols)[j]
+        return tuple(r.get(j, _ZERO) for r in self._rows)
+
+    def nonzeros(self, i: int):
+        """The (column, value) pairs of the nonzero entries of row i,
+        in no particular order."""
+        return self._rows[i].items()
 
     def row_lists(self) -> list:
-        """A fresh mutable copy of the entries, for elimination."""
-        return [list(r) for r in self._data]
+        """A fresh mutable dense copy of the entries."""
+        return [list(self.row(i)) for i in range(self.rows)]
 
     # -- structure ----------------------------------------------------
 
@@ -132,45 +248,46 @@ class Mat:
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         if self.rows * self.cols > 36:
             return f"Mat({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Mat({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._data for x in row)
+        return not any(self._rows)
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _plus(self, other: "Mat", x: Fraction) -> "Mat":
         self._shape_match(other)
-        data = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._data, other._data)
-        ]
-        return Mat(self.rows, self.cols, data)
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            acc = dict(ra)
+            _axpy(acc, x, rb)
+            out.append(acc)
+        return _wrap(self.rows, self.cols, out)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, _ONE)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._shape_match(other)
-        data = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._data, other._data)
-        ]
-        return Mat(self.rows, self.cols, data)
+        return self._plus(other, _MINUS_ONE)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self._data])
+        return self.scale(_MINUS_ONE)
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
-        return Mat(self.rows, self.cols, [[s * a for a in row] for row in self._data])
+        if not s:
+            return Mat.zero(self.rows, self.cols)
+        return _wrap(self.rows, self.cols, ({j: s * x for j, x in r.items()} for r in self._rows))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -181,18 +298,22 @@ class Mat:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bd = other._data
+        # Integer accumulation: row i of self is a_i / da_i and other is
+        # b / db, so row i of the product is (a_i * b) / (da_i * db).
+        arows, adens = _int_rows(self)
+        brows, bdens = _int_rows(other)
+        db = lcm(*bdens)
+        brows = [{j: v * (db // d) for j, v in r.items()} if d != db else r
+                 for r, d in zip(brows, bdens)]
         out = []
-        for arow in self._data:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bd[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Mat(self.rows, other.cols, out)
+        for arow, da in zip(arows, adens):
+            acc = {}
+            for k, a in arow.items():
+                for j, v in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * v
+            den = da * db
+            out.append({j: Fraction(v, den) for j, v in acc.items() if v})
+        return _wrap(self.rows, other.cols, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -200,18 +321,22 @@ class Mat:
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        data = [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Mat(self.cols, self.rows, data)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return _wrap(self.cols, self.rows, out)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product, returning a coordinate tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = []
-        for row in self._data:
+        for row in self._rows:
             s = _ZERO
-            for a, v in zip(row, vec):
-                if a and v:
+            for j, a in row.items():
+                v = vec[j]
+                if v:
                     s += a * v
             out.append(s)
         return tuple(out)
@@ -233,122 +358,112 @@ def kron(a: Mat, b: Mat) -> Mat:
     >>> kron(Mat.identity(2), Mat.identity(3)) == Mat.identity(6)
     True
     """
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    grid = [[_ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j, av in enumerate(arow):
-            if av:
-                r0 = i * b.rows
-                c0 = j * b.cols
-                for bi in range(b.rows):
-                    brow = b.row(bi)
-                    tr = grid[r0 + bi]
-                    for bj, bv in enumerate(brow):
-                        if bv:
-                            tr[c0 + bj] = av * bv
-    return Mat(rows, cols, grid)
+    bc = b.cols
+    out = [
+        {j * bc + k: x * y for j, x in arow.items() for k, y in brow.items()}
+        for arow in a._rows
+        for brow in b._rows
+    ]
+    return _wrap(a.rows * b.rows, a.cols * bc, out)
 
 
 # ---------------------------------------------------------------------------
-# Elimination core.
-#
-# Rows are scaled to integers (clearing denominators row by row, which
-# changes neither the row space nor the null space), then brought to row
-# echelon form by cross-multiplication:  row_j <- p * row_j - q * row_i.
-# No rational division happens until back-substitution.
+# Elimination core (see the module docstring).
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(m: Mat) -> list:
+def _int_rows(m: Mat) -> tuple:
+    """Fresh ``{column: int}`` rows, each row of ``m`` times the lcm of
+    its denominators, and the list of those lcms."""
     out = []
-    for row in m._data:
-        denom_lcm = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        if denom_lcm == 1:
-            out.append([x.numerator for x in row])
+    dens = []
+    for row in m._rows:
+        den = lcm(*[x.denominator for x in row.values()])
+        if den == 1:
+            out.append({j: x.numerator for j, x in row.items()})
         else:
-            out.append([int(x * denom_lcm) for x in row])
-    return out
+            out.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+        dens.append(den)
+    return out, dens
 
 
-def _reduce_row(row: list) -> None:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
+def _reduce_row(row: dict) -> None:
+    g = gcd(*row.values())
     if g > 1:
-        for j, x in enumerate(row):
-            if x:
-                row[j] = x // g
+        for j in row:
+            row[j] //= g
 
 
-def _forward_eliminate(rows: list, ncols: int) -> list:
-    """In-place integer row echelon reduction; returns the pivot columns.
-
-    The pivot for each column is the first not-yet-used row with a
-    nonzero entry there, which keeps the reduction deterministic.
-    """
-    pivots = []
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        prow = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                prow = i
+def _forward_eliminate(rows: list, ncols: int) -> tuple:
+    """Reduce the integer rows (consumed in place) to an echelon basis
+    of their span; returns ``(echelon, pivots)`` with ``echelon`` the
+    map from pivot column to its echelon row and ``pivots`` its sorted
+    keys."""
+    echelon = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = echelon.get(c)
+            if prow is None:
+                _reduce_row(row)
+                echelon[c] = row
                 break
-        if prow < 0:
-            continue
-        if prow != r:
-            rows[r], rows[prow] = rows[prow], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        for i in range(r + 1, nrows):
-            row_i = rows[i]
-            q = row_i[c]
-            if q:
-                big = False
-                for j in range(c, ncols):
-                    pj = pivot_row[j]
-                    v = p * row_i[j] - q * pj if pj else p * row_i[j]
-                    row_i[j] = v
-                    if v > _REDUCE_BOUND or -v > _REDUCE_BOUND:
-                        big = True
-                if big:
-                    _reduce_row(row_i)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+            p, q = prow[c], row[c]
+            g = gcd(p, q)
+            p //= g
+            q //= g
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
+            for j, v in prow.items():
+                t = row.get(j)
+                if t is None:
+                    row[j] = -q * v
+                else:
+                    t -= q * v
+                    if t:
+                        row[j] = t
+                    else:
+                        del row[j]
+            if row and (max(row.values()) > _REDUCE_BOUND
+                        or min(row.values()) < -_REDUCE_BOUND):
+                _reduce_row(row)
+        if len(echelon) == ncols:
             break
-    return pivots
+    return echelon, sorted(echelon)
 
 
-def _back_substitute(rows: list, pivots: list, ncols: int, rhs_col) -> list:
-    """Solve the echelon system for one right-hand side column.
+def _back_substitute(echelon: dict, pivots: list, fixed: dict) -> dict:
+    """Solve the echelon rows for their pivot coordinates, for every
+    right-hand side at once.
 
-    ``rows`` must be the output of _forward_eliminate on the augmented
-    matrix restricted to the coefficient columns, with ``rhs_col`` the
-    matching entries of the augmented column after elimination.  Free
-    variables are set to zero.  Returns the solution as Fractions.
+    ``fixed`` gives the integer values of non-pivot columns, each a
+    sparse ``{k: value}`` over the right-hand sides k; an absent column
+    is 0 in every right-hand side.  Returns the values of the pivot
+    columns that make each echelon row vanish, as sparse ``{k:
+    Fraction}`` without zeros.  The work stays in integers: each solved
+    column is kept as numerators over one common denominator.
     """
-    x = [_ZERO] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = rows[r]
-        s = Fraction(rhs_col[r])
-        for j in range(pc + 1, ncols):
-            aj = row[j]
-            if aj and x[j]:
-                s -= aj * x[j]
-        x[pc] = s / row[pc]
-    return x
+    x = {j: (values, 1) for j, values in fixed.items()}
+    for pc in reversed(pivots):
+        terms = [(a, x[j]) for j, a in echelon[pc].items() if j in x]
+        if not terms:
+            continue
+        den = lcm(*[d for _, (_, d) in terms])
+        acc = {}
+        for a, (num, d) in terms:
+            if d != den:
+                a *= den // d
+            for k, v in num.items():
+                acc[k] = acc.get(k, 0) + a * v
+        acc = {k: v for k, v in acc.items() if v}
+        if acc:
+            den *= -echelon[pc][pc]
+            g = gcd(den, *acc.values())
+            if den < 0:
+                g = -g
+            x[pc] = ({k: v // g for k, v in acc.items()}, den // g)
+    return {pc: {k: Fraction(v, x[pc][1]) for k, v in x[pc][0].items()}
+            for pc in pivots if pc in x}
 
 
 def rank(m: Mat) -> int:
@@ -357,10 +472,7 @@ def rank(m: Mat) -> int:
     >>> rank(Mat.from_rows([[1, 2], [2, 4]]))
     1
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = _int_rows(m)
-    return len(_forward_eliminate(rows, m.cols))
+    return len(_forward_eliminate(_int_rows(m)[0], m.cols)[0])
 
 
 def nullity(m: Mat) -> int:
@@ -383,23 +495,11 @@ def kernel_basis(m: Mat) -> "SubspaceBasis":
     [(Fraction(-1, 1), Fraction(1, 1))]
     """
     n = m.cols
-    if m.rows == 0 or n == 0:
-        vecs = [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
-        return SubspaceBasis(n, vecs, check=False)
-    rows = _int_rows(m)
-    pivots = _forward_eliminate(rows, n)
-    pivot_set = set(pivots)
-    vecs = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        # Solve A x = 0 with x[fc] = 1 and all other free coords 0; the
-        # pivots right of fc stay 0, so only the rows left of it are solved.
-        k = bisect(pivots, fc)
-        x = _back_substitute(rows, pivots[:k], n, [-rows[r][fc] for r in range(k)])
-        x[fc] = _ONE
-        vecs.append(tuple(x))
-    return SubspaceBasis(n, vecs, check=False)
+    echelon, pivots = _forward_eliminate(_int_rows(m)[0], n)
+    free = [c for c in range(n) if c not in echelon]
+    x = _back_substitute(echelon, pivots, {c: {k: 1} for k, c in enumerate(free)})
+    x.update((c, {k: _ONE}) for k, c in enumerate(free))
+    return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n))))
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -412,33 +512,19 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
     n = a.cols
-    aug = Mat.hstack([a, b]) if n else b
-    rows = _int_rows(aug)
-    total = n + b.cols
-    pivots_all = _forward_eliminate(rows, total)
-    pivots = [p for p in pivots_all if p < n]
-    if len(pivots) != len(pivots_all):
+    echelon, pivots = _forward_eliminate(_int_rows(Mat.hstack([a, b]))[0], n + b.cols)
+    if pivots and pivots[-1] >= n:
         return None  # a pivot landed in the right-hand block: inconsistent
-    nr = len(pivots)
-    # Rows below the pivot rows are zero in the coefficient block; any
-    # nonzero right-hand entry there certifies inconsistency.
-    for i in range(nr, len(rows)):
-        if any(rows[i][n + k] for k in range(b.cols)):
-            return None
-    cols_out = []
-    for k in range(b.cols):
-        rhs = [rows[r][n + k] for r in range(nr)]
-        cols_out.append(_back_substitute(rows, pivots, n, rhs))
-    return Mat.from_cols(cols_out, rows=n)
+    # Column n + k carries right-hand side k with coefficient -1, so each
+    # echelon row reads sum_j row[j] x[j] = row[n + k].
+    x = _back_substitute(echelon, pivots, {n + k: {k: -1} for k in range(b.cols)})
+    return _wrap(n, b.cols, (x.get(i, {}) for i in range(n)))
 
 
 def image_basis(m: Mat) -> "SubspaceBasis":
     """Basis of the column span: the pivot columns of ``m`` themselves."""
-    if m.rows == 0 or m.cols == 0:
-        return SubspaceBasis(m.rows, [], check=False)
-    rows = _int_rows(m)
-    pivots = _forward_eliminate(rows, m.cols)
-    return SubspaceBasis(m.rows, [m.col(j) for j in pivots], check=False)
+    _, pivots = _forward_eliminate(_int_rows(m)[0], m.cols)
+    return _basis(_columns(m, pivots))
 
 
 def span_of(vectors: Sequence[Sequence], ambient_dim: int) -> "SubspaceBasis":
@@ -448,23 +534,39 @@ def span_of(vectors: Sequence[Sequence], ambient_dim: int) -> "SubspaceBasis":
     for v in vecs:
         if len(v) != ambient_dim:
             raise ValueError("vector length mismatch")
-    if not vecs:
-        return SubspaceBasis(ambient_dim, [], check=False)
-    return image_basis(Mat.from_cols(vecs, rows=ambient_dim))
+    return image_basis(_from_vectors(vecs, ambient_dim))
+
+
+def _columns(m: Mat, idx: Sequence[int]) -> Mat:
+    """The columns of ``m`` at the given indices, in that order."""
+    t = m.transpose()
+    return _wrap(len(idx), m.rows, (t._rows[j] for j in idx)).transpose()
+
+
+def _basis(cols: Mat) -> "SubspaceBasis":
+    """The basis formed by the independent columns of ``cols``, which
+    it keeps as its matrix."""
+    b = _new(SubspaceBasis)
+    t = cols.transpose()
+    _set(b, "ambient_dim", cols.rows)
+    _set(b, "vectors", tuple(t.row(k) for k in range(t.rows)))
+    _set(b, "_matrix", cols)
+    return b
 
 
 class SubspaceBasis:
     """An ordered, linearly independent list of vectors in K^ambient."""
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "vectors", "_matrix")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence], *, check: bool = True):
         vecs = tuple(tuple(as_scalar(x) for x in v) for v in vectors)
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vectors", vecs)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "vectors", vecs)
+        _set(self, "_matrix", None)
         if check and vecs:
             if rank(self.matrix()) != len(vecs):
                 raise ValueError("vectors are linearly dependent")
@@ -474,7 +576,8 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":
-        return cls(n, Mat.identity(n).transpose()._data, check=False)
+        return cls(n, [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)],
+                   check=False)
 
     @classmethod
     def empty(cls, n: int) -> "SubspaceBasis":
@@ -502,7 +605,9 @@ class SubspaceBasis:
 
     def matrix(self) -> Mat:
         """The ambient_dim x dim matrix whose columns are the basis."""
-        return Mat.from_cols(self.vectors, rows=self.ambient_dim)
+        if self._matrix is None:
+            _set(self, "_matrix", _from_vectors(self.vectors, self.ambient_dim))
+        return self._matrix
 
     def coords(self, vector: Sequence) -> tuple | None:
         """Coordinates of ``vector`` in this basis, or None if outside."""
@@ -531,14 +636,12 @@ def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:
     >>> lincomb([Mat.identity(2), Mat.zero(2, 2)], [3, 5], 2) == Mat.identity(2).scale(3)
     True
     """
-    grid = [[_ZERO] * dim for _ in range(dim)]
+    out = [{} for _ in range(dim)]
     for m, x in zip(mats, coords, strict=True):
         if x:
-            for out, row in zip(grid, m._data):
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] += x * a
-    return Mat(dim, dim, grid)
+            for acc, row in zip(out, m._rows):
+                _axpy(acc, x, row)
+    return _wrap(dim, dim, out)
 
 
 def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
@@ -549,17 +652,19 @@ def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
     return kernel_basis(Mat.vstack(mats))
 
 
+def _complement_pivots(coords: Mat) -> list:
+    """Pivot-column extension of the columns of ``coords`` by standard
+    vectors: the indices j of the chosen e_j."""
+    t, dim = coords.cols, coords.rows
+    m = Mat.hstack([coords, Mat.identity(dim)])
+    _, pivots = _forward_eliminate(_int_rows(m)[0], t + dim)
+    return [p - t for p in pivots if p >= t]
+
+
 def complement_pivot_indices(coord_cols: Sequence[Sequence], dim: int) -> list:
     """Indices j such that the standard vectors e_j extend ``coord_cols``
     to a basis of K^dim (pivot-column extension, deterministic)."""
-    ncols = len(coord_cols)
-    cols = list(coord_cols) + [
-        tuple(_ONE if i == j else _ZERO for i in range(dim)) for j in range(dim)
-    ]
-    m = Mat.from_cols(cols, rows=dim)
-    rows = _int_rows(m)
-    pivots = _forward_eliminate(rows, m.cols)
-    return [p - ncols for p in pivots if p >= ncols]
+    return _complement_pivots(Mat.from_cols(coord_cols, rows=dim))
 
 
 def restrict_and_project(f: Mat, sub: SubspaceBasis, quot_of: SubspaceBasis) -> Mat:
@@ -582,28 +687,25 @@ def restrict_and_project(f: Mat, sub: SubspaceBasis, quot_of: SubspaceBasis) -> 
     if f_in_sub is None:
         raise StabilityError("map does not preserve the subspace")
     if quot_of.dim:
-        qcoords = solve(smat, quot_of.matrix())
+        qmat = quot_of.matrix()
+        qcoords = solve(smat, qmat)
         if qcoords is None:
             raise StabilityError("quotient space is not inside the subspace")
-        fq = f * quot_of.matrix()
-        if solve(quot_of.matrix(), fq) is None:
+        if solve(qmat, f * qmat) is None:
             raise StabilityError("map does not preserve the quotient subspace")
-        q_cols = [qcoords.col(j) for j in range(quot_of.dim)]
     else:
-        q_cols = []
-    comp = complement_pivot_indices(q_cols, s)
-    t = len(q_cols)
+        qcoords = Mat.zero(s, 0)
+    comp = _complement_pivots(qcoords)
+    t = qcoords.cols
     if len(comp) != s - t:
         raise StabilityError("quotient basis does not extend to the subspace")
-    basis_cols = q_cols + [
-        tuple(_ONE if i == j else _ZERO for i in range(s)) for j in comp
-    ]
     if not comp:
         return Mat.zero(0, 0)
-    bmat = Mat.from_cols(basis_cols, rows=s)
-    images = Mat.from_cols([f_in_sub.col(j) for j in comp], rows=s)
-    coords = solve(bmat, images)
-    if coords is None:  # unreachable: basis_cols spans K^s
+    units = [{} for _ in range(s)]
+    for k, j in enumerate(comp):
+        units[j] = {k: _ONE}
+    bmat = Mat.hstack([qcoords, _wrap(s, s - t, units)])
+    coords = solve(bmat, _columns(f_in_sub, comp))
+    if coords is None:  # unreachable: the basis columns span K^s
         raise StabilityError("internal: complement coordinates unsolvable")
-    data = [coords.row(t + i) for i in range(s - t)]
-    return Mat(s - t, s - t, data)
+    return _wrap(s - t, s - t, coords._rows[t:])

@@ -86,16 +86,10 @@ def simple_module(m: int) -> SL2Module:
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
     n = m + 1
-    e = [[_ZERO] * n for _ in range(n)]
-    h = [[_ZERO] * n for _ in range(n)]
-    f = [[_ZERO] * n for _ in range(n)]
-    for k in range(n):
-        h[k][k] = Fraction(m - 2 * k)
-        if k >= 1:
-            e[k - 1][k] = Fraction(k * (m - k + 1))
-        if k + 1 < n:
-            f[k + 1][k] = _ONE
-    mats = [Mat(n, n, e), Mat(n, n, h), Mat(n, n, f)]
+    e = [{k + 1: (k + 1) * (m - k)} for k in range(m)] + [{}]
+    h = [{k: m - 2 * k} for k in range(n)]
+    f = [{}] + [{k: 1} for k in range(m)]
+    mats = [Mat.from_sparse(n, n, rows) for rows in (e, h, f)]
     return SL2Module(LeftModule(sl2(), n, mats))
 
 
@@ -122,17 +116,13 @@ def direct_sum(*mods: SL2Module) -> SL2Module:
     total = sum(m.dim for m in mods)
     mats = []
     for idx in range(3):
-        grid = [[_ZERO] * total for _ in range(total)]
+        rows = []
         off = 0
         for m in mods:
             a = m.underlying.action[idx]
-            for i in range(m.dim):
-                row = a.row(i)
-                for j, x in enumerate(row):
-                    if x:
-                        grid[off + i][off + j] = x
+            rows.extend({off + j: x for j, x in a.nonzeros(i)} for i in range(m.dim))
             off += m.dim
-        mats.append(Mat(total, total, grid))
+        mats.append(Mat.from_sparse(total, total, rows))
     return SL2Module(LeftModule(sl2(), total, mats))
 
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from leibniz_quiver import cli
+from leibniz_quiver import cli, cohomology
+from leibniz_quiver.algebra import algebra_to_spec
+from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec
 from leibniz_quiver.errors import CollapseNotCertifiedError
+from leibniz_quiver.repsl2 import hemi_sl2, simple_module
 
 
 def run(capsys, *argv):
@@ -284,3 +287,17 @@ def test_help_is_exit_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "usage" in out
+
+
+def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
+    h = hemi_sl2(2)
+    apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
+    bpath = write_json(tmp_path, "b.json",
+                       bimodule_to_spec(antisymmetric(h, simple_module(2).underlying)))
+    built = []
+    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+                         "--qmax", "5")
+    assert code == 1 and out == "" and built == []
+    assert err == ("error: the cochain space CL^6 has dimension 139968, "
+                   f"above the budget of {cohomology.COCHAIN_BUDGET}\n")

@@ -22,7 +22,9 @@ from leibniz_quiver.bimodule import (
     symmetric,
     trivial_bimodule,
 )
+from leibniz_quiver import cohomology
 from leibniz_quiver.cohomology import (
+    COCHAIN_BUDGET,
     CochainComplex,
     ce_cohomology,
     ce_complex,
@@ -37,7 +39,7 @@ from leibniz_quiver.cohomology import (
     trivial_algebra_closed_form,
     hl_module_structure,
 )
-from leibniz_quiver.errors import ComplexError, DimensionError
+from leibniz_quiver.errors import ComplexError, DimensionError, InputError
 from leibniz_quiver.linear import Mat
 from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2
 
@@ -225,3 +227,32 @@ def test_weyl_shortcut_agrees_with_brute_force():
         fast = ce_dims_via_invariants(g, m, 3)
         brute = ce_cohomology(g, m, 3).dims
         assert fast == brute
+
+
+# ------------------------------------------------------------ resource budget
+
+def test_cochain_budget_sits_between_the_largest_target_and_qmax_five():
+    # HL^4(hemi_sl2(2), V_2^a) maps into 6^5 * 3 = 23 328 cochains and is
+    # allowed; qmax 5 on the same pair would need 6^6 * 3 = 139 968 rows.
+    assert 6 ** 5 * 3 <= COCHAIN_BUDGET < 6 ** 6 * 3
+
+
+def test_oversized_complex_is_refused_before_any_differential(monkeypatch):
+    h = hemi_sl2(2)
+    bm = antisymmetric(h, simple_module(2).underlying)
+    built = []
+    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    with pytest.raises(InputError, match="139968"):
+        leibniz_cohomology(h, bm, 5)
+    assert built == []
+
+
+def test_differential_checks_its_own_target_dimension(monkeypatch):
+    h = hemi_sl2(1)
+    bm = antisymmetric(h, simple_module(1).underlying)
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 5 * 2)
+    assert leibniz_differential(h, bm, 0).rows == 10
+    with pytest.raises(InputError, match="CL\\^2 has dimension 50"):
+        leibniz_differential(h, bm, 1)
+    with pytest.raises(InputError):
+        hl_module_structure(h, bm, 1)

@@ -338,6 +338,18 @@ def test_ext_simple_closed_degree_two_anomaly():
     assert ext_simple_closed(2, s, SimpleDescriptor(KIND_ANTISYMMETRIC, 4), 2) == 0
 
 
+def test_closed_forms_match_certified_spectral_route():
+    # A second route for the degree-2 anomaly above: the certified E2
+    # page must reproduce every closed-form degree on this window.
+    for n, p, m in product((1, 2), (1, 2, 3), (1, 2)):
+        h = hemi_sl2(n)
+        src = SimpleDescriptor(KIND_SYMMETRIC, p)
+        dst = SimpleDescriptor(KIND_ANTISYMMETRIC, m)
+        res = ext_dims(h, src, dst.realize(h), 2, fast=True)
+        assert res.certificate.certified, (n, p, m)
+        assert list(res.dims) == [ext_simple_closed(n, src, dst, q) for q in range(3)], (n, p, m)
+
+
 def test_ext_simple_closed_degree_guard():
     s = SimpleDescriptor(KIND_SYMMETRIC, 2)
     with pytest.raises(UnsupportedDegreeError):

@@ -1,10 +1,12 @@
 """Exact linear algebra: ranks, kernels, solving, subspace arithmetic."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibniz_quiver import linear, repsl2
 from leibniz_quiver.linear import (
     Mat,
     SubspaceBasis,
@@ -262,3 +264,163 @@ def test_solve_recovers_consistent_rhs(m):
     rhs = m * ones
     x = solve(m, rhs)
     assert x is not None and m * x == rhs
+
+
+# ------------------------------------------- basis contract, by a reference
+
+def _rref(rows, ncols):
+    """Reduced row echelon form by textbook Gauss-Jordan over Fraction:
+    (nonzero rows, pivot columns)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+def _ref_kernel(m):
+    """One vector per free column f: 1 at f, 0 at the other free
+    columns, read off the reduced echelon form."""
+    red, pivots = _rref(m.row_lists(), m.cols)
+    out = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        out.append(tuple(v))
+    return out
+
+
+def _ref_solve(a, b):
+    """The solution with free coordinates 0, or None if inconsistent."""
+    n = a.cols
+    aug = [ra + rb for ra, rb in zip(a.row_lists(), b.row_lists())]
+    red, pivots = _rref(aug, n + b.cols)
+    if any(pc >= n for pc in pivots):
+        return None
+    x = [[F(0)] * b.cols for _ in range(n)]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[n:]
+    return x
+
+
+fractions_or_zero = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def contract_matrices(draw, max_dim=5):
+    """Small matrices with non-integer entries and inserted zero rows and
+    columns, or row-permuted block-diagonal sparse matrices."""
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+        rows = [draw(st.lists(fractions_or_zero, min_size=c, max_size=c)) for _ in range(r)]
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, [F(0)] * c)
+        zc = draw(st.lists(st.integers(0, c), max_size=2))
+        for at in sorted(zc, reverse=True):
+            for row in rows:
+                row.insert(at, F(0))
+        return Mat(len(rows), c + len(zc), rows)
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4))
+    nrows, ncols = sum(s[0] for s in shapes), sum(s[1] for s in shapes)
+    rows = [[F(0)] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for br, bc in shapes:
+        for i in range(br):
+            rows[r0 + i][c0:c0 + bc] = draw(st.lists(fractions_or_zero, min_size=bc, max_size=bc))
+        r0, c0 = r0 + br, c0 + bc
+    perm = draw(st.permutations(range(nrows)))
+    return Mat(nrows, ncols, [rows[i] for i in perm])
+
+
+@settings(max_examples=100, deadline=None)
+@given(contract_matrices(), st.data())
+def test_bases_match_independent_rref(m, data):
+    assert kernel_basis(m).vectors == tuple(_ref_kernel(m))
+    _, pivots = _rref(m.row_lists(), m.cols)
+    assert image_basis(m).vectors == tuple(m.col(j) for j in pivots)
+    assert rank(m) == len(pivots)
+    # A consistent right-hand side and a free one (usually inconsistent).
+    x0 = data.draw(st.lists(fractions_or_zero, min_size=m.cols, max_size=m.cols))
+    consistent = Mat.from_cols([m.apply(x0)], rows=m.rows)
+    free = Mat.from_cols([data.draw(st.lists(fractions_or_zero, min_size=m.rows,
+                                             max_size=m.rows))], rows=m.rows)
+    for b in (consistent, free, Mat.hstack([consistent, free])):
+        expect = _ref_solve(m, b)
+        got = solve(m, b)
+        if expect is None:
+            assert got is None
+        else:
+            assert got is not None and got.row_lists() == expect
+    # The standard vectors that extend the columns of m to K^rows.
+    cols = [m.col(j) for j in range(m.cols)]
+    ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
+    aug = [list(r) + e for r, e in zip(m.row_lists(), ident)]
+    _, piv = _rref(aug, m.cols + m.rows)
+    assert complement_pivot_indices(cols, m.rows) == [p - m.cols for p in piv if p >= m.cols]
+
+
+# ------------------------------------------------- equality and hashing
+
+@settings(max_examples=40, deadline=None)
+@given(contract_matrices(), st.data())
+def test_equality_and_hash_ignore_construction_history(m, data):
+    other = Mat(m.rows, m.cols, [data.draw(st.lists(fractions_or_zero, min_size=m.cols,
+                                                    max_size=m.cols)) for _ in range(m.rows)])
+    again = m + other - other
+    assert again == m and hash(again) == hash(m)
+    diff = m - m
+    assert diff == Mat.zero(m.rows, m.cols) and hash(diff) == hash(Mat.zero(m.rows, m.cols))
+    assert m.transpose().transpose() == m
+    assert kron(Mat.identity(1), m) == m and hash(kron(Mat.identity(1), m)) == hash(m)
+    assert Mat.from_sparse(m.rows, m.cols, [dict(m.nonzeros(i)) for i in range(m.rows)]) == m
+
+
+def test_sparse_constructor_validates_like_dense():
+    with pytest.raises(TypeError):
+        Mat(1, 2, [[0.5, 0]])
+    with pytest.raises(TypeError):
+        Mat.from_sparse(1, 2, [{0: 0.5}])
+    with pytest.raises(ValueError):
+        Mat(1, 2, [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        Mat.from_sparse(1, 2, [{2: 3}])
+    with pytest.raises(ValueError):
+        Mat.from_sparse(1, 2, [{-1: 3}])
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        Mat.from_sparse(2, 2, [{0: 1}])
+    for bad in (lambda: Mat(-1, 0, []), lambda: Mat.from_sparse(-1, 0, []),
+                lambda: Mat.zero(-1, 2), lambda: Mat.identity(-1)):
+        with pytest.raises(ValueError):
+            bad()
+    m = Mat.from_sparse(2, 3, [{1: F(1, 2), 2: 0}, {}])
+    assert m == mat([[0, F(1, 2), 0], [0, 0, 0]])
+    assert sorted(m.nonzeros(0)) == [(1, F(1, 2))] and not list(m.nonzeros(1))
+
+
+# ------------------------------------------------------------------ doctests
+
+def test_module_doctests_pass():
+    for module in (linear, repsl2):
+        result = doctest.testmod(module)
+        assert result.failed == 0 and result.attempted > 0, module.__name__
