@@ -26,9 +26,10 @@ from .linear import (
     kernel_basis,
     kron,
     lincomb,
+    parse_rational,
     restrict_and_project,
 )
-from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, lift_module, quotient_data, trivial_algebra
+from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, _is_int, lift_module, trivial_algebra
 
 _ZERO = Fraction(0)
 
@@ -155,10 +156,9 @@ def antisymmetric_kernel(b: Bimodule) -> SubspaceBasis:
 def sym_quotient(b: Bimodule) -> Bimodule:
     """The symmetric quotient bimodule M / M_0 with the induced actions."""
     m0 = antisymmetric_kernel(b)
-    sub = SubspaceBasis.full(b.dim)
-    left = [restrict_and_project(L, sub, m0) for L in b.left]
-    right = [restrict_and_project(R, sub, m0) for R in b.right]
-    out = Bimodule(b.algebra, b.dim - m0.dim, left, right)
+    induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim), m0)
+    k = b.algebra.dim
+    out = Bimodule(b.algebra, b.dim - m0.dim, induced[:k], induced[k:])
     for l, r in zip(out.left, out.right):
         if l != -r:
             raise ModuleAxiomError("symmetric quotient is not symmetric")
@@ -280,7 +280,7 @@ def _entry_from_json(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return parse_rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
     raise InputError(f"bimodule entries must be ints or 'num/den' strings, got {x!r}")
@@ -311,7 +311,7 @@ def bimodule_from_spec(h: LeibnizAlgebra, spec: dict, *, check: bool = True) -> 
         right = spec["right"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"bimodule spec missing field: {exc}") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InputError("bimodule dim must be a nonnegative integer")
     if not isinstance(left, list) or not isinstance(right, list):
         raise InputError("left/right must be lists of matrices")

@@ -31,6 +31,7 @@ from .algebra import (algebra_from_spec, check_left_leibniz, leibniz_kernel, quo
 from .bimodule import OneDimBimodule, bimodule_from_spec
 from .cohomology import ce_cohomology, leibniz_cohomology
 from .ext import SimpleDescriptor, ext1_hemi_oracle, ext_dims, ext_simple_closed, ext_trivial_closed
+from .linear import parse_rational
 from .quiver import quiver_hemi, quiver_trivial, to_dot, to_json
 from .repsl2 import simple_module, sl2
 
@@ -49,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_scalar(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return parse_rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
 
@@ -185,13 +186,15 @@ def _report(args, out, src, dst, results: dict, as_dims) -> int:
     """Print one line per method (text) or one JSON pair, the methods in
     the order computed; ``as_dims`` turns a result into its list of
     dimensions.  When two methods disagree, write a diagnostic to
-    stderr and return 2 (JSON mode then prints nothing)."""
+    stderr and return 2 (JSON mode then prints nothing).  JSON ``certified``
+    is true for an answer from a certified spectral page, else null."""
     (first, value), *others = results.items()
     diverged = any(v != value for _, v in others)
     if args.format == "json":
         if not diverged:
+            certified = True if "spectral" in results else None
             doc = {"ext": {"pairs": [{"src": src.label(), "dst": dst.label(),
-                                      "dims": as_dims(value), "certified": True}]}}
+                                      "dims": as_dims(value), "certified": certified}]}}
             out.write(json.dumps(doc) + "\n")
     else:
         for v in results.values():

@@ -247,7 +247,7 @@ def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
     Leibniz-kernel element acting nonzero on the quotient.
     """
     data = quotient_data(h)
-    induced = [restrict_and_project(a, sub, quot) for a in actions]
+    induced = restrict_and_project(actions, sub, quot)
     dim = sub.dim - quot.dim
     for kv in data.kernel.vectors:
         if not lincomb(induced, kv, dim).is_zero():
@@ -255,15 +255,13 @@ def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
     return LeftModule(data.lie, dim, [induced[i] for i in data.complement])
 
 
-def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, q: int) -> LeftModule:
-    """HL^q(h, m) as a module over the Lie quotient of h: the cochain
-    action restricted to cocycles and projected modulo coboundaries."""
-    cocycles = kernel_basis(leibniz_differential(h, m, q))
-    if q == 0:
-        coboundaries = SubspaceBasis.empty(m.dim)
-    else:
-        coboundaries = image_basis(leibniz_differential(h, m, q - 1))
-    return induced_module(h, cochain_action(h, m, q), cocycles, coboundaries)
+def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
+    """[HL^0(h, m), ..., HL^qmax(h, m)] as modules over the Lie quotient
+    of h: the cochain action restricted to the cocycles and projected
+    modulo the coboundaries of ``leibniz_cohomology(h, m, qmax)``."""
+    groups = leibniz_cohomology(h, m, qmax).groups
+    return [induced_module(h, cochain_action(h, m, q), g.cocycles, g.coboundaries)
+            for q, g in enumerate(groups)]
 
 
 # ---------------------------------------------------------------------------

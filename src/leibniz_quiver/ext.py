@@ -28,7 +28,7 @@ from .errors import (
     StabilityError,
     UnsupportedDegreeError,
 )
-from .linear import Mat, SubspaceBasis, image_basis, kernel_basis, restrict_and_project
+from .linear import Mat, SubspaceBasis, image_basis, kernel_basis, restrict_and_project, solve
 from .algebra import LeftModule, LeibnizAlgebra, quotient_data
 from .bimodule import (
     Bimodule,
@@ -194,54 +194,51 @@ def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
     """hom / im(f) with the induced action; im(f) must be a submodule
     (StabilityError otherwise)."""
     imf = image_basis(f)
-    full = SubspaceBasis.full(hom.dim)
-    induced = [restrict_and_project(a, full, imf) for a in hom.action]
+    induced = restrict_and_project(hom.action, SubspaceBasis.full(hom.dim), imf)
     return LeftModule(hom.algebra, hom.dim - imf.dim, induced)
+
+
+def _into_hom(blocks: Sequence[Mat], dv: int, dx: int) -> Mat:
+    """The map x |-> (b_j |-> blocks[j] x) from K^dx to Hom(h, K^dv), in
+    the row-major Hom coordinates (i, j) |-> i * dim h + j."""
+    rows = [dict(blocks[j].nonzeros(i)) for i in range(dv) for j in range(len(blocks))]
+    return Mat.from_sparse(dv * len(blocks), dx, rows)
 
 
 def base_change_map(h: LeibnizAlgebra, x: Bimodule) -> tuple:
     """The map f: X -> Hom(h, HL^0(h, X)), f(m)(y) = y.m + m.y.
 
     Returns (matrix of f, cocycle basis of HL^0).  The values of f land
-    in HL^0 because R_y(L_x + R_x) = 0 follows from the bimodule axioms.
-    Hom coordinates are row-major: (i, j) |-> i * dim h + j with i the
-    HL^0 index.
+    in HL^0 because R_y(L_x + R_x) = 0 follows from the bimodule axioms;
+    StabilityError if they do not.
     """
     if x.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
     z0 = kernel_basis(leibniz_differential(h, x, 0))
-    dh, dx, dz = h.dim, x.dim, z0.dim
-    grid = [{} for _ in range(dz * dh)]
-    for j in range(dh):
-        s = x.left[j] + x.right[j]
-        for b in range(dx):
-            coeffs = z0.coords(s.col(b))
-            if coeffs is None:
-                raise StabilityError("f does not land in the degree-0 cocycles")
-            for i, ci in enumerate(coeffs):
-                if ci:
-                    grid[i * dh + j][b] = ci
-    return Mat.from_sparse(dz * dh, dx, grid), z0
+    blocks = [solve(z0.matrix(), x.left[j] + x.right[j]) for j in range(h.dim)]
+    if any(b is None for b in blocks):
+        raise StabilityError("f does not land in the degree-0 cocycles")
+    return _into_hom(blocks, z0.dim, x.dim), z0
 
 
-def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, q: int) -> LeftModule:
+def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
     """Ext^q against the symmetrized enveloping module of the Lie
-    quotient, as a module over the quotient; its dim is the count.
+    quotient for q = 0..qmax, as modules over the quotient; their dims
+    are the counts.
 
     q = 0 is Ker(f), q = 1 is Coker(f), and q >= 2 is the full Hom
-    space Hom(h, HL^(q-1)(h, X)) with the usual action.
+    space Hom(h, HL^(q-1)(h, X)) with the usual action, all from one
+    ``hl_module_structure(h, x, qmax - 1)``.
     """
-    if q < 0:
+    if qmax < 0:
         raise DimensionError("degree must be nonnegative")
-    if q == 0:
-        f, _ = base_change_map(h, x)
-        return induced_module(h, x.left, kernel_basis(f), SubspaceBasis.empty(x.dim))
-    hom = hom_module_action(quotient_data(h).lie, h_as_lie_module(h),
-                            hl_module_structure(h, x, q - 1))
-    if q >= 2:
-        return hom
     f, _ = base_change_map(h, x)
-    return _cokernel_module(hom, f)
+    ker = induced_module(h, x.left, kernel_basis(f), SubspaceBasis.empty(x.dim))
+    if qmax == 0:
+        return [ker]
+    hmod = h_as_lie_module(h)
+    homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_module_structure(h, x, qmax - 1)]
+    return [ker, _cokernel_module(homs[0], f)] + homs[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +246,15 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, q: int) -> LeftModule:
 # ---------------------------------------------------------------------------
 
 
-def _page_from_columns(glie, coeffs: Sequence[LeftModule], pmax: int,
-                       fast: bool) -> E2Page:
-    qmax = len(coeffs) - 1
-    cols = []
-    for w in coeffs:
-        if fast:
-            cols.append(ce_dims_via_invariants(glie, w, pmax))
-        else:
-            cols.append(ce_cohomology(glie, w, pmax).dims)
-    dims = [[cols[q][p] for q in range(qmax + 1)] for p in range(pmax + 1)]
-    return E2Page(pmax, qmax, dims, coeffs)
+def _page_from_columns(h: LeibnizAlgebra, src: LeftModule, carriers: Sequence[LeftModule],
+                       pmax: int, fast: bool) -> E2Page:
+    """The page whose column q is H^*(h_Lie, Hom(src, carriers[q]))."""
+    glie = quotient_data(h).lie
+    coeffs = [hom_module_action(glie, src, w) for w in carriers]
+    cols = [ce_dims_via_invariants(glie, w, pmax) if fast else ce_cohomology(glie, w, pmax).dims
+            for w in coeffs]
+    dims = [[col[p] for col in cols] for p in range(pmax + 1)]
+    return E2Page(pmax, len(coeffs) - 1, dims, coeffs)
 
 
 def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int,
@@ -271,22 +266,16 @@ def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int
     ``fast`` computes CE dimensions through the invariants shortcut,
     valid when h_Lie-modules are semisimple (sl2 inputs).
     """
-    data = quotient_data(h)
-    coeffs = [hom_module_action(data.lie, y, hl_module_structure(h, x, q))
-              for q in range(qmax + 1)]
-    return _page_from_columns(data.lie, coeffs, pmax, fast)
+    return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax, fast)
 
 
 def e2_second(h: LeibnizAlgebra, z: LeftModule, x: Bimodule, pmax: int, qmax: int,
               *, fast: bool = False) -> E2Page:
     """E2 of the sequence converging to Ext(Z^s, X):
 
-        E2^{pq} = H^p(h_Lie, Hom(Z, ext_base_sym(h, X, q))).
+        E2^{pq} = H^p(h_Lie, Hom(Z, ext_base_sym(h, X, qmax)[q])).
     """
-    data = quotient_data(h)
-    coeffs = [hom_module_action(data.lie, z, ext_base_sym(h, x, q))
-              for q in range(qmax + 1)]
-    return _page_from_columns(data.lie, coeffs, pmax, fast)
+    return _page_from_columns(h, z, ext_base_sym(h, x, qmax), pmax, fast)
 
 
 def certify_collapse(page: E2Page) -> CollapseCertificate:
@@ -348,15 +337,9 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     data = quotient_data(h)
     if n.algebra != data.lie:
         raise DimensionError("module is not over the Lie quotient")
-    hmod = h_as_lie_module(h)
-    hom = hom_module_action(data.lie, hmod, n)
-    dh, dn = h.dim, n.dim
-    grid = [{} for _ in range(dh * dn)]
-    for j in range(dh):
-        act = n.act_by(data.projection.col(j))
-        for i in range(dn):
-            grid[i * dh + j] = dict(act.nonzeros(i))
-    return _cokernel_module(hom, Mat.from_sparse(dh * dn, dn, grid))
+    hom = hom_module_action(data.lie, h_as_lie_module(h), n)
+    f = _into_hom([n.act_by(data.projection.col(j)) for j in range(h.dim)], n.dim, n.dim)
+    return _cokernel_module(hom, f)
 
 
 def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:

@@ -44,6 +44,7 @@ is the inclusion of the zero space.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -71,6 +72,15 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written ``[+-]digits[/digits]``; ValueError for any
+    other text, exponents included (``Fraction("1e5000")`` has 5001
+    digits), and ZeroDivisionError for a zero denominator."""
+    if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -667,23 +677,28 @@ def complement_pivot_indices(coord_cols: Sequence[Sequence], dim: int) -> list:
     return _complement_pivots(Mat.from_cols(coord_cols, rows=dim))
 
 
-def restrict_and_project(f: Mat, sub: SubspaceBasis, quot_of: SubspaceBasis) -> Mat:
-    """Matrix of the map induced by ``f`` on span(sub)/span(quot_of).
+def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
+                         quot_of: SubspaceBasis) -> list:
+    """Matrices of the maps induced by each of ``maps`` on
+    span(sub)/span(quot_of), in the order given.
 
-    ``f`` must preserve span(sub), and ``quot_of`` must span an
-    f-stable subspace of span(sub); StabilityError otherwise.  The
-    quotient is presented in the deterministic complement basis obtained
-    by extending quot_of (in sub coordinates) with standard vectors at
-    pivot positions.
+    Each map must preserve span(sub) and span(quot_of), which must lie
+    in span(sub); StabilityError if any map fails.  The quotient is
+    presented in the deterministic complement basis obtained by extending
+    quot_of (in sub coordinates) with standard vectors at pivot
+    positions.  Each elimination runs once, with the maps side by side as
+    right-hand sides; a solution column depends only on its own.
     """
     n = sub.ambient_dim
-    if f.rows != n or f.cols != n:
+    if any(f.rows != n or f.cols != n for f in maps):
         raise ValueError("endomorphism shape mismatch")
     if quot_of.ambient_dim != n:
         raise ValueError("ambient mismatch between sub and quot_of")
-    s = sub.dim
+    if not maps:
+        return []
+    k, s = len(maps), sub.dim
     smat = sub.matrix()
-    f_in_sub = solve(smat, f * smat) if s else Mat.zero(0, 0)
+    f_in_sub = solve(smat, Mat.hstack([f * smat for f in maps])) if s else Mat.zero(0, 0)
     if f_in_sub is None:
         raise StabilityError("map does not preserve the subspace")
     if quot_of.dim:
@@ -691,7 +706,7 @@ def restrict_and_project(f: Mat, sub: SubspaceBasis, quot_of: SubspaceBasis) -> 
         qcoords = solve(smat, qmat)
         if qcoords is None:
             raise StabilityError("quotient space is not inside the subspace")
-        if solve(qmat, f * qmat) is None:
+        if solve(qmat, Mat.hstack([f * qmat for f in maps])) is None:
             raise StabilityError("map does not preserve the quotient subspace")
     else:
         qcoords = Mat.zero(s, 0)
@@ -700,12 +715,10 @@ def restrict_and_project(f: Mat, sub: SubspaceBasis, quot_of: SubspaceBasis) -> 
     if len(comp) != s - t:
         raise StabilityError("quotient basis does not extend to the subspace")
     if not comp:
-        return Mat.zero(0, 0)
-    units = [{} for _ in range(s)]
-    for k, j in enumerate(comp):
-        units[j] = {k: _ONE}
-    bmat = Mat.hstack([qcoords, _wrap(s, s - t, units)])
-    coords = solve(bmat, _columns(f_in_sub, comp))
+        return [Mat.zero(0, 0)] * k
+    bmat = Mat.hstack([qcoords, _columns(Mat.identity(s), comp)])
+    coords = solve(bmat, _columns(f_in_sub, [b * s + j for b in range(k) for j in comp]))
     if coords is None:  # unreachable: the basis columns span K^s
         raise StabilityError("internal: complement coordinates unsolvable")
-    return _wrap(s - t, s - t, coords._rows[t:])
+    induced = _wrap(s - t, k * (s - t), coords._rows[t:])
+    return [_columns(induced, range(b * (s - t), (b + 1) * (s - t))) for b in range(k)]

@@ -11,11 +11,11 @@ Serializers (DOT and JSON) are byte-deterministic.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, VerificationError
-from .linear import as_scalar
+from .linear import as_scalar, parse_rational
+from .algebra import _is_int
 from .bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
@@ -223,12 +223,14 @@ def quiver_from_json(text: str) -> Quiver:
         for rec in doc["vertices"]:
             w = rec["weight"]
             if isinstance(w, str):
-                vertices.append(Vertex(rec["label"], rec["kind"], lam=Fraction(w)))
-            elif isinstance(w, int) and not isinstance(w, bool):
+                vertices.append(Vertex(rec["label"], rec["kind"], lam=parse_rational(w)))
+            elif _is_int(w):
                 vertices.append(Vertex(rec["label"], rec["kind"], weight=w))
             else:
                 raise InputError("vertex weight must be an int or a rational string")
         edges = [(rec["src"], rec["dst"], rec["mult"]) for rec in doc["edges"]]
+        if not all(_is_int(x) for edge in edges for x in edge):
+            raise InputError("edge src, dst and mult must be integers")
     except InputError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

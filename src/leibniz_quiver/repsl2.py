@@ -183,7 +183,7 @@ def decompose(v: SL2Module) -> WeightMultiset:
         return WeightMultiset({})
     top = kernel_basis(v.e)
     s = top.dim
-    h_top = restrict_and_project(v.h, top, SubspaceBasis.empty(d))
+    [h_top] = restrict_and_project([v.h], top, SubspaceBasis.empty(d))
     mults = {}
     found = 0
     for m in range(d):

@@ -181,6 +181,10 @@ def test_bimodule_spec_rejects_bad_input():
         bimodule_from_spec(h, {"dim": 1, "left": [[[1]]], "right": [[["bad"]]]})
     with pytest.raises(InputError):
         bimodule_from_spec(h, {"dim": 2, "left": [[[1]]], "right": [[[0]]]})
+    with pytest.raises(InputError):
+        bimodule_from_spec(h, {"dim": 1, "left": [[["1e5000"]]], "right": [[[0]]]})
+    with pytest.raises(InputError):
+        bimodule_from_spec(h, {"dim": True, "left": [[[1]]], "right": [[[0]]]})
     # axiom-violating matrices are rejected on load
     with pytest.raises((InputError, ModuleAxiomError)):
         bimodule_from_spec(h, {"dim": 1, "left": [[[1]]], "right": [[[1]]]})

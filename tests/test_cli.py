@@ -53,13 +53,15 @@ def test_ext_trivial_distinct_eigenvalues_vanish(capsys):
 
 
 def test_ext_trivial_json_document(capsys):
-    code, out, _ = run(capsys, "ext", "trivial", "--src", "K", "--dst", "K",
-                       "--nmax", "2", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {"ext": {"pairs": [
-        {"src": "K", "dst": "K", "dims": [1, 2, 2], "certified": True}
-    ]}}
+    # only the spectral route computes a collapse certificate
+    for method, certified in (("closed", None), ("spectral", True), ("both", True)):
+        code, out, _ = run(capsys, "ext", "trivial", "--src", "K", "--dst", "K",
+                           "--nmax", "2", "--format", "json", "--method", method)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {"ext": {"pairs": [
+            {"src": "K", "dst": "K", "dims": [1, 2, 2], "certified": certified}
+        ]}}
 
 
 def test_ext_trivial_bad_descriptor(capsys):
@@ -107,7 +109,7 @@ def test_ext_hemi_json_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"ext": {"pairs": [
-        {"src": "V_1^s", "dst": "V_0", "dims": [1], "certified": True}
+        {"src": "V_1^s", "dst": "V_0", "dims": [1], "certified": None}
     ]}}
 
 
@@ -168,6 +170,14 @@ def test_quiver_trivial_json_figure(capsys):
 def test_quiver_trivial_rejects_zero_eigenvalue(capsys):
     code, _, _ = run(capsys, "quiver", "trivial", "--lambdas", "0")
     assert code == 1
+
+
+def test_quiver_trivial_refuses_exponent_notation(capsys):
+    # Fraction("1e5000") would be a 5001-digit integer that str() refuses
+    code, out, err = run(capsys, "quiver", "trivial", "--lambdas", "1e5000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: not a rational number: '1e5000'\n"
 
 
 def test_quiver_hemi_with_verification(capsys):

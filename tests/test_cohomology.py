@@ -142,8 +142,7 @@ def test_hemi1_antisymmetric_v1_dims_and_structure():
     h = hemi_sl2(1)
     bm = antisymmetric(h, lift_module(h, simple_module(1).underlying))
     assert leibniz_cohomology(h, bm, 3).dims == [2, 1, 0, 0]
-    hl0 = hl_module_structure(h, bm, 0)
-    hl1 = hl_module_structure(h, bm, 1)
+    hl0, hl1 = hl_module_structure(h, bm, 1)
     assert decompose(SL2Module(hl0)).mults == {1: 1}
     assert decompose(SL2Module(hl1)).mults == {0: 1}
 

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from leibniz_quiver import cohomology, ext
 from leibniz_quiver.algebra import lift_module, quotient_data, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
@@ -111,13 +112,13 @@ def test_descriptor_realize_matches_kinds():
 def test_base_change_groups_over_trivial_algebra():
     h = trivial_algebra()
     # trivial coefficients: f = 0, so Ker = Coker = K and Hom carries K
-    dims = [ext_base_sym(h, TRIV.realize(), q).dim for q in range(5)]
+    dims = [c.dim for c in ext_base_sym(h, TRIV.realize(), 4)]
     assert dims == [1, 1, 1, 1, 1]
     # symmetric coefficients: everything in degree 0 only
-    dims = [ext_base_sym(h, SYM1.realize(), q).dim for q in range(4)]
+    dims = [c.dim for c in ext_base_sym(h, SYM1.realize(), 3)]
     assert dims == [1, 0, 0, 0]
     # antisymmetric coefficients: nothing anywhere
-    dims = [ext_base_sym(h, ANTI1.realize(), q).dim for q in range(4)]
+    dims = [c.dim for c in ext_base_sym(h, ANTI1.realize(), 3)]
     assert dims == [0, 0, 0, 0]
 
 
@@ -136,7 +137,7 @@ def test_base_change_rank_nullity():
 def test_ext_base_sym_carries_lie_action():
     h = hemi_sl2(1)
     _, bm = hemi_anti(1, 1)
-    carrier = ext_base_sym(h, bm, 2)
+    carrier = ext_base_sym(h, bm, 2)[2]
     # Hom(h, HL^1) with HL^1 = V_0: dim = dim h * dim HL^1
     assert carrier.dim == 5
     assert carrier.algebra == sl2()
@@ -299,6 +300,29 @@ def test_hemi_first_sequence_full_ext_row():
     res = ext_dims(h, src, bm, 2)
     assert res.certificate.certified
     assert list(res.dims) == [1, 0, 0]
+
+
+def test_ext_job_builds_at_most_four_differentials(monkeypatch):
+    # degrees 0..3 need d_0..d_3: the first sequence reads them all from
+    # one verified complex; the second adds at most d_0 for the map f
+    real = cohomology.leibniz_differential
+    built = []
+
+    def counting(h, m, q):
+        built.append(q)
+        return real(h, m, q)
+
+    for module in (cohomology, ext):
+        monkeypatch.setattr(module, "leibniz_differential", counting)
+    h = hemi_sl2(1)
+    target = antisymmetric(h, simple_module(1).underlying)
+    for kind, weight in ((KIND_TRIVIAL, 0), (KIND_ANTISYMMETRIC, 1), (KIND_SYMMETRIC, 1)):
+        built.clear()
+        assert ext_dims(h, SimpleDescriptor(kind, weight), target, 3, fast=True).dims
+        if kind == KIND_SYMMETRIC:
+            assert len(built) <= 4
+        else:
+            assert sorted(built) == [0, 1, 2, 3]
 
 
 # ------------------------------------------------------------- closed degree 2

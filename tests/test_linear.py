@@ -1,12 +1,14 @@
 """Exact linear algebra: ranks, kernels, solving, subspace arithmetic."""
 
 import doctest
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_quiver import linear, repsl2
+from leibniz_quiver.errors import StabilityError
 from leibniz_quiver.linear import (
     Mat,
     SubspaceBasis,
@@ -186,7 +188,7 @@ def test_restrict_and_project_diagonal_example():
     f = Mat.diagonal([1, 2, 3])
     sub = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])
     quot = SubspaceBasis(3, [[1, 0, 0]])
-    g = restrict_and_project(f, sub, quot)
+    [g] = restrict_and_project([f], sub, quot)
     # induced map on the 1-dim quotient spanned by the image of e1
     assert g.rows == g.cols == 1
     assert g[0, 0] == 2
@@ -196,7 +198,48 @@ def test_restrict_and_project_requires_stability():
     f = mat([[0, 1], [1, 0]])  # swaps the axes; span(e0) is not invariant
     sub = SubspaceBasis(2, [[1, 0]])
     with pytest.raises(Exception):
-        restrict_and_project(f, sub, SubspaceBasis.empty(2))
+        restrict_and_project([f], sub, SubspaceBasis.empty(2))
+
+
+def _flag_family(seed: int, count: int):
+    """Maps preserving span(p0, p1, p2) and span(p0) for the columns
+    p_i of a random invertible P: upper-triangular maps conjugated by P."""
+    rng = random.Random(seed)
+    while True:
+        p = mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+        if rank(p) == 4:
+            break
+    p_inv = solve(p, Mat.identity(4))
+    maps = [p * mat([[rng.randint(-3, 3) if j >= i else 0 for j in range(4)]
+                     for i in range(4)]) * p_inv for _ in range(count)]
+    sub = SubspaceBasis(4, [p.col(0), p.col(1), p.col(2)])
+    quot = SubspaceBasis(4, [p.col(0)])
+    return maps, sub, quot, p
+
+
+def test_restrict_and_project_family_equals_maps_one_at_a_time():
+    for seed in range(6):
+        maps, sub, quot, _ = _flag_family(seed, 3)
+        family = restrict_and_project(maps, sub, quot)
+        assert family == [g for f in maps for g in restrict_and_project([f], sub, quot)]
+        assert [(g.rows, g.cols) for g in family] == [(2, 2)] * 3
+        assert restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
+            g for f in maps for g in restrict_and_project([f], sub, SubspaceBasis.empty(4))]
+    assert restrict_and_project([], sub, quot) == []
+
+
+def test_restrict_and_project_family_with_one_unstable_map_raises():
+    maps, sub, quot, p = _flag_family(1, 2)
+    p_inv = solve(p, Mat.identity(4))
+    # p0 -> p3 leaves span(p0, p1, p2)
+    escapes = p * Mat.from_sparse(4, 4, [{}, {}, {}, {0: 1}]) * p_inv
+    # p0 -> p1 keeps span(p0, p1, p2) but moves the quotient span(p0)
+    moves_quot = p * Mat.from_sparse(4, 4, [{}, {0: 1}, {}, {}]) * p_inv
+    assert len(restrict_and_project([moves_quot], sub, SubspaceBasis.empty(4))) == 1
+    for bad in (escapes, moves_quot):
+        for family in (maps + [bad], [bad] + maps):
+            with pytest.raises(StabilityError):
+                restrict_and_project(family, sub, quot)
 
 
 # ------------------------------------------------------------- property tests

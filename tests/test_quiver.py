@@ -203,3 +203,13 @@ def test_json_rejects_malformed_documents():
             '{"vertices": [{"label": "x", "kind": "symmetric", "weight": true}],'
             ' "edges": []}'
         )
+    with pytest.raises(InputError):
+        quiver_from_json(
+            '{"vertices": [{"label": "x", "kind": "symmetric", "weight": "1e5000"}],'
+            ' "edges": []}'
+        )
+    one_vertex = '{"vertices": [{"label": "K", "kind": "trivial", "weight": 0}], '
+    with pytest.raises(InputError):
+        quiver_from_json(one_vertex + '"edges": [{"src": Infinity, "dst": 0, "mult": 1}]}')
+    with pytest.raises(InputError):
+        quiver_from_json(one_vertex + '"edges": [{"src": 0, "dst": 0, "mult": NaN}]}')
