@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import Mat, SubspaceBasis, as_scalar, complement_pivot_indices, lincomb, solve, span_of
+from .linear import Mat, SubspaceBasis, as_scalar, image_basis, lincomb, pivot_extension, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -147,7 +147,7 @@ def leibniz_kernel(a: LeibnizAlgebra) -> SubspaceBasis:
     for i in range(n):
         for j in range(i + 1, n):
             gens.append(tuple(a.c[i][j][k] + a.c[j][i][k] for k in range(n)))
-    return span_of(gens, n)
+    return image_basis(Mat.from_cols(gens, rows=n))
 
 
 class QuotientData:
@@ -164,16 +164,12 @@ class QuotientData:
     def __init__(self, algebra: LeibnizAlgebra):
         kernel = leibniz_kernel(algebra)
         n = algebra.dim
-        comp = complement_pivot_indices(kernel.vectors, n)
+        comp, bmat = pivot_extension(kernel.matrix())
         nq = len(comp)
         # Solve [K | E] c = v for each basis vector; the last nq coords
         # of c are the quotient coordinates of v.
-        basis_cols = list(kernel.vectors) + [
-            tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
-        ]
-        bmat = Mat.from_cols(basis_cols, rows=n)
         coords = solve(bmat, Mat.identity(n))
-        if coords is None:  # unreachable: basis_cols spans K^n
+        if coords is None:  # unreachable: the columns of bmat span K^n
             raise AlgebraAxiomError("internal: quotient coordinates unsolvable")
         proj = Mat(nq, n, [coords.row(kernel.dim + i) for i in range(nq)])
         cq = [[None] * nq for _ in range(nq)]

@@ -88,10 +88,6 @@ class Bimodule:
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
-    def left_module(self) -> LeftModule:
-        """The underlying left module (axiom LLM)."""
-        return LeftModule(self.algebra, self.dim, self.left)
-
     def left_by(self, coords: Sequence) -> Mat:
         return lincomb(self.left, coords, self.dim)
 

@@ -35,7 +35,7 @@ from .linear import (
     restrict_and_project,
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
-from .bimodule import Bimodule, right_invariants
+from .bimodule import Bimodule
 
 
 # The largest cochain space, dim h^(q+1) * dim M, that a Leibniz
@@ -249,19 +249,25 @@ def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
     data = quotient_data(h)
     induced = restrict_and_project(actions, sub, quot)
     dim = sub.dim - quot.dim
-    for kv in data.kernel.vectors:
-        if not lincomb(induced, kv, dim).is_zero():
+    kernel = data.kernel.matrix()
+    for j in range(kernel.cols):
+        if not lincomb(induced, kernel.col(j), dim).is_zero():
             raise StabilityError("Leibniz kernel acts nonzero on the quotient")
     return LeftModule(data.lie, dim, [induced[i] for i in data.complement])
 
 
+def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
+    """The groups of ``cohom = leibniz_cohomology(h, m, qmax)`` as
+    modules over the Lie quotient of h: the cochain action restricted to
+    the cocycles and projected modulo the coboundaries."""
+    return [induced_module(h, cochain_action(h, m, q), g.cocycles, g.coboundaries)
+            for q, g in enumerate(cohom.groups)]
+
+
 def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
     """[HL^0(h, m), ..., HL^qmax(h, m)] as modules over the Lie quotient
-    of h: the cochain action restricted to the cocycles and projected
-    modulo the coboundaries of ``leibniz_cohomology(h, m, qmax)``."""
-    groups = leibniz_cohomology(h, m, qmax).groups
-    return [induced_module(h, cochain_action(h, m, q), g.cocycles, g.coboundaries)
-            for q, g in enumerate(groups)]
+    of h, from the verified complex of ``leibniz_cohomology(h, m, qmax)``."""
+    return hl_modules(h, m, leibniz_cohomology(h, m, qmax))
 
 
 # ---------------------------------------------------------------------------

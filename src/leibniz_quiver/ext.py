@@ -38,22 +38,18 @@ from .bimodule import (
     KIND_TRIVIAL,
     hom_module_action,
 )
-from .cohomology import (ce_cohomology, ce_dims_via_invariants, hl_module_structure,
-                         induced_module, leibniz_differential)
+from .cohomology import (ce_cohomology, ce_dims_via_invariants, hl_module_structure, hl_modules,
+                         induced_module, leibniz_cohomology)
 from .repsl2 import SL2Module, WeightMultiset, clebsch_gordan, decompose, hemi_sl2, sl2, simple_module
 
 
 class E2Page:
-    """Second page of a cohomological spectral sequence, as a dims grid.
+    """Second page of a cohomological spectral sequence, as a grid of
+    dimensions only: dims[p][q] for 0 <= p <= pmax, 0 <= q <= qmax."""
 
-    dims[p][q] for 0 <= p <= pmax, 0 <= q <= qmax; coeff_modules, when
-    given, records the CE coefficient module used for each column q.
-    """
+    __slots__ = ("pmax", "qmax", "dims")
 
-    __slots__ = ("pmax", "qmax", "dims", "coeff_modules")
-
-    def __init__(self, pmax: int, qmax: int, dims: Sequence[Sequence[int]],
-                 coeff_modules: Sequence[LeftModule] | None = None):
+    def __init__(self, pmax: int, qmax: int, dims: Sequence[Sequence[int]]):
         if pmax < 0 or qmax < 0:
             raise DimensionError("page bounds must be nonnegative")
         grid = tuple(tuple(int(x) for x in row) for row in dims)
@@ -64,8 +60,6 @@ class E2Page:
         object.__setattr__(self, "pmax", pmax)
         object.__setattr__(self, "qmax", qmax)
         object.__setattr__(self, "dims", grid)
-        object.__setattr__(self, "coeff_modules",
-                           None if coeff_modules is None else tuple(coeff_modules))
 
     def __setattr__(self, name, value):
         raise AttributeError("E2Page is immutable")
@@ -205,20 +199,20 @@ def _into_hom(blocks: Sequence[Mat], dv: int, dx: int) -> Mat:
     return Mat.from_sparse(dv * len(blocks), dx, rows)
 
 
-def base_change_map(h: LeibnizAlgebra, x: Bimodule) -> tuple:
-    """The map f: X -> Hom(h, HL^0(h, X)), f(m)(y) = y.m + m.y.
+def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
+    """The map f: X -> Hom(h, HL^0(h, X)), f(m)(y) = y.m + m.y, with
+    HL^0 in the coordinates of its cocycle basis ``z0`` (the degree-0
+    cocycles of ``leibniz_cohomology(h, x, ...)``).
 
-    Returns (matrix of f, cocycle basis of HL^0).  The values of f land
-    in HL^0 because R_y(L_x + R_x) = 0 follows from the bimodule axioms;
-    StabilityError if they do not.
+    The values of f land in HL^0 because R_y(L_x + R_x) = 0 follows
+    from the bimodule axioms; StabilityError if they do not.
     """
     if x.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
-    z0 = kernel_basis(leibniz_differential(h, x, 0))
     blocks = [solve(z0.matrix(), x.left[j] + x.right[j]) for j in range(h.dim)]
     if any(b is None for b in blocks):
         raise StabilityError("f does not land in the degree-0 cocycles")
-    return _into_hom(blocks, z0.dim, x.dim), z0
+    return _into_hom(blocks, z0.dim, x.dim)
 
 
 def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
@@ -228,16 +222,18 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
 
     q = 0 is Ker(f), q = 1 is Coker(f), and q >= 2 is the full Hom
     space Hom(h, HL^(q-1)(h, X)) with the usual action, all from one
-    ``hl_module_structure(h, x, qmax - 1)``.
+    ``leibniz_cohomology(h, x, max(qmax - 1, 0))``, whose degree-0
+    cocycles also give f.
     """
     if qmax < 0:
         raise DimensionError("degree must be nonnegative")
-    f, _ = base_change_map(h, x)
+    cohom = leibniz_cohomology(h, x, max(qmax - 1, 0))
+    f = base_change_map(h, x, cohom[0].cocycles)
     ker = induced_module(h, x.left, kernel_basis(f), SubspaceBasis.empty(x.dim))
     if qmax == 0:
         return [ker]
     hmod = h_as_lie_module(h)
-    homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_module_structure(h, x, qmax - 1)]
+    homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_modules(h, x, cohom)]
     return [ker, _cokernel_module(homs[0], f)] + homs[1:]
 
 
@@ -254,7 +250,7 @@ def _page_from_columns(h: LeibnizAlgebra, src: LeftModule, carriers: Sequence[Le
     cols = [ce_dims_via_invariants(glie, w, pmax) if fast else ce_cohomology(glie, w, pmax).dims
             for w in coeffs]
     dims = [[col[p] for col in cols] for p in range(pmax + 1)]
-    return E2Page(pmax, len(coeffs) - 1, dims, coeffs)
+    return E2Page(pmax, len(coeffs) - 1, dims)
 
 
 def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int,

@@ -34,8 +34,8 @@ other free columns is unique, and so is the solution of ``a x = b``
 whose free coordinates are 0.  Hence the rank, the pivot columns,
 ``kernel_basis`` (one vector per free column, in increasing order),
 ``image_basis`` (the pivot columns of the matrix itself), ``solve`` and
-``complement_pivot_indices`` are reproducible bit for bit, whichever
-row ends up as the echelon row of a column.
+the complement chosen by ``pivot_extension`` are reproducible bit for
+bit, whichever row ends up as the echelon row of a column.
 
 Zero-row and zero-column matrices are first class throughout: a 0 x n
 matrix is the unique linear map onto the zero space and an n x 0 matrix
@@ -96,16 +96,6 @@ def _wrap(rows: int, cols: int, data: Iterable[dict]) -> "Mat":
     _set(m, "cols", cols)
     _set(m, "_rows", tuple(data))
     return m
-
-
-def _from_vectors(vectors: Sequence[Sequence], rows: int) -> "Mat":
-    """The matrix with the given Fraction vectors as its columns."""
-    out = [{} for _ in range(rows)]
-    for j, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if x:
-                out[i][j] = x
-    return _wrap(rows, len(vectors), out)
 
 
 def _axpy(acc: dict, x, row: Mapping) -> None:
@@ -180,10 +170,16 @@ class Mat:
             if not ncols:
                 raise ValueError("row count required for a matrix with no columns")
             rows = len(cols_data[0])
-        vectors = [[as_scalar(x) for x in col] for col in cols_data]
-        if any(len(v) != rows for v in vectors):
-            raise ValueError(f"data does not have shape {rows} x {ncols}")
-        return _from_vectors(vectors, rows)
+        _check_shape(rows, ncols)
+        out = [{} for _ in range(rows)]
+        for j, col in enumerate(cols_data):
+            if len(col) != rows:
+                raise ValueError(f"data does not have shape {rows} x {ncols}")
+            for i, x in enumerate(col):
+                x = as_scalar(x)
+                if x:
+                    out[i][j] = x
+        return _wrap(rows, ncols, out)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
@@ -537,16 +533,6 @@ def image_basis(m: Mat) -> "SubspaceBasis":
     return _basis(_columns(m, pivots))
 
 
-def span_of(vectors: Sequence[Sequence], ambient_dim: int) -> "SubspaceBasis":
-    """Deterministic basis of the span of the given vectors (the subset
-    of the input vectors sitting at pivot positions)."""
-    vecs = [tuple(as_scalar(x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ValueError("vector length mismatch")
-    return image_basis(_from_vectors(vecs, ambient_dim))
-
-
 def _columns(m: Mat, idx: Sequence[int]) -> Mat:
     """The columns of ``m`` at the given indices, in that order."""
     t = m.transpose()
@@ -557,74 +543,74 @@ def _basis(cols: Mat) -> "SubspaceBasis":
     """The basis formed by the independent columns of ``cols``, which
     it keeps as its matrix."""
     b = _new(SubspaceBasis)
-    t = cols.transpose()
-    _set(b, "ambient_dim", cols.rows)
-    _set(b, "vectors", tuple(t.row(k) for k in range(t.rows)))
     _set(b, "_matrix", cols)
     return b
 
 
 class SubspaceBasis:
-    """An ordered, linearly independent list of vectors in K^ambient."""
+    """An ordered, linearly independent list of vectors in K^ambient.
 
-    __slots__ = ("ambient_dim", "vectors", "_matrix")
+    The basis is stored once, as the sparse ``ambient_dim x dim`` matrix
+    whose columns are the vectors; ``ambient_dim``, ``dim`` and
+    ``vectors`` are read from it.  The constructor takes the vectors
+    themselves and refuses wrong lengths, floats and dependent vectors.
+    """
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence], *, check: bool = True):
-        vecs = tuple(tuple(as_scalar(x) for x in v) for v in vectors)
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("basis vector has wrong length")
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "vectors", vecs)
-        _set(self, "_matrix", None)
-        if check and vecs:
-            if rank(self.matrix()) != len(vecs):
-                raise ValueError("vectors are linearly dependent")
+    __slots__ = ("_matrix",)
+
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
+        m = Mat.from_cols(list(vectors), rows=ambient_dim)
+        if m.cols and rank(m) != m.cols:
+            raise ValueError("vectors are linearly dependent")
+        _set(self, "_matrix", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":
-        return cls(n, [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)],
-                   check=False)
+        return _basis(Mat.identity(n))
 
     @classmethod
     def empty(cls, n: int) -> "SubspaceBasis":
-        return cls(n, [], check=False)
+        return _basis(Mat.zero(n, 0))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._matrix.rows
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self._matrix.cols
+
+    @property
+    def vectors(self) -> tuple:
+        """The basis vectors as dense tuples, built anew on each access."""
+        t = self._matrix.transpose()
+        return tuple(t.row(k) for k in range(t.rows))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.dim
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceBasis)
-            and self.ambient_dim == other.ambient_dim
-            and self.vectors == other.vectors
-        )
+        return isinstance(other, SubspaceBasis) and self._matrix == other._matrix
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vectors))
+        return hash(self._matrix)
 
     def __repr__(self):
-        return f"SubspaceBasis(dim {len(self.vectors)} in K^{self.ambient_dim})"
+        return f"SubspaceBasis(dim {self.dim} in K^{self.ambient_dim})"
 
     def matrix(self) -> Mat:
         """The ambient_dim x dim matrix whose columns are the basis."""
-        if self._matrix is None:
-            _set(self, "_matrix", _from_vectors(self.vectors, self.ambient_dim))
         return self._matrix
 
     def coords(self, vector: Sequence) -> tuple | None:
         """Coordinates of ``vector`` in this basis, or None if outside."""
         v = Mat.from_cols([vector], rows=self.ambient_dim)
-        if not self.vectors:
+        if not self.dim:
             return () if v.is_zero() else None
-        sol = solve(self.matrix(), v)
+        sol = solve(self._matrix, v)
         return sol.col(0) if sol is not None else None
 
     def contains(self, vector: Sequence) -> bool:
@@ -633,11 +619,11 @@ class SubspaceBasis:
     def contains_all(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:
             return False
-        if not other.vectors:
+        if not other.dim:
             return True
-        if not self.vectors:
-            return other.matrix().is_zero()
-        return solve(self.matrix(), other.matrix()) is not None
+        if not self.dim:
+            return other._matrix.is_zero()
+        return solve(self._matrix, other._matrix) is not None
 
 
 def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:
@@ -662,19 +648,20 @@ def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
     return kernel_basis(Mat.vstack(mats))
 
 
-def _complement_pivots(coords: Mat) -> list:
-    """Pivot-column extension of the columns of ``coords`` by standard
-    vectors: the indices j of the chosen e_j."""
-    t, dim = coords.cols, coords.rows
-    m = Mat.hstack([coords, Mat.identity(dim)])
-    _, pivots = _forward_eliminate(_int_rows(m)[0], t + dim)
-    return [p - t for p in pivots if p >= t]
+def pivot_extension(q: Mat) -> tuple:
+    """Extend the span of the columns of ``q`` to K^rows by standard
+    vectors, taking e_j for each pivot column of ``[q | I]`` in the
+    identity block (deterministic).
 
-
-def complement_pivot_indices(coord_cols: Sequence[Sequence], dim: int) -> list:
-    """Indices j such that the standard vectors e_j extend ``coord_cols``
-    to a basis of K^dim (pivot-column extension, deterministic)."""
-    return _complement_pivots(Mat.from_cols(coord_cols, rows=dim))
+    Returns ``(comp, b)``: the indices j of the chosen e_j, in increasing
+    order, and the matrix ``b = [q | e_comp]``, which is a basis of
+    K^rows when the columns of ``q`` are independent.
+    """
+    t, dim = q.cols, q.rows
+    ident = Mat.identity(dim)
+    _, pivots = _forward_eliminate(_int_rows(Mat.hstack([q, ident]))[0], t + dim)
+    comp = [p - t for p in pivots if p >= t]
+    return comp, Mat.hstack([q, _columns(ident, comp)])
 
 
 def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
@@ -710,13 +697,12 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
             raise StabilityError("map does not preserve the quotient subspace")
     else:
         qcoords = Mat.zero(s, 0)
-    comp = _complement_pivots(qcoords)
+    comp, bmat = pivot_extension(qcoords)
     t = qcoords.cols
     if len(comp) != s - t:
         raise StabilityError("quotient basis does not extend to the subspace")
     if not comp:
         return [Mat.zero(0, 0)] * k
-    bmat = Mat.hstack([qcoords, _columns(Mat.identity(s), comp)])
     coords = solve(bmat, _columns(f_in_sub, [b * s + j for b in range(k) for j in comp]))
     if coords is None:  # unreachable: the basis columns span K^s
         raise StabilityError("internal: complement coordinates unsolvable")

@@ -48,7 +48,7 @@ from leibniz_quiver.ext import (
     nhat,
 )
 from leibniz_quiver.linear import image_basis, rank
-from leibniz_quiver.quiver import quiver_hemi, quiver_trivial
+from leibniz_quiver.quiver import quiver_hemi
 from leibniz_quiver.repsl2 import (
     SL2Module,
     clebsch_gordan,

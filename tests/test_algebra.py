@@ -1,6 +1,5 @@
 """Leibniz algebras, the Leibniz kernel, Lie quotients, hemi-semidirect products."""
 
-import random
 from fractions import Fraction
 
 import pytest

@@ -4,9 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from leibniz_quiver.algebra import lift_module, one_dim_module, trivial_algebra
+from leibniz_quiver.algebra import lift_module, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,

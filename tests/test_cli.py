@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from leibniz_quiver import cli, cohomology
 from leibniz_quiver.algebra import algebra_to_spec
 from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec

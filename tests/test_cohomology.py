@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from leibniz_quiver.algebra import (
-    LeftModule,
     adjoint_module,
     lift_module,
     one_dim_module,
@@ -28,7 +27,6 @@ from leibniz_quiver.cohomology import (
     CochainComplex,
     ce_cohomology,
     ce_complex,
-    ce_differential,
     ce_dims_via_invariants,
     cochain_action,
     cohomology_of_complex,

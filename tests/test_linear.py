@@ -13,16 +13,15 @@ from leibniz_quiver.linear import (
     Mat,
     SubspaceBasis,
     cokernel_dim,
-    complement_pivot_indices,
     image_basis,
     intersect_kernels,
     kernel_basis,
     kron,
     nullity,
+    pivot_extension,
     rank,
     restrict_and_project,
     solve,
-    span_of,
 )
 
 F = Fraction
@@ -140,9 +139,9 @@ def test_image_basis_spans_column_space():
 
 
 def test_span_of_dedupes_dependent_vectors():
-    s = span_of([[1, 0], [2, 0], [1, 1]], 2)
+    s = image_basis(Mat.from_cols([[1, 0], [2, 0], [1, 1]], rows=2))
     assert s.dim == 2
-    assert span_of([], 3).dim == 0
+    assert image_basis(Mat.from_cols([], rows=3)).dim == 0
 
 
 # ------------------------------------------------------------ SubspaceBasis
@@ -167,6 +166,22 @@ def test_subspace_full_empty_contains_all():
     assert not s.contains_all(full)
 
 
+def test_subspace_constructor_validates_and_keeps_one_matrix():
+    for bad, error in (([[1, 0, 0]], ValueError), ([[0.5, 0]], TypeError),
+                       ([[1, 2], [2, 4]], ValueError)):
+        with pytest.raises(error):
+            SubspaceBasis(2, bad)
+    s = SubspaceBasis(3, [[1, 0, 2], [0, 0, 1]])
+    assert s.matrix() == Mat.from_cols([[1, 0, 2], [0, 0, 1]])
+    assert s.vectors == ((1, 0, 2), (0, 0, 1))
+    assert (s.ambient_dim, s.dim, len(s)) == (3, 2, 2)
+    full = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert SubspaceBasis.full(3) == full and hash(SubspaceBasis.full(3)) == hash(full)
+    assert SubspaceBasis.empty(3) == SubspaceBasis(3, []) and SubspaceBasis.empty(3).vectors == ()
+    with pytest.raises(AttributeError):
+        s.ambient_dim = 4
+
+
 def test_intersect_kernels_matches_stacked_kernel():
     a = mat([[1, 0, 0]])
     b = mat([[0, 1, -1]])
@@ -178,9 +193,10 @@ def test_intersect_kernels_matches_stacked_kernel():
 
 def test_complement_pivot_indices():
     # coordinates of a 1-dim subspace inside a 3-dim space
-    comp = complement_pivot_indices([[1, 0, 0]], 3)
+    comp, b = pivot_extension(Mat.from_cols([[1, 0, 0]], rows=3))
     assert len(comp) == 2
     assert 0 not in comp or len(set(comp)) == 2
+    assert b == Mat.from_cols([[1, 0, 0]] + [[int(i == j) for i in range(3)] for j in comp])
 
 
 def test_restrict_and_project_diagonal_example():
@@ -414,11 +430,10 @@ def test_bases_match_independent_rref(m, data):
         else:
             assert got is not None and got.row_lists() == expect
     # The standard vectors that extend the columns of m to K^rows.
-    cols = [m.col(j) for j in range(m.cols)]
     ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
     aug = [list(r) + e for r, e in zip(m.row_lists(), ident)]
     _, piv = _rref(aug, m.cols + m.rows)
-    assert complement_pivot_indices(cols, m.rows) == [p - m.cols for p in piv if p >= m.cols]
+    assert pivot_extension(m)[0] == [p - m.cols for p in piv if p >= m.cols]
 
 
 # ------------------------------------------------- equality and hashing
