@@ -164,7 +164,7 @@ class QuotientData:
     def __init__(self, algebra: LeibnizAlgebra):
         kernel = leibniz_kernel(algebra)
         n = algebra.dim
-        comp, bmat = pivot_extension(kernel.matrix())
+        comp, bmat = pivot_extension(kernel.matrix(), Mat.identity(n))
         nq = len(comp)
         # Solve [K | E] c = v for each basis vector; the last nq coords
         # of c are the quotient coordinates of v.

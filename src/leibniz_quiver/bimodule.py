@@ -249,12 +249,7 @@ class OneDimBimodule:
         if h.dim != 1:
             raise DimensionError("one-dimensional bimodules live over a 1-dim algebra")
         L = Mat(1, 1, [[self.lam]])
-        if self.kind == KIND_TRIVIAL:
-            R = Mat.zero(1, 1)
-        elif self.kind == KIND_SYMMETRIC:
-            R = Mat(1, 1, [[-self.lam]])
-        else:
-            R = Mat.zero(1, 1)
+        R = Mat(1, 1, [[-self.lam]]) if self.kind == KIND_SYMMETRIC else Mat.zero(1, 1)
         return Bimodule(h, 1, [L], [R])
 
     def underlying_module(self, glie: LieAlgebra) -> LeftModule:

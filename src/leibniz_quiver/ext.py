@@ -192,11 +192,16 @@ def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
     return LeftModule(hom.algebra, hom.dim - imf.dim, induced)
 
 
-def _into_hom(blocks: Sequence[Mat], dv: int, dx: int) -> Mat:
-    """The map x |-> (b_j |-> blocks[j] x) from K^dx to Hom(h, K^dv), in
-    the row-major Hom coordinates (i, j) |-> i * dim h + j."""
-    rows = [dict(blocks[j].nonzeros(i)) for i in range(dv) for j in range(len(blocks))]
-    return Mat.from_sparse(dv * len(blocks), dx, rows)
+def _into_hom(stacked: Mat, k: int, dx: int) -> Mat:
+    """The map x |-> (b_j |-> B_j x) from K^dx to Hom(h, K^dv) for
+    ``stacked = [B_0 | ... | B_(k-1)]``, k = dim h, in the row-major Hom
+    coordinates (i, j) |-> i * k + j.  Callers stack behind a dv x 0
+    block, so that dim h = 0 stacks too."""
+    rows = [{} for _ in range(stacked.rows * k)]
+    for i in range(stacked.rows):
+        for col, v in stacked.nonzeros(i):
+            rows[i * k + col // dx][col % dx] = v
+    return Mat.from_sparse(stacked.rows * k, dx, rows)
 
 
 def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
@@ -209,10 +214,11 @@ def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
     """
     if x.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
-    blocks = [solve(z0.matrix(), x.left[j] + x.right[j]) for j in range(h.dim)]
-    if any(b is None for b in blocks):
+    sums = [x.left[j] + x.right[j] for j in range(h.dim)]
+    stacked = solve(z0.matrix(), Mat.hstack([Mat.zero(x.dim, 0), *sums]))
+    if stacked is None:
         raise StabilityError("f does not land in the degree-0 cocycles")
-    return _into_hom(blocks, z0.dim, x.dim)
+    return _into_hom(stacked, h.dim, x.dim)
 
 
 def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
@@ -334,7 +340,8 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     if n.algebra != data.lie:
         raise DimensionError("module is not over the Lie quotient")
     hom = hom_module_action(data.lie, h_as_lie_module(h), n)
-    f = _into_hom([n.act_by(data.projection.col(j)) for j in range(h.dim)], n.dim, n.dim)
+    acts = [n.act_by(data.projection.col(j)) for j in range(h.dim)]
+    f = _into_hom(Mat.hstack([Mat.zero(n.dim, 0), *acts]), h.dim, n.dim)
     return _cokernel_module(hom, f)
 
 

@@ -35,7 +35,10 @@ whose free coordinates are 0.  Hence the rank, the pivot columns,
 ``kernel_basis`` (one vector per free column, in increasing order),
 ``image_basis`` (the pivot columns of the matrix itself), ``solve`` and
 the complement chosen by ``pivot_extension`` are reproducible bit for
-bit, whichever row ends up as the echelon row of a column.
+bit, whichever row ends up as the echelon row of a column.  So are the
+matrices of ``restrict_and_project``: they are read off one solve on
+the adapted basis ``[Q | S_comp] = S [S^-1 Q | e_comp]``, which fixes
+them as the matrices in the complement basis ``[S^-1 Q | e_comp]``.
 
 Zero-row and zero-column matrices are first class throughout: a 0 x n
 matrix is the unique linear map onto the zero space and an n x 0 matrix
@@ -648,20 +651,21 @@ def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
     return kernel_basis(Mat.vstack(mats))
 
 
-def pivot_extension(q: Mat) -> tuple:
-    """Extend the span of the columns of ``q`` to K^rows by standard
-    vectors, taking e_j for each pivot column of ``[q | I]`` in the
-    identity block (deterministic).
+def pivot_extension(q: Mat, pool: Mat) -> tuple:
+    """Extend the span of the columns of ``q`` by the columns j of
+    ``pool`` that are pivot columns of ``[q | pool]``; returns ``(comp,
+    [q | pool_comp])`` with ``comp`` increasing.
 
-    Returns ``(comp, b)``: the indices j of the chosen e_j, in increasing
-    order, and the matrix ``b = [q | e_comp]``, which is a basis of
-    K^rows when the columns of ``q`` are independent.
+    ``pool = I`` extends independent ``q`` to a basis of K^rows.  For
+    ``pool = S`` with independent columns and span q inside span S,
+    ``[q | S] = S [S^-1 q | I]`` has the pivots of ``[S^-1 q | I]`` (S is
+    injective, so it keeps every column dependency), and ``[q | S_comp]
+    = S [S^-1 q | e_comp]`` is the basis of span S adapted to span q.
     """
-    t, dim = q.cols, q.rows
-    ident = Mat.identity(dim)
-    _, pivots = _forward_eliminate(_int_rows(Mat.hstack([q, ident]))[0], t + dim)
+    t = q.cols
+    _, pivots = _forward_eliminate(_int_rows(Mat.hstack([q, pool]))[0], t + pool.cols)
     comp = [p - t for p in pivots if p >= t]
-    return comp, Mat.hstack([q, _columns(ident, comp)])
+    return comp, Mat.hstack([q, _columns(pool, comp)])
 
 
 def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
@@ -673,8 +677,12 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     in span(sub); StabilityError if any map fails.  The quotient is
     presented in the deterministic complement basis obtained by extending
     quot_of (in sub coordinates) with standard vectors at pivot
-    positions.  Each elimination runs once, with the maps side by side as
-    right-hand sides; a solution column depends only on its own.
+    positions.  Two eliminations serve the whole family:
+    ``pivot_extension(Q, S)`` gives the adapted basis C = [Q | S_comp]
+    (s - t columns exactly when Q lies in span S), and one solve gives
+    every X_k = C^-1 F_k C (None when some F_k leaves span S).  F_k keeps
+    span Q iff the lower-left t-column block of X_k is zero, and the
+    lower-right block is the induced matrix.
     """
     n = sub.ambient_dim
     if any(f.rows != n or f.cols != n for f in maps):
@@ -683,28 +691,18 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
         raise ValueError("ambient mismatch between sub and quot_of")
     if not maps:
         return []
-    k, s = len(maps), sub.dim
-    smat = sub.matrix()
-    f_in_sub = solve(smat, Mat.hstack([f * smat for f in maps])) if s else Mat.zero(0, 0)
-    if f_in_sub is None:
-        raise StabilityError("map does not preserve the subspace")
-    if quot_of.dim:
-        qmat = quot_of.matrix()
-        qcoords = solve(smat, qmat)
-        if qcoords is None:
-            raise StabilityError("quotient space is not inside the subspace")
-        if solve(qmat, Mat.hstack([f * qmat for f in maps])) is None:
-            raise StabilityError("map does not preserve the quotient subspace")
-    else:
-        qcoords = Mat.zero(s, 0)
-    comp, bmat = pivot_extension(qcoords)
-    t = qcoords.cols
+    s, t = sub.dim, quot_of.dim
+    comp, c = pivot_extension(quot_of.matrix(), sub.matrix())
     if len(comp) != s - t:
-        raise StabilityError("quotient basis does not extend to the subspace")
-    if not comp:
-        return [Mat.zero(0, 0)] * k
-    coords = solve(bmat, _columns(f_in_sub, [b * s + j for b in range(k) for j in comp]))
-    if coords is None:  # unreachable: the basis columns span K^s
-        raise StabilityError("internal: complement coordinates unsolvable")
-    induced = _wrap(s - t, k * (s - t), coords._rows[t:])
-    return [_columns(induced, range(b * (s - t), (b + 1) * (s - t))) for b in range(k)]
+        raise StabilityError("quotient space is not inside the subspace")
+    x = solve(c, Mat.hstack([f * c for f in maps]))
+    if x is None:
+        raise StabilityError("map does not preserve the subspace")
+    blocks = [[{} for _ in comp] for _ in maps]
+    for i, row in enumerate(x._rows[t:]):
+        for col, v in row.items():
+            k, j = divmod(col, s)
+            if j < t:
+                raise StabilityError("map does not preserve the quotient subspace")
+            blocks[k][i][j - t] = v
+    return [_wrap(s - t, s - t, rows) for rows in blocks]

@@ -22,7 +22,7 @@ from .bimodule import (
     KIND_TRIVIAL,
     OneDimBimodule,
 )
-from .ext import ext1_hemi_closed, ext1_hemi_oracle
+from .ext import SimpleDescriptor, ext1_hemi_closed, ext1_hemi_oracle
 
 
 class Vertex:
@@ -130,13 +130,6 @@ def quiver_trivial(lambdas: Sequence) -> Quiver:
     return Quiver(vertices, edges)
 
 
-def _hemi_vertex(kind: str, weight: int) -> Vertex:
-    if weight == 0:
-        return Vertex("V_0", KIND_TRIVIAL)
-    tag = "s" if kind == KIND_SYMMETRIC else "a"
-    return Vertex(f"V_{weight}^{tag}", kind, weight=weight)
-
-
 def quiver_hemi(n: int, max_weight: int, verify: bool = False) -> Quiver:
     """Quiver of V_n x_hs sl2 in the window of highest weights up to
     max_weight.
@@ -151,10 +144,10 @@ def quiver_hemi(n: int, max_weight: int, verify: bool = False) -> Quiver:
         raise InputError("the hemi-semidirect module weight n must be >= 1")
     if max_weight < 0:
         raise InputError("max_weight must be nonnegative")
-    vertices = [_hemi_vertex(KIND_TRIVIAL, 0)]
-    for m in range(1, max_weight + 1):
-        vertices.append(_hemi_vertex(KIND_SYMMETRIC, m))
-        vertices.append(_hemi_vertex(KIND_ANTISYMMETRIC, m))
+    simples = [SimpleDescriptor(KIND_TRIVIAL)] + [
+        SimpleDescriptor(kind, m) for m in range(1, max_weight + 1)
+        for kind in (KIND_SYMMETRIC, KIND_ANTISYMMETRIC)]
+    vertices = [Vertex(d.label(), d.kind, weight=d.weight) for d in simples]
     sources = [i for i, v in enumerate(vertices)
                if v.kind in (KIND_TRIVIAL, KIND_SYMMETRIC)]
     targets = [i for i, v in enumerate(vertices)

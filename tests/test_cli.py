@@ -1,6 +1,10 @@
 """CLI behavior: golden outputs, exit codes, cross-method checking."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from leibniz_quiver import cli, cohomology
 from leibniz_quiver.algebra import algebra_to_spec
@@ -295,6 +299,20 @@ def test_help_is_exit_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "usage" in out
+
+
+def test_module_entry_point_matches_main(capsys):
+    # `python -m leibniz_quiver.cli` runs cli.entry through the __main__
+    # guard: same streams as cli.main, and its return value as exit code.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    for argv, code in ((["quiver", "hemi", "--n", "1", "--max-weight", "2", "--verify"], 0),
+                       (["quiver", "trivial", "--lambdas", "1e3"], 1)):
+        proc = subprocess.run([sys.executable, "-m", "leibniz_quiver.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert proc.returncode == code
 
 
 def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):

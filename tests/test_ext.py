@@ -267,6 +267,15 @@ def test_ext1_closed_equals_nhat_oracle_window():
                 assert ext1_hemi_closed(n, p, m) == oracle.multiplicity(p)
 
 
+def test_nhat_is_the_degree_one_base_change_cokernel():
+    # Two constructions of Coker(f: V_m -> Hom(h, V_m)): nhat builds f
+    # from the action, ext_base_sym from the degree-0 cocycles of V_m^a.
+    for n in (1, 2, 3):
+        for m in range(5):
+            h, bm = hemi_anti(n, m)
+            assert nhat(h, simple_module(m).underlying) == ext_base_sym(h, bm, 1)[1], (n, m)
+
+
 # ------------------------------------------------------- hemi spectral checks
 
 def test_hemi_spectral_consistency_degree_one():

@@ -193,7 +193,7 @@ def test_intersect_kernels_matches_stacked_kernel():
 
 def test_complement_pivot_indices():
     # coordinates of a 1-dim subspace inside a 3-dim space
-    comp, b = pivot_extension(Mat.from_cols([[1, 0, 0]], rows=3))
+    comp, b = pivot_extension(Mat.from_cols([[1, 0, 0]], rows=3), Mat.identity(3))
     assert len(comp) == 2
     assert 0 not in comp or len(set(comp)) == 2
     assert b == Mat.from_cols([[1, 0, 0]] + [[int(i == j) for i in range(3)] for j in comp])
@@ -213,8 +213,11 @@ def test_restrict_and_project_diagonal_example():
 def test_restrict_and_project_requires_stability():
     f = mat([[0, 1], [1, 0]])  # swaps the axes; span(e0) is not invariant
     sub = SubspaceBasis(2, [[1, 0]])
-    with pytest.raises(Exception):
+    with pytest.raises(StabilityError):
         restrict_and_project([f], sub, SubspaceBasis.empty(2))
+    # span(e1) is not inside span(e0): refused even for the identity
+    with pytest.raises(StabilityError):
+        restrict_and_project([Mat.identity(2)], sub, SubspaceBasis(2, [[0, 1]]))
 
 
 def _flag_family(seed: int, count: int):
@@ -256,6 +259,23 @@ def test_restrict_and_project_family_with_one_unstable_map_raises():
         for family in (maps + [bad], [bad] + maps):
             with pytest.raises(StabilityError):
                 restrict_and_project(family, sub, quot)
+
+
+def test_restrict_and_project_eliminates_twice(monkeypatch):
+    calls = []
+    eliminate = linear._forward_eliminate
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linear, "_forward_eliminate", counting)
+    for seed in range(3):
+        maps, sub, quot, _ = _flag_family(seed, 3)
+        for family, q in ((maps, quot), (maps[:1], quot), (maps, SubspaceBasis.empty(4))):
+            calls.clear()
+            restrict_and_project(family, sub, q)
+            assert len(calls) <= 2
 
 
 # ------------------------------------------------------------- property tests
@@ -433,7 +453,32 @@ def test_bases_match_independent_rref(m, data):
     ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
     aug = [list(r) + e for r, e in zip(m.row_lists(), ident)]
     _, piv = _rref(aug, m.cols + m.rows)
-    assert pivot_extension(m)[0] == [p - m.cols for p in piv if p >= m.cols]
+    assert pivot_extension(m, Mat.identity(m.rows))[0] == [p - m.cols for p in piv if p >= m.cols]
+
+
+def test_restrict_and_project_matches_reference_complement():
+    # The complement is the one a textbook rref of [S^-1 Q | I] picks,
+    # and G is the induced map on the classes of B = S e_comp.  A random
+    # basis S of the flag's middle space varies the complement.
+    comps = set()
+    for seed in range(6):
+        maps, _, quot, p = _flag_family(seed, 3)
+        rng = random.Random(seed)
+        while True:
+            u = mat([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+            if rank(u) == 3:
+                break
+        smat = Mat.from_cols([p.col(j) for j in range(3)]) * u
+        sub, qmat = SubspaceBasis(4, [smat.col(j) for j in range(3)]), quot.matrix()
+        aug = [row + [F(int(i == j)) for j in range(3)]
+               for i, row in enumerate(_ref_solve(smat, qmat))]
+        _, piv = _rref(aug, 4)
+        comp = tuple(c - 1 for c in piv if c >= 1)
+        comps.add(comp)
+        b = Mat.from_cols([smat.col(j) for j in comp], rows=4)
+        for f, g in zip(maps, restrict_and_project(maps, sub, quot)):
+            assert _ref_solve(qmat, f * b - b * g) is not None
+    assert len(comps) > 1
 
 
 # ------------------------------------------------- equality and hashing
