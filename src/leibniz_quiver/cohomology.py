@@ -27,9 +27,9 @@ from .errors import ComplexError, DimensionError, InputError, StabilityError
 from .linear import (
     Mat,
     SubspaceBasis,
-    image_basis,
+    _column_basis,
+    _kernel_and_pivots,
     intersect_kernels,
-    kernel_basis,
     lincomb,
     rank,
     restrict_and_project,
@@ -109,17 +109,30 @@ class CohomologyResult:
 
 def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
     """Kernels modulo images of a verified complex, through degree
-    len(differentials) - 1."""
+    len(differentials) - 1.
+
+    Each differential d_q is eliminated once, for its cocycles and for
+    its pivot columns, which give the coboundaries im d_q of degree
+    q + 1.  The elimination stops at the bound
+
+        rank d_q <= dim C^q - rank d_(q-1)
+
+    which holds because im d_(q-1) lies in ker d_q: the complex verified
+    d_q . d_(q-1) = 0 exactly when it was built.  The bound is reached
+    exactly when the degree-q group is zero; otherwise every row is
+    read.  The containment of the coboundaries in the cocycles is
+    checked in every degree.
+    """
     groups = []
-    for q in range(len(cx.differentials)):
-        cocycles = kernel_basis(cx.differentials[q])
-        if q == 0:
-            coboundaries = SubspaceBasis.empty(cx.dims[0])
-        else:
-            coboundaries = image_basis(cx.differentials[q - 1])
+    coboundaries = SubspaceBasis.empty(cx.dims[0])
+    last = len(cx.differentials) - 1
+    for q, d in enumerate(cx.differentials):
+        cocycles, pivots = _kernel_and_pivots(d, cx.dims[q] - coboundaries.dim)
         if not cocycles.contains_all(coboundaries):
             raise ComplexError(f"coboundaries escape cocycles in degree {q}")
         groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
+        if q < last:
+            coboundaries = _column_basis(d, pivots)
     return CohomologyResult(groups)
 
 

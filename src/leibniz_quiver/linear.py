@@ -40,6 +40,18 @@ matrices of ``restrict_and_project``: they are read off one solve on
 the adapted basis ``[Q | S_comp] = S [S^-1 Q | e_comp]``, which fixes
 them as the matrices in the complement basis ``[S^-1 Q | e_comp]``.
 
+Two savings rest on that argument, and neither can change an output.
+The rows are reduced sparsest first, by a stable sort on their nonzero
+counts (Markowitz's rule): a short row costs little to reduce and, once
+it is an echelon row, brings little fill into the rows reduced against
+it.  And the elimination stops as soon as its echelon has ``limit``
+rows, for any ``limit`` at least the rank: an echelon that large has as
+many independent rows as the row space has dimensions, so it spans the
+row space, every row not yet read is a combination of it, and the
+leading-column set is complete.  The default limit is the column
+count; ``cohomology_of_complex`` passes the bound that the verified
+``d.d = 0`` of its complex gives.
+
 Zero-row and zero-column matrices are first class throughout: a 0 x n
 matrix is the unique linear map onto the zero space and an n x 0 matrix
 is the inclusion of the zero space.
@@ -403,13 +415,20 @@ def _reduce_row(row: dict) -> None:
             row[j] //= g
 
 
-def _forward_eliminate(rows: list, ncols: int) -> tuple:
-    """Reduce the integer rows (consumed in place) to an echelon basis
-    of their span; returns ``(echelon, pivots)`` with ``echelon`` the
-    map from pivot column to its echelon row and ``pivots`` its sorted
-    keys."""
+def _forward_eliminate(rows: list, ncols: int, limit: int | None = None) -> tuple:
+    """Reduce the integer rows (sorted and consumed in place), sparsest
+    first, to an echelon basis of their span; returns ``(echelon,
+    pivots)`` with ``echelon`` the map from pivot column to its echelon
+    row and ``pivots`` its sorted keys.  The elimination stops once the
+    echelon has ``limit`` rows (default ``ncols``), which must be at
+    least the rank of the rows."""
+    if limit is None:
+        limit = ncols
+    rows.sort(key=len)
     echelon = {}
     for row in rows:
+        if len(echelon) == limit:
+            break
         while row:
             c = min(row)
             prow = echelon.get(c)
@@ -436,8 +455,6 @@ def _forward_eliminate(rows: list, ncols: int) -> tuple:
             if row and (max(row.values()) > _REDUCE_BOUND
                         or min(row.values()) < -_REDUCE_BOUND):
                 _reduce_row(row)
-        if len(echelon) == ncols:
-            break
     return echelon, sorted(echelon)
 
 
@@ -503,12 +520,19 @@ def kernel_basis(m: Mat) -> "SubspaceBasis":
     >>> [v for v in kernel_basis(Mat.from_rows([[1, 1]])).vectors]
     [(Fraction(-1, 1), Fraction(1, 1))]
     """
+    return _kernel_and_pivots(m, m.cols)[0]
+
+
+def _kernel_and_pivots(m: Mat, limit: int) -> tuple:
+    """``kernel_basis(m)`` and the pivot columns of ``m`` from one
+    elimination that stops once its echelon has ``limit`` rows; ``limit``
+    must be at least the rank of ``m``."""
     n = m.cols
-    echelon, pivots = _forward_eliminate(_int_rows(m)[0], n)
+    echelon, pivots = _forward_eliminate(_int_rows(m)[0], n, limit)
     free = [c for c in range(n) if c not in echelon]
     x = _back_substitute(echelon, pivots, {c: {k: 1} for k, c in enumerate(free)})
     x.update((c, {k: _ONE}) for k, c in enumerate(free))
-    return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n))))
+    return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n)))), pivots
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -532,14 +556,20 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 def image_basis(m: Mat) -> "SubspaceBasis":
     """Basis of the column span: the pivot columns of ``m`` themselves."""
-    _, pivots = _forward_eliminate(_int_rows(m)[0], m.cols)
+    return _column_basis(m, _forward_eliminate(_int_rows(m)[0], m.cols)[1])
+
+
+def _column_basis(m: Mat, pivots: Sequence[int]) -> "SubspaceBasis":
+    """``image_basis(m)`` from the pivot columns of ``m``."""
     return _basis(_columns(m, pivots))
 
 
 def _columns(m: Mat, idx: Sequence[int]) -> Mat:
-    """The columns of ``m`` at the given indices, in that order."""
-    t = m.transpose()
-    return _wrap(len(idx), m.rows, (t._rows[j] for j in idx)).transpose()
+    """The columns of ``m`` at the given distinct indices, in that
+    order."""
+    at = {j: k for k, j in enumerate(idx)}
+    return _wrap(m.rows, len(idx),
+                 ({at[j]: x for j, x in row.items() if j in at} for row in m._rows))
 
 
 def _basis(cols: Mat) -> "SubspaceBasis":
@@ -695,7 +725,8 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     comp, c = pivot_extension(quot_of.matrix(), sub.matrix())
     if len(comp) != s - t:
         raise StabilityError("quotient space is not inside the subspace")
-    x = solve(c, Mat.hstack([f * c for f in maps]))
+    fc = (Mat.vstack(maps) * c)._rows  # every F_k C from one product
+    x = solve(c, Mat.hstack([_wrap(n, s, fc[k * n:(k + 1) * n]) for k in range(len(maps))]))
     if x is None:
         raise StabilityError("map does not preserve the subspace")
     blocks = [[{} for _ in comp] for _ in maps]

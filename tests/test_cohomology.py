@@ -21,7 +21,7 @@ from leibniz_quiver.bimodule import (
     symmetric,
     trivial_bimodule,
 )
-from leibniz_quiver import cohomology
+from leibniz_quiver import cohomology, linear
 from leibniz_quiver.cohomology import (
     COCHAIN_BUDGET,
     CochainComplex,
@@ -37,8 +37,11 @@ from leibniz_quiver.cohomology import (
     trivial_algebra_closed_form,
     hl_module_structure,
 )
+from leibniz_quiver.algebra import LeibnizAlgebra
+from leibniz_quiver.bimodule import Bimodule
 from leibniz_quiver.errors import ComplexError, DimensionError, InputError
-from leibniz_quiver.linear import Mat
+from leibniz_quiver.ext import SimpleDescriptor, ext_dims
+from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, kernel_basis, rank, solve
 from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2
 
 from conftest import make_trivial_bimodule
@@ -69,6 +72,95 @@ def test_cohomology_of_complex_known_value():
     assert res[0].dim == 1
     assert res[1].cocycles.dim == 2
     assert res[1].coboundaries.dim == 1
+
+
+class _CountedRows(list):
+    """A row list that counts the rows an elimination reads from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.read += 1
+            yield row
+
+
+def _sheared(h, b):
+    """h and b in the bases b_(k+1) += b_k (a chain of shears over every
+    coordinate), so that no differential is graded by weight."""
+    def chain(n):
+        return Mat.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
+
+    p, q = chain(h.dim), chain(b.dim)
+    p_inv, q_inv = solve(p, Mat.identity(h.dim)), solve(q, Mat.identity(b.dim))
+    c = [[p_inv.apply(h.bracket(p.col(i), p.col(j))) for j in range(h.dim)]
+         for i in range(h.dim)]
+    h2 = LeibnizAlgebra(h.dim, c)
+    return h2, Bimodule(h2, b.dim, [q_inv * b.left_by(p.col(i)) * q for i in range(h.dim)],
+                        [q_inv * b.right_by(p.col(i)) * q for i in range(h.dim)])
+
+
+def _spy_eliminations(monkeypatch) -> list:
+    """Record ``((rows, cols), limit, rows read)`` for every elimination;
+    ``limit`` is None where the caller passes none, as ``solve`` does."""
+    calls = []
+    eliminate = linear._forward_eliminate
+
+    def counting(rows, ncols, *limit):
+        rows = _CountedRows(rows)
+        out = eliminate(rows, ncols, *limit)
+        calls.append(((len(rows), ncols), limit[0] if limit else None, rows.read))
+        return out
+
+    monkeypatch.setattr(linear, "_forward_eliminate", counting)
+    return calls
+
+
+def _hemi1_v1a():
+    h = hemi_sl2(1)
+    return h, antisymmetric(h, lift_module(h, simple_module(1).underlying))
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["weight", "sheared"])
+def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, sheared):
+    h, bm = _hemi1_v1a()
+    if sheared:
+        h, bm = _sheared(h, bm)
+    calls = _spy_eliminations(monkeypatch)
+    res = leibniz_cohomology(h, bm, 3)
+    monkeypatch.undo()
+    diffs = leibniz_complex(h, bm, 3).differentials
+    assert res.dims == [2, 1, 0, 0]
+    # One elimination per differential, then one solve per containment
+    # check that has vectors on both sides.
+    checks = sum(1 for g in res.groups if g.cocycles.dim and g.coboundaries.dim)
+    assert len(calls) == len(diffs) + checks
+    bounded = [(shape, read) for shape, limit, read in calls if limit is not None]
+    assert [shape for shape, _ in bounded] == [(d.rows, d.cols) for d in diffs]
+    for q, (d, (_, read)) in enumerate(zip(diffs, bounded)):
+        if res.dims[q]:
+            assert read == d.rows  # HL^q != 0: the bound exceeds rank d_q
+    assert bounded[3][1] < diffs[3].rows  # HL^3 = 0: the bound is rank d_3
+    for q, g in enumerate(res.groups):
+        assert g.cocycles == kernel_basis(diffs[q])
+        assert g.coboundaries == (image_basis(diffs[q - 1]) if q
+                                  else SubspaceBasis.empty(diffs[0].cols))
+
+
+def test_ext_where_the_bound_is_never_reached(monkeypatch):
+    # Ext^3(V_1^a, V_1^a) = H^3(sl2, Hom(V_1, HL^0)) = 1 over hemi_sl2(1).
+    # HL^0 and HL^1 of V_1^a are nonzero, so the bounds on d_0 and d_1
+    # exceed their ranks and those eliminations read every row.
+    h, bm = _hemi1_v1a()
+    calls = _spy_eliminations(monkeypatch)
+    assert ext_dims(h, SimpleDescriptor("antisymmetric", 1), bm, 3, fast=True).dims[3] == 1
+    monkeypatch.undo()
+    # Among the eliminations given a limit, HL^0..3 of V_1^a come first.
+    bounded = [(shape, limit, read) for shape, limit, read in calls if limit is not None]
+    diffs = leibniz_complex(h, bm, 3).differentials
+    assert [shape for shape, _, _ in bounded[:4]] == [(d.rows, d.cols) for d in diffs]
+    for d, (_, limit, read) in zip(diffs[:2], bounded):
+        assert limit > rank(d) and read == d.rows
 
 
 # --------------------------------------------------------- Loday differential

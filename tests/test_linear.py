@@ -456,6 +456,50 @@ def test_bases_match_independent_rref(m, data):
     assert pivot_extension(m, Mat.identity(m.rows))[0] == [p - m.cols for p in piv if p >= m.cols]
 
 
+@st.composite
+def matrices_with_repeated_rows(draw):
+    """``contract_matrices`` with up to two rows duplicated in place."""
+    m = draw(contract_matrices())
+    rows = m.row_lists()
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        copy = list(rows[draw(st.integers(0, len(rows) - 1))])
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return Mat(len(rows), m.cols, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_with_repeated_rows(), st.data())
+def test_outputs_do_not_depend_on_row_order(m, data):
+    perm = data.draw(st.permutations(range(m.rows)))
+
+    def shuffle(a):
+        return Mat(a.rows, a.cols, [a.row(i) for i in perm])
+
+    p = shuffle(m)
+    _, pivots = _rref(m.row_lists(), m.cols)
+    assert rank(p) == rank(m) == len(pivots)
+    assert kernel_basis(p) == kernel_basis(m)
+    assert kernel_basis(p).vectors == tuple(_ref_kernel(m))
+    assert image_basis(p).matrix() == shuffle(image_basis(m).matrix())
+    assert image_basis(m).vectors == tuple(m.col(j) for j in pivots)
+    # Any limit from the rank up stops the elimination without changing it.
+    for limit in range(len(pivots), m.cols + 1):
+        assert linear._kernel_and_pivots(p, limit) == (kernel_basis(m), pivots)
+    x0 = data.draw(st.lists(fractions_or_zero, min_size=m.cols, max_size=m.cols))
+    free = data.draw(st.lists(fractions_or_zero, min_size=m.rows, max_size=m.rows))
+    b = Mat.from_cols([m.apply(x0), free], rows=m.rows)
+    for rhs in (Mat.from_cols([b.col(0)], rows=m.rows), b):
+        got = solve(m, rhs)
+        assert solve(p, shuffle(rhs)) == got
+        expect = _ref_solve(m, rhs)
+        assert got is None if expect is None else got.row_lists() == expect
+    comp, basis = pivot_extension(m, Mat.identity(m.rows))
+    assert pivot_extension(p, shuffle(Mat.identity(m.rows))) == (comp, shuffle(basis))
+    ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
+    _, piv = _rref([list(r) + e for r, e in zip(m.row_lists(), ident)], m.cols + m.rows)
+    assert comp == [c - m.cols for c in piv if c >= m.cols]
+
+
 def test_restrict_and_project_matches_reference_complement():
     # The complement is the one a textbook rref of [S^-1 Q | I] picks,
     # and G is the induced map on the classes of B = S e_comp.  A random
