@@ -15,6 +15,7 @@ consistency failure (uncertified collapse, oracle mismatch, divergent
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -254,7 +255,10 @@ def _cmd_quiver_hemi(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves it as it is, and a discarded
+    parser is a web of reference cycles left to the cycle collector."""
     p = _Parser(prog="leibniz-quiver",
                 description="Leibniz-algebra cohomology, Ext groups and Gabriel quivers")
     sub = p.add_subparsers(dest="command", required=True)

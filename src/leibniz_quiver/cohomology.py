@@ -12,6 +12,17 @@ so in degree zero (d m)(x) = -m.x and HL^0 is the right-invariant part
 of M.  Cochains are flattened row-major: the coordinate of f at
 (tuple t, module index j) is ``flat(t) * dim M + j``.
 
+Both matrices split off the first slot, the outermost factor of CL^q.
+With L_a, R_a the actions of b_a on M and ad(b_a) = ``h.left_mult(a)``,
+the action A^(q)_a of b_a on CL^q (``cochain_action``) and d_n are
+
+    A^(0)_a = L_a,    A^(q)_a = I_h (x) A^(q-1)_a - ad(b_a)^T (x) I,
+    d_0 = -[R_0; ...; R_(dim h - 1)],    d_n = [A^(n)_0; ...] - I_h (x) d_(n-1):
+
+in (b_a . f)(y_1, ...) the bracket with y_1 is the ad term, the rest is b_a
+on f(y_1, ...); in (d f)(x_0, ...) the i = 0 terms are (x_0 . f)(x_1, ...),
+the rest is -(d g)(x_1, ...) for g = f(x_0, ...) with each index i one lower.
+
 The Lie-algebra (Chevalley-Eilenberg) complex uses C^p = Hom(Lambda^p g, M)
 with the classical differential; both complexes verify d.d = 0 on
 construction.
@@ -30,6 +41,7 @@ from .linear import (
     _column_basis,
     _kernel_and_pivots,
     intersect_kernels,
+    kron,
     lincomb,
     rank,
     restrict_and_project,
@@ -141,30 +153,6 @@ def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
 # ---------------------------------------------------------------------------
 
 
-def _tuple_index(t: tuple, d: int) -> int:
-    idx = 0
-    for x in t:
-        idx = idx * d + x
-    return idx
-
-
-def _add_block(rows: list, r0: int, c0: int, block: Mat) -> None:
-    for i in range(block.rows):
-        target = rows[r0 + i]
-        for j, v in block.nonzeros(i):
-            k = c0 + j
-            t = target.get(k)
-            target[k] = v if t is None else t + v
-
-
-def _add_scaled_identity(rows: list, r0: int, c0: int, coeff: Fraction, dm: int) -> None:
-    for i in range(dm):
-        target = rows[r0 + i]
-        k = c0 + i
-        t = target.get(k)
-        target[k] = coeff if t is None else t + coeff
-
-
 def _check_budget(h: LeibnizAlgebra, m: Bimodule, q: int) -> None:
     """Refuse, before anything is allocated, a differential into a
     cochain space CL^(q+1) of dimension above COCHAIN_BUDGET."""
@@ -174,38 +162,37 @@ def _check_budget(h: LeibnizAlgebra, m: Bimodule, q: int) -> None:
                          f"above the budget of {COCHAIN_BUDGET}")
 
 
+def _action(h: LeibnizAlgebra, m: Bimodule, a: int, q: int) -> Mat:
+    """A^(q)_a, the matrix of b_a on CL^q (module docstring)."""
+    if q == 0:
+        return m.left[a]
+    below = _action(h, m, a, q - 1)
+    minus_ad_t = Mat.from_sparse(h.dim, h.dim, [{k: -x for k, x in enumerate(r)} for r in h.c[a]])
+    return kron(Mat.identity(h.dim), below) + kron(minus_ad_t, Mat.identity(below.rows))
+
+
+def _differential(h: LeibnizAlgebra, m: Bimodule, q: int) -> Mat:
+    """d_q (module docstring) by its row blocks A^(q)_a - e_a^T (x) d_(q-1),
+    which share the entries of -d_(q-1) and hold one A^(q)_a at a time."""
+    if q == 0:
+        blocks, cols = [-r for r in m.right], m.dim
+    else:
+        minus_below = -_differential(h, m, q - 1)
+        blocks = [_action(h, m, a, q) + kron(Mat.from_sparse(1, h.dim, [{a: 1}]), minus_below)
+                  for a in range(h.dim)]
+        cols = minus_below.rows
+    return Mat.vstack(blocks) if blocks else Mat.zero(0, cols)  # dim h = 0: no blocks
+
+
 def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
     """Matrix of d: CL^n -> CL^(n+1) for the bimodule m over h;
     InputError when CL^(n+1) exceeds COCHAIN_BUDGET."""
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
+    if n < 0:
+        raise DimensionError(f"cochain degree {n} is negative")
     _check_budget(h, m, n)
-    d = h.dim
-    dm = m.dim
-    rows = d ** (n + 1) * dm
-    cols = d ** n * dm
-    grid = [{} for _ in range(rows)]
-    c = h.c
-    left = (m.left, [-a for a in m.left])  # left[i % 2] is (-1)^i L
-    right = m.right if (n - 1) % 2 == 0 else [-a for a in m.right]
-    for y in itertools.product(range(d), repeat=n + 1):
-        r0 = _tuple_index(y, d) * dm
-        for i in range(n):
-            t = y[:i] + y[i + 1:]
-            _add_block(grid, r0, _tuple_index(t, d) * dm, left[i % 2][y[i]])
-        _add_block(grid, r0, _tuple_index(y[:n], d) * dm, right[y[n]])
-        for i in range(n + 1):
-            si = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
-            for j in range(i + 1, n + 1):
-                coeffs = c[y[i]][y[j]]
-                base = list(y[:i] + y[i + 1:])
-                for k, ck in enumerate(coeffs):
-                    if ck:
-                        base[j - 1] = k
-                        _add_scaled_identity(
-                            grid, r0, _tuple_index(tuple(base), d) * dm, si * ck, dm
-                        )
-    return Mat.from_sparse(rows, cols, grid)
+    return _differential(h, m, n)
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
@@ -232,23 +219,9 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     The Leibniz kernel acts by zero (left multiplications by squares
     vanish), so this is really an action of the Lie quotient.
     """
-    d, dm = h.dim, m.dim
-    size = d ** q * dm
-    out = []
-    for a in range(d):
-        grid = [{} for _ in range(size)]
-        la = m.left[a]
-        for y in itertools.product(range(d), repeat=q):
-            r0 = _tuple_index(y, d) * dm
-            _add_block(grid, r0, r0, la)
-            for i in range(q):
-                coeffs = h.c[a][y[i]]
-                for k, ck in enumerate(coeffs):
-                    if ck:
-                        t = y[:i] + (k,) + y[i + 1:]
-                        _add_scaled_identity(grid, r0, _tuple_index(t, d) * dm, -ck, dm)
-        out.append(Mat.from_sparse(size, size, grid))
-    return out
+    if q < 0:
+        raise DimensionError(f"cochain degree {q} is negative")
+    return [_action(h, m, a, q) for a in range(h.dim)]
 
 
 def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
@@ -286,6 +259,23 @@ def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg cohomology of Lie algebras.
 # ---------------------------------------------------------------------------
+
+
+def _add_block(rows: list, r0: int, c0: int, block: Mat) -> None:
+    for i in range(block.rows):
+        target = rows[r0 + i]
+        for j, v in block.nonzeros(i):
+            k = c0 + j
+            t = target.get(k)
+            target[k] = v if t is None else t + v
+
+
+def _add_scaled_identity(rows: list, r0: int, c0: int, coeff: Fraction, dm: int) -> None:
+    for i in range(dm):
+        target = rows[r0 + i]
+        k = c0 + i
+        t = target.get(k)
+        target[k] = coeff if t is None else t + coeff
 
 
 def ce_differential(g: LieAlgebra, m: LeftModule, p: int) -> Mat:

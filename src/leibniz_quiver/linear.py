@@ -115,12 +115,15 @@ def _wrap(rows: int, cols: int, data: Iterable[dict]) -> "Mat":
 
 def _axpy(acc: dict, x, row: Mapping) -> None:
     """acc += x * row for a nonzero x, dropping entries that cancel."""
+    scaled, negated = x != 1, x == -1
     for j, v in row.items():
+        if scaled:
+            v = -v if negated else x * v
         t = acc.get(j)
         if t is None:
-            acc[j] = x * v
+            acc[j] = v
         else:
-            t += x * v
+            t += v
             if t:
                 acc[j] = t
             else:
@@ -302,7 +305,7 @@ class Mat:
         return self._plus(other, _MINUS_ONE)
 
     def __neg__(self) -> "Mat":
-        return self.scale(_MINUS_ONE)
+        return _wrap(self.rows, self.cols, ({j: -x for j, x in r.items()} for r in self._rows))
 
     def scale(self, s) -> "Mat":
         s = as_scalar(s)
@@ -374,14 +377,16 @@ def kron(a: Mat, b: Mat) -> Mat:
 
     Row (i, i') of the result is ``i * b.rows + i'`` and likewise for
     columns, so ``kron`` is compatible with flattening a matrix row by
-    row into a coordinate vector.
+    row into a coordinate vector.  An entry 1 of either factor stores
+    the other factor's entry as it is.
 
     >>> kron(Mat.identity(2), Mat.identity(3)) == Mat.identity(6)
     True
     """
     bc = b.cols
     out = [
-        {j * bc + k: x * y for j, x in arow.items() for k, y in brow.items()}
+        {j * bc + k: y if x == 1 else x if y == 1 else x * y
+         for j, x in arow.items() for k, y in brow.items()}
         for arow in a._rows
         for brow in b._rows
     ]

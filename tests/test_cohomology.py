@@ -1,6 +1,7 @@
 """Leibniz and Chevalley-Eilenberg cohomology: differentials, closed forms,
 induced module structures."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -194,14 +195,98 @@ def test_differential_wrong_algebra_rejected():
 
 
 def test_differential_commutes_with_cochain_action():
-    h = hemi_sl2(1)
-    bm = antisymmetric(h, lift_module(h, simple_module(1).underlying))
-    for q in (0, 1):
-        d_q = leibniz_differential(h, bm, q)
-        act_q = cochain_action(h, bm, q)
-        act_q1 = cochain_action(h, bm, q + 1)
-        for x in range(h.dim):
-            assert (d_q * act_q[x] - act_q1[x] * d_q).is_zero()
+    weight = _hemi1_v1a()
+    for h, bm in (weight, _sheared(*weight)):
+        for q in (0, 1, 2):
+            d_q = leibniz_differential(h, bm, q)
+            act_q = cochain_action(h, bm, q)
+            act_q1 = cochain_action(h, bm, q + 1)
+            for x in range(h.dim):
+                assert (d_q * act_q[x] - act_q1[x] * d_q).is_zero()
+
+
+def _at(h, m, f, t):
+    """The value in M of the flat cochain f at the basis tuple t."""
+    i = 0
+    for x in t:
+        i = i * h.dim + x
+    return f[i * m.dim:(i + 1) * m.dim]
+
+
+def _plus(acc, c, v):
+    return [a + c * x for a, x in zip(acc, v)]
+
+
+def _reference_differential(h, m, f, n):
+    """d f for the cochain f of CL^n (a flat coordinate tuple), by the
+    formula of the cohomology module docstring, at every basis tuple."""
+    e = h.basis_vector
+    out = []
+    for x in itertools.product(range(h.dim), repeat=n + 1):
+        acc = [Fraction(0)] * m.dim
+        for i in range(n):
+            acc = _plus(acc, (-1) ** i, m.left[x[i]].apply(_at(h, m, f, x[:i] + x[i + 1:])))
+        acc = _plus(acc, (-1) ** (n - 1), m.right[x[n]].apply(_at(h, m, f, x[:n])))
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rest = list(x[:i] + x[i + 1:])
+                for k, ck in enumerate(h.bracket(e(x[i]), e(x[j]))):
+                    if ck:
+                        rest[j - 1] = k
+                        acc = _plus(acc, (-1) ** (i + 1) * ck, _at(h, m, f, tuple(rest)))
+        out.extend(acc)
+    return tuple(out)
+
+
+def _reference_action(h, m, a, f, q):
+    """b_a . f for the cochain f of CL^q, by the formula of the
+    ``cochain_action`` docstring, at every basis tuple."""
+    e = h.basis_vector
+    out = []
+    for y in itertools.product(range(h.dim), repeat=q):
+        acc = m.left[a].apply(_at(h, m, f, y))
+        for i in range(q):
+            for k, ck in enumerate(h.bracket(e(a), e(y[i]))):
+                if ck:
+                    acc = _plus(acc, -ck, _at(h, m, f, y[:i] + (k,) + y[i + 1:]))
+        out.extend(acc)
+    return tuple(out)
+
+
+def _reference_cases():
+    h, v1a = _hemi1_v1a()
+    v1s = symmetric(h, lift_module(h, simple_module(1).underlying))
+    h0 = LeibnizAlgebra(0, [])
+    return {
+        "V_1^a": (h, v1a), "V_1^s": (h, v1s),
+        "V_1^a sheared": _sheared(h, v1a), "V_1^s sheared": _sheared(h, v1s),
+        "one-dim": (trivial_algebra(), make_trivial_bimodule(random.Random(11), 4)),
+        "0-dim": (h0, Bimodule(h0, 2, [], [])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_matrices_match_the_defining_formulas(case):
+    h, m = _reference_cases()[case]
+    rng = random.Random(case)
+    for q in range(4):
+        size = h.dim ** q * m.dim
+        f = tuple(Fraction(rng.randint(-3, 3)) for _ in range(size))
+        d = leibniz_differential(h, m, q)
+        assert (d.rows, d.cols) == (h.dim ** (q + 1) * m.dim, size)
+        assert d.apply(f) == _reference_differential(h, m, f, q)
+        actions = cochain_action(h, m, q)
+        assert len(actions) == h.dim
+        for a, act in enumerate(actions):
+            assert act.apply(f) == _reference_action(h, m, a, f, q)
+
+
+def test_negative_degrees_are_refused():
+    h, bm = _hemi1_v1a()
+    with pytest.raises(DimensionError):
+        leibniz_differential(h, bm, -1)
+    with pytest.raises(DimensionError):
+        cochain_action(h, bm, -1)
 
 
 # ------------------------------------------------- trivial-algebra closed form

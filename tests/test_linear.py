@@ -327,6 +327,32 @@ def test_kron_associative(a, b, c):
     assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
+unit_entries = st.sampled_from([F(1), F(-1), F(0), F(2), F(-1, 2)])
+
+
+def unit_matrices(rows, cols):
+    """Matrices with many entries 1 and -1: ``kron`` stores the other
+    factor's entry as it is where one is 1, and ``-`` negates."""
+    return st.lists(st.lists(unit_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda g: Mat(rows, cols, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_sub_and_kron_match_entrywise_references(r, c, data):
+    a, b = data.draw(unit_matrices(r, c)), data.draw(unit_matrices(r, c))
+    assert a - b == a + b.scale(-1)
+    assert -b == b.scale(-1)
+    assert (a - b).row_lists() == [[x - y for x, y in zip(ra, rb)]
+                                   for ra, rb in zip(a.row_lists(), b.row_lists())]
+    k = data.draw(st.integers(0, 3).flatmap(
+        lambda kr: st.integers(0, 3).flatmap(lambda kc: unit_matrices(kr, kc))))
+    product = kron(a, k)
+    assert (product.rows, product.cols) == (r * k.rows, c * k.cols)
+    assert product.row_lists() == [[a[i, j] * k[i2, j2] for j in range(c) for j2 in range(k.cols)]
+                                   for i in range(r) for i2 in range(k.rows)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(3), st.randoms(use_true_random=False))
 def test_rank_invariant_under_row_permutation(m, rnd):
