@@ -34,7 +34,7 @@ def _freeze_constants(dim: int, c) -> tuple:
 class LeibnizAlgebra:
     """A left Leibniz algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "c", "labels")
+    __slots__ = ("dim", "c", "labels", "_hash")
 
     def __init__(self, dim: int, c, labels: Sequence[str] | None = None, *, check: bool = True):
         object.__setattr__(self, "dim", dim)
@@ -44,6 +44,7 @@ class LeibnizAlgebra:
             if len(labels) != dim:
                 raise ValueError("label count mismatch")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_hash", hash((dim, self.c)))  # algebras key lru caches
         if check and not check_left_leibniz(self):
             raise AlgebraAxiomError("structure constants violate the left Leibniz identity")
 
@@ -58,7 +59,7 @@ class LeibnizAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.c))
+        return self._hash
 
     def __repr__(self):
         kind = type(self).__name__
@@ -107,29 +108,24 @@ class LieAlgebra(LeibnizAlgebra):
 
     def __init__(self, dim: int, c, labels: Sequence[str] | None = None, *, check: bool = True):
         super().__init__(dim, c, labels, check=check)
-        if check:
-            table = self.c
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        if table[i][j][k] != -table[j][i][k]:
-                            raise AlgebraAxiomError("bracket is not antisymmetric")
+        if check and any(self.left_mult(i) != -self.right_mult(i) for i in range(dim)):
+            raise AlgebraAxiomError("bracket is not antisymmetric")
 
 
 def check_left_leibniz(a: LeibnizAlgebra) -> bool:
-    """Whether [x,[y,z]] = [[x,y],z] + [y,[x,z]] holds on basis triples."""
-    n = a.dim
-    basis = [a.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            bij = a.c[i][j]
-            for k in range(n):
-                lhs = a.bracket(basis[i], a.c[j][k])
-                rhs1 = a.bracket(bij, basis[k])
-                rhs2 = a.bracket(basis[j], a.c[i][k])
-                if any(lhs[t] != rhs1[t] + rhs2[t] for t in range(n)):
-                    return False
-    return True
+    """Whether [x,[y,z]] = [[x,y],z] + [y,[x,z]] holds on basis triples,
+    that is L([b_i, b_j]) = [L_i, L_j] for L_i = ``a.left_mult(i)``: the
+    left-module axiom for ad."""
+    return _action_failure(a, [a.left_mult(i) for i in range(a.dim)], a.dim) is None
+
+
+def _action_failure(a: LeibnizAlgebra, rho: Sequence[Mat], dim: int) -> str | None:
+    """Where rho([b_i, b_j]) = [rho(b_i), rho(b_j)] fails, if anywhere."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if lincomb(rho, a.c[i][j], dim) != rho[i] * rho[j] - rho[j] * rho[i]:
+                return f"rho([b{i}, b{j}]) differs from the commutator"
+    return None
 
 
 def trivial_algebra() -> LeibnizAlgebra:
@@ -223,23 +219,12 @@ class LeftModule:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "action", action)
         if check:
-            err = self._axiom_failure()
+            err = _action_failure(algebra, action, dim)
             if err is not None:
                 raise ModuleAxiomError(err)
 
     def __setattr__(self, name, value):
         raise AttributeError("LeftModule is immutable")
-
-    def _axiom_failure(self) -> str | None:
-        a = self.algebra
-        rho = self.action
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self.act_by(a.c[i][j])
-                rhs = rho[i] * rho[j] - rho[j] * rho[i]
-                if lhs != rhs:
-                    return f"rho([b{i}, b{j}]) differs from the commutator"
-        return None
 
     def act_by(self, coords: Sequence) -> Mat:
         """Action matrix of an arbitrary algebra element."""

@@ -285,7 +285,7 @@ def _matrix_from_json(rows, dim: int) -> Mat:
     return Mat(dim, dim, [[_entry_from_json(x) for x in r] for r in rows])
 
 
-def bimodule_from_spec(h: LeibnizAlgebra, spec: dict, *, check: bool = True) -> Bimodule:
+def bimodule_from_spec(h: LeibnizAlgebra, spec: dict) -> Bimodule:
     """Build a bimodule from its JSON form.
 
     Expected shape::
@@ -311,7 +311,7 @@ def bimodule_from_spec(h: LeibnizAlgebra, spec: dict, *, check: bool = True) -> 
     lmats = [_matrix_from_json(mat, dim) for mat in left]
     rmats = [_matrix_from_json(mat, dim) for mat in right]
     try:
-        return Bimodule(h, dim, lmats, rmats, check=check)
+        return Bimodule(h, dim, lmats, rmats)
     except ModuleAxiomError as exc:
         raise InputError(f"bimodule axioms fail: {exc}") from exc
 

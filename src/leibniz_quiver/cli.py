@@ -71,14 +71,14 @@ def _parse_one_dim_kind(text: str) -> OneDimBimodule:
     return OneDimBimodule(kinds[head], _parse_scalar(lam))
 
 
-_WEIGHT_RX = re.compile(r"^V_?(\d+)(?:\^([sa]))?$")
+_WEIGHT_RX = re.compile(r"V_?([0-9]+)(?:\^([sa]))?")
 
 
 def _parse_weight_descriptor(text: str) -> SimpleDescriptor:
     """V0 / Vm^s / Vm^a (an underscore after V is accepted)."""
     if text == "K":
         return SimpleDescriptor("trivial")
-    m = _WEIGHT_RX.match(text)
+    m = _WEIGHT_RX.fullmatch(text)
     if not m:
         raise InputError(f"unknown simple-module descriptor {text!r}")
     weight = int(m.group(1))
@@ -168,14 +168,14 @@ def _cmd_cohomology(args, out) -> int:
     return _print_cohomology(args, out, "HL", leibniz_cohomology(h, b, args.qmax))
 
 
-_PLAIN_MODULE_RX = re.compile(r"^V_?(\d+)$")
+_PLAIN_MODULE_RX = re.compile(r"V_?([0-9]+)")
 
 
 def _cmd_ce(args, out) -> int:
     if args.module == "K":
         weight = 0
     else:
-        m = _PLAIN_MODULE_RX.match(args.module)
+        m = _PLAIN_MODULE_RX.fullmatch(args.module)
         if not m:
             raise InputError(f"expected a plain weight module such as V2, got {args.module!r}")
         weight = int(m.group(1))

@@ -23,15 +23,30 @@ in (b_a . f)(y_1, ...) the bracket with y_1 is the ad term, the rest is b_a
 on f(y_1, ...); in (d f)(x_0, ...) the i = 0 terms are (x_0 . f)(x_1, ...),
 the rest is -(d g)(x_1, ...) for g = f(x_0, ...) with each index i one lower.
 
-The Lie-algebra (Chevalley-Eilenberg) complex uses C^p = Hom(Lambda^p g, M)
-with the classical differential; both complexes verify d.d = 0 on
-construction.
+The Chevalley-Eilenberg complex of a Lie algebra g with coefficients in
+a left module (M, rho) has C^p = Hom(Lambda^p g, M), flattened in the
+same way over the sorted p-subsets T of the basis in lexicographic order:
+
+    (d f)(x_0, ..., x_p) = sum_i (-1)^i x_i . f(..., x_i^, ...)
+        + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..., x_i^, ..., x_j^, ...),
+    d_p = delta_p (x) I_M + sum_a eps_a (x) rho(b_a),
+
+with delta_p the differential for trivial coefficients and eps_a the wedge
+with b^a, (eps_a phi)(T) = (-1)^(position of a in T) phi(T - a), where
+T - a drops a from T.  The bracket terms apply rho to no value of f, so
+they are delta_p on the g-slots and I_M on M; the module term at T with
+a = t_i is (-1)^i rho(b_a) f(T - a), and (-1)^i is eps_a at (T, T - a).
+
+Both complexes verify d.d = 0 on construction.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .errors import ComplexError, DimensionError, InputError, StabilityError
@@ -40,6 +55,8 @@ from .linear import (
     SubspaceBasis,
     _column_basis,
     _kernel_and_pivots,
+    _sum,
+    _wrap,
     intersect_kernels,
     kron,
     lincomb,
@@ -153,12 +170,11 @@ def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(h: LeibnizAlgebra, m: Bimodule, q: int) -> None:
-    """Refuse, before anything is allocated, a differential into a
-    cochain space CL^(q+1) of dimension above COCHAIN_BUDGET."""
-    size = h.dim ** (q + 1) * m.dim
+def _check_budget(space: str, size: int) -> None:
+    """Refuse, before it is allocated, a space of dimension above
+    COCHAIN_BUDGET; ``space`` names it in the message."""
     if size > COCHAIN_BUDGET:
-        raise InputError(f"the cochain space CL^{q + 1} has dimension {size}, "
+        raise InputError(f"{space} has dimension {size}, "
                          f"above the budget of {COCHAIN_BUDGET}")
 
 
@@ -191,14 +207,14 @@ def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
         raise DimensionError("bimodule is not over the given algebra")
     if n < 0:
         raise DimensionError(f"cochain degree {n} is negative")
-    _check_budget(h, m, n)
+    _check_budget(f"the cochain space CL^{n + 1}", h.dim ** (n + 1) * m.dim)
     return _differential(h, m, n)
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
-    _check_budget(h, m, qmax)
+    _check_budget(f"the cochain space CL^{qmax + 1}", h.dim ** (qmax + 1) * m.dim)
     d, dm = h.dim, m.dim
     dims = [d ** q * dm for q in range(qmax + 2)]
     diffs = [leibniz_differential(h, m, q) for q in range(qmax + 1)]
@@ -261,74 +277,51 @@ def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _add_block(rows: list, r0: int, c0: int, block: Mat) -> None:
-    for i in range(block.rows):
-        target = rows[r0 + i]
-        for j, v in block.nonzeros(i):
-            k = c0 + j
-            t = target.get(k)
-            target[k] = v if t is None else t + v
-
-
-def _add_scaled_identity(rows: list, r0: int, c0: int, coeff: Fraction, dm: int) -> None:
-    for i in range(dm):
-        target = rows[r0 + i]
-        k = c0 + i
-        t = target.get(k)
-        target[k] = coeff if t is None else t + coeff
+@lru_cache(maxsize=None)
+def _bracket_and_wedges(g: LieAlgebra, p: int) -> tuple:
+    """delta_p and [eps_0, ..., eps_(dim g - 1)] (module docstring), the
+    scalar matrices from the p-subsets to the (p+1)-subsets of the basis.
+    They depend on g and p only, so every module over g shares them."""
+    n = g.dim
+    index = {s: c for c, s in enumerate(itertools.combinations(range(n), p))}
+    subsets = list(itertools.combinations(range(n), p + 1))
+    delta, wedges = [], [[{} for _ in subsets] for _ in range(n)]
+    for r, t in enumerate(subsets):
+        for i, a in enumerate(t):
+            wedges[a][r][index[t[:i] + t[i + 1:]]] = Fraction((-1) ** i)
+        row = {}
+        for (i, x), (j, y) in itertools.combinations(enumerate(t), 2):
+            rest = t[:i] + t[i + 1:j] + t[j + 1:]
+            for k, ck in enumerate(g.c[x][y]):
+                if ck and k not in rest:
+                    pos = bisect_left(rest, k)  # moving b_k there costs (-1)^pos
+                    c = index[rest[:pos] + (k,) + rest[pos:]]
+                    row[c] = row.get(c, 0) + (ck if (i + j + pos) % 2 == 0 else -ck)
+        delta.append({c: v for c, v in row.items() if v})
+    shape = len(subsets), len(index)
+    return _wrap(*shape, delta), [_wrap(*shape, w) for w in wedges]
 
 
 def ce_differential(g: LieAlgebra, m: LeftModule, p: int) -> Mat:
-    """Matrix of d: Hom(Lambda^p g, M) -> Hom(Lambda^(p+1) g, M)."""
+    """Matrix of d: Hom(Lambda^p g, M) -> Hom(Lambda^(p+1) g, M), as
+    delta_p (x) I_M + sum_a eps_a (x) rho(b_a) (module docstring)."""
     if m.algebra != g:
         raise DimensionError("module is not over the given Lie algebra")
-    n, dm = g.dim, m.dim
-    cols_combos = list(itertools.combinations(range(n), p))
-    rows_combos = list(itertools.combinations(range(n), p + 1))
-    col_index = {t: i for i, t in enumerate(cols_combos)}
-    grid = [{} for _ in range(len(rows_combos) * dm)]
-    action = (m.action, [-a for a in m.action])  # action[i % 2] is (-1)^i rho
-    for ri, T in enumerate(rows_combos):
-        r0 = ri * dm
-        for i, ti in enumerate(T):
-            sub = T[:i] + T[i + 1:]
-            _add_block(grid, r0, col_index[sub] * dm, action[i % 2][ti])
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                base_sign = -1 if (i + j) % 2 else 1
-                rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                coeffs = g.c[T[i]][T[j]]
-                for k, ck in enumerate(coeffs):
-                    if not ck:
-                        continue
-                    if k in rest:
-                        continue
-                    pos = sum(1 for x in rest if x < k)
-                    combo = tuple(sorted(rest + (k,)))
-                    wedge_sign = -1 if pos % 2 else 1
-                    _add_scaled_identity(
-                        grid,
-                        r0,
-                        col_index[combo] * dm,
-                        Fraction(base_sign * wedge_sign) * ck,
-                        dm,
-                    )
-    return Mat.from_sparse(len(rows_combos) * dm, len(cols_combos) * dm, grid)
-
-
-def _binomial(n: int, p: int) -> int:
-    if p < 0 or p > n:
-        return 0
-    out = 1
-    for i in range(p):
-        out = out * (n - i) // (i + 1)
-    return out
+    if p < 0:
+        raise DimensionError(f"cochain degree {p} is negative")
+    delta, wedges = _bracket_and_wedges(g, p)
+    return _sum([kron(delta, Mat.identity(m.dim))]
+                + [kron(e, rho) for e, rho in zip(wedges, m.action) if not rho.is_zero()])
 
 
 def ce_complex(g: LieAlgebra, m: LeftModule, pmax: int) -> CochainComplex:
+    """The complex C^0 -> ... -> C^(pmax+1); InputError, before any
+    differential is built, when a C^p exceeds COCHAIN_BUDGET."""
     if pmax < 0:
         raise DimensionError("pmax must be nonnegative")
-    dims = [_binomial(g.dim, p) * m.dim for p in range(pmax + 2)]
+    dims = [comb(g.dim, p) * m.dim for p in range(pmax + 2)]
+    for p, size in enumerate(dims):
+        _check_budget(f"the cochain space C^{p}", size)
     diffs = [ce_differential(g, m, p) for p in range(pmax + 1)]
     return CochainComplex(dims, diffs)
 

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .linear import Mat, SubspaceBasis, image_basis, kernel_basis, restrict_and_project, solve
-from .algebra import LeftModule, LeibnizAlgebra, quotient_data
+from .algebra import LeftModule, LeibnizAlgebra, _is_int, quotient_data
 from .bimodule import (
     Bimodule,
     OneDimBimodule,
@@ -38,8 +38,8 @@ from .bimodule import (
     KIND_TRIVIAL,
     hom_module_action,
 )
-from .cohomology import (ce_cohomology, ce_dims_via_invariants, hl_module_structure, hl_modules,
-                         induced_module, leibniz_cohomology)
+from .cohomology import (_check_budget, ce_cohomology, ce_dims_via_invariants,
+                         hl_module_structure, hl_modules, induced_module, leibniz_cohomology)
 from .repsl2 import SL2Module, WeightMultiset, clebsch_gordan, decompose, hemi_sl2, sl2, simple_module
 
 
@@ -122,7 +122,8 @@ class SimpleDescriptor:
     def __init__(self, kind: str, weight: int = 0):
         if kind not in (KIND_TRIVIAL, KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
             raise InputError(f"unknown bimodule kind {kind!r}")
-        weight = int(weight)
+        if not _is_int(weight):
+            raise InputError(f"weight must be an int, not {weight!r}")
         if weight < 0:
             raise InputError("weight must be nonnegative")
         if weight == 0:
@@ -347,7 +348,9 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
 
 def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:
     """decompose(N-hat(V_m)) over V_n x_hs sl2: its multiplicity of V_p
-    is dim Ext^1(V_p^s, V_m^a), the oracle for ``ext1_hemi_closed``."""
+    is dim Ext^1(V_p^s, V_m^a), the oracle for ``ext1_hemi_closed``;
+    InputError when dim Hom(h, V_m) exceeds ``cohomology.COCHAIN_BUDGET``."""
+    _check_budget(f"Hom(h, V_{m}) over V_{n} x_hs sl2", (n + 4) * (m + 1))
     return decompose(SL2Module(nhat(hemi_sl2(n), simple_module(m).underlying)))
 
 

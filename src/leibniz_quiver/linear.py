@@ -678,6 +678,18 @@ def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:
     return _wrap(dim, dim, out)
 
 
+def _sum(mats: Sequence[Mat]) -> Mat:
+    """The sum of matrices of one shape, accumulated in one copy."""
+    first, *rest = mats
+    out = [dict(r) for r in first._rows]
+    for m in rest:
+        first._shape_match(m)
+        for acc, row in zip(out, m._rows):
+            if row:
+                _axpy(acc, _ONE, row)
+    return _wrap(first.rows, first.cols, out)
+
+
 def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
     """Basis of the common null space of a family of matrices."""
     mats = list(mats)

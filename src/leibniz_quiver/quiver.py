@@ -38,7 +38,8 @@ class Vertex:
     def __init__(self, label: str, kind: str, weight: int = 0, lam=None):
         if kind not in (KIND_TRIVIAL, KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
             raise InputError(f"unknown vertex kind {kind!r}")
-        weight = int(weight)
+        if not _is_int(weight):
+            raise InputError(f"weight must be an int, not {weight!r}")
         if lam is not None:
             lam = as_scalar(lam)
         if kind == KIND_TRIVIAL:

@@ -21,6 +21,7 @@ from functools import lru_cache
 from .errors import NonIntegralWeightError
 from .linear import Mat, SubspaceBasis, kernel_basis, kron, rank, restrict_and_project
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
+from .cohomology import _check_budget
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -85,6 +86,7 @@ def simple_module(m: int) -> SL2Module:
     """The simple sl2-module of highest weight m (dimension m + 1)."""
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
+    _check_budget(f"the module V_{m}", m + 1)
     n = m + 1
     e = [{k + 1: (k + 1) * (m - k)} for k in range(m)] + [{}]
     h = [{k: m - 2 * k} for k in range(n)]
@@ -227,4 +229,5 @@ def hemi_sl2(n: int) -> LeibnizAlgebra:
     """
     if n < 1:
         raise ValueError("hemi-semidirect weight must be >= 1")
+    _check_budget(f"the bracket table of V_{n} x_hs sl2", (n + 4) ** 3)
     return hemi_semidirect(sl2(), simple_module(n).underlying)

@@ -1,5 +1,6 @@
 """Leibniz algebras, the Leibniz kernel, Lie quotients, hemi-semidirect products."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,32 @@ def test_non_leibniz_table_rejected():
         LeibnizAlgebra(1, [[[Fraction(1)]]])
     bad = LeibnizAlgebra(1, [[[Fraction(1)]]], check=False)
     assert not check_left_leibniz(bad)
+
+
+def _leibniz_pointwise(a):
+    """The left Leibniz identity on every basis triple, by ``a.bracket``."""
+    e = a.basis_vector
+    for x, y, z in itertools.product(range(a.dim), repeat=3):
+        lhs = a.bracket(e(x), a.bracket(e(y), e(z)))
+        rhs = [u + v for u, v in zip(a.bracket(a.bracket(e(x), e(y)), e(z)),
+                                     a.bracket(e(y), a.bracket(e(x), e(z))))]
+        if list(lhs) != rhs:
+            return False
+    return True
+
+
+@st.composite
+def bracket_tables(draw):
+    d = draw(st.integers(0, 3))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    return LeibnizAlgebra(d, [[[draw(entry) for _ in range(d)] for _ in range(d)]
+                              for _ in range(d)], check=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_tables())
+def test_leibniz_check_agrees_with_pointwise_brackets(a):
+    assert check_left_leibniz(a) == _leibniz_pointwise(a)
 
 
 def test_lie_constructor_rejects_asymmetric_bracket():

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from leibniz_quiver import cli, cohomology
-from leibniz_quiver.algebra import algebra_to_spec
+from leibniz_quiver.algebra import LeftModule, algebra_to_spec
 from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec
 from leibniz_quiver.errors import CollapseNotCertifiedError
 from leibniz_quiver.repsl2 import hemi_sl2, simple_module
@@ -130,6 +130,10 @@ def test_ext_hemi_rejects_bad_weight_syntax(capsys):
                        "--dst", "V0^a")
     assert code == 1
     assert "tag" in err
+    for dst in ("V\u0660^a", "V1^a\n"):  # an Arabic-Indic zero; a trailing newline
+        code, out, err = run(capsys, "ext", "hemi", "--n", "1", "--src", "V1^s", "--dst", dst)
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown simple-module descriptor {dst!r}\n"
 
 
 def test_ext_hemi_rejects_nonpositive_n(capsys):
@@ -217,6 +221,10 @@ def test_ce_rejects_tagged_module(capsys):
     code, _, err = run(capsys, "ce", "--module", "V2^s", "--pmax", "2")
     assert code == 1
     assert "plain weight" in err
+    for module in ("V\u0662", "V2\n"):  # an Arabic-Indic two; a trailing newline
+        code, out, err = run(capsys, "ce", "--module", module, "--pmax", "2")
+        assert (code, out) == (1, "")
+        assert "plain weight" in err
 
 
 # ------------------------------------------------------------ file subcommands
@@ -313,6 +321,30 @@ def test_module_entry_point_matches_main(capsys):
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
         assert proc.returncode == code
+
+
+def test_weights_beyond_budget_are_refused_before_any_module(capsys, monkeypatch):
+    # Under a budget of 6: V_6 has dimension 7, Hom(h, V_1) over V_1 x_hs sl2
+    # has 5 * 2 and Hom(h, V_0) over V_3 x_hs sl2 has 7 * 1.
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 6)
+    simple_module.cache_clear()  # a cached module would skip its check
+    built = []
+    init = LeftModule.__init__
+
+    def spy(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(LeftModule, "__init__", spy)
+    for argv, space in (
+            (["ce", "--module", "V6", "--pmax", "0"], "the module V_6 has dimension 7"),
+            (["ext", "hemi", "--n", "1", "--src", "V1^s", "--dst", "V1^a", "--method", "oracle"],
+             "Hom(h, V_1) over V_1 x_hs sl2 has dimension 10"),
+            (["quiver", "hemi", "--n", "3", "--max-weight", "1", "--verify"],
+             "Hom(h, V_0) over V_3 x_hs sl2 has dimension 7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, built) == (1, "", [])
+        assert err == f"error: {space}, above the budget of 6\n"
 
 
 def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):

@@ -4,10 +4,13 @@ induced module structures."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from leibniz_quiver.algebra import (
+    LeftModule,
+    LieAlgebra,
     adjoint_module,
     lift_module,
     one_dim_module,
@@ -19,6 +22,7 @@ from leibniz_quiver.bimodule import (
     KIND_TRIVIAL,
     OneDimBimodule,
     antisymmetric,
+    hom_module_action,
     symmetric,
     trivial_bimodule,
 )
@@ -28,6 +32,7 @@ from leibniz_quiver.cohomology import (
     CochainComplex,
     ce_cohomology,
     ce_complex,
+    ce_differential,
     ce_dims_via_invariants,
     cochain_action,
     cohomology_of_complex,
@@ -287,6 +292,8 @@ def test_negative_degrees_are_refused():
         leibniz_differential(h, bm, -1)
     with pytest.raises(DimensionError):
         cochain_action(h, bm, -1)
+    with pytest.raises(DimensionError):
+        ce_differential(sl2(), simple_module(1).underlying, -1)
 
 
 # ------------------------------------------------- trivial-algebra closed form
@@ -384,6 +391,75 @@ def test_ce_complex_d_squared_zero():
     g = sl2()
     ce_complex(g, adjoint_module(g), 3)  # validates internally
     ce_complex(g, simple_module(4).underlying, 3)
+
+
+def _reference_ce(g, m, f, p):
+    """d f for the alternating cochain f of C^p (flat over the sorted
+    p-subsets), by the classical formula of the cohomology module
+    docstring, at every sorted (p+1)-subset."""
+    subsets = list(itertools.combinations(range(g.dim), p))
+
+    def at(t):  # f at any p-tuple of basis indices, by alternation
+        if len(set(t)) < len(t):
+            return [Fraction(0)] * m.dim
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(t, 2))
+        c = subsets.index(tuple(sorted(t)))
+        return [sign * v for v in f[c * m.dim:(c + 1) * m.dim]]
+
+    e = g.basis_vector
+    out = []
+    for x in itertools.combinations(range(g.dim), p + 1):
+        acc = [Fraction(0)] * m.dim
+        for i in range(p + 1):
+            acc = _plus(acc, (-1) ** i, m.action[x[i]].apply(at(x[:i] + x[i + 1:])))
+        for i, j in itertools.combinations(range(p + 1), 2):
+            rest = x[:i] + x[i + 1:j] + x[j + 1:]
+            for k, ck in enumerate(g.bracket(e(x[i]), e(x[j]))):
+                if ck:
+                    acc = _plus(acc, (-1) ** (i + j) * ck, at((k,) + rest))
+        out.extend(acc)
+    return tuple(out)
+
+
+def _ce_reference_cases():
+    g = sl2()
+    one = LieAlgebra(1, [[[0]]])
+    gl2 = LieAlgebra(4, [[list(g.c[i][j]) + [0] if i < 3 and j < 3 else [0] * 4
+                          for j in range(4)] for i in range(4)])
+    v1 = simple_module(1).underlying
+    zero = LieAlgebra(0, [])
+    cases = {
+        "sl2 K": (g, one_dim_module(g, [0, 0, 0]), 5),
+        "sl2 V_2": (g, simple_module(2).underlying, 5),
+        "sl2 adjoint": (g, adjoint_module(g), 5),
+        "sl2 Hom(V_1, V_2)": (g, hom_module_action(g, v1, simple_module(2).underlying), 5),
+        "gl2 natural": (gl2, LeftModule(gl2, 2, list(v1.action) + [Mat.identity(2)]), 5),
+        "0-dim": (zero, LeftModule(zero, 2, []), 2),
+    }
+    for lam in (0, 2, Fraction(1, 3)):
+        cases[f"1-dim {lam}"] = (one, one_dim_module(one, [lam]), 3)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_ce_reference_cases()))
+def test_ce_matrices_match_the_classical_formula(case):
+    g, m, pmax = _ce_reference_cases()[case]
+    rng = random.Random(case)
+    for p in range(pmax + 1):
+        size = comb(g.dim, p) * m.dim
+        f = tuple(Fraction(rng.randint(-3, 3)) for _ in range(size))
+        d = ce_differential(g, m, p)
+        assert (d.rows, d.cols) == (comb(g.dim, p + 1) * m.dim, size)
+        assert d.apply(f) == _reference_ce(g, m, f, p)
+
+
+def test_oversized_ce_complex_is_refused_before_any_differential(monkeypatch):
+    built = []
+    monkeypatch.setattr(cohomology, "ce_differential", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 8)
+    with pytest.raises(InputError, match="the cochain space C\\^1 has dimension 9"):
+        ce_cohomology(sl2(), simple_module(2).underlying, 0)
+    assert built == []
 
 
 def test_invariants_dim():

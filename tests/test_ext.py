@@ -90,6 +90,9 @@ def test_descriptor_normalization_and_labels():
         SimpleDescriptor("nope", 1)
     with pytest.raises(InputError):
         SimpleDescriptor(KIND_SYMMETRIC, -1)
+    for weight in (1.5, "2", True):
+        with pytest.raises(InputError):
+            SimpleDescriptor(KIND_SYMMETRIC, weight)
 
 
 def test_descriptor_realize_matches_kinds():

@@ -39,6 +39,9 @@ def test_vertex_validation():
         Vertex("x", KIND_SYMMETRIC)  # nontrivial kind needs weight or eigenvalue
     with pytest.raises(InputError):
         Vertex("x", KIND_SYMMETRIC, weight=1, lam=Fraction(1))
+    for weight in (2.7, "2", True):
+        with pytest.raises(InputError):
+            Vertex("x", KIND_SYMMETRIC, weight=weight)
 
 
 def test_quiver_merges_parallel_edge_records():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_quiver.algebra import LeftModule
-from leibniz_quiver.errors import NonIntegralWeightError
+from leibniz_quiver import cohomology
+from leibniz_quiver.errors import InputError, NonIntegralWeightError
 from leibniz_quiver.linear import Mat
 from leibniz_quiver.repsl2 import (
     SL2Module,
@@ -111,6 +112,18 @@ def test_hemi_sl2_structure():
     assert h.dim == 6
     with pytest.raises(ValueError):
         hemi_sl2(0)
+
+
+def test_weights_beyond_budget_are_refused(monkeypatch):
+    # hemi_sl2(3) has dimension 7 and a table of 7^3 = 343 structure constants
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 342)
+    hemi_sl2.cache_clear()  # a cached algebra or module would skip its check
+    simple_module.cache_clear()
+    with pytest.raises(InputError, match="the bracket table of V_3 x_hs sl2 has dimension 343"):
+        hemi_sl2(3)
+    with pytest.raises(InputError, match="the module V_342 has dimension 343"):
+        simple_module(342)
+    assert (hemi_sl2(2).dim, simple_module(341).dim) == (6, 342)
 
 
 @settings(max_examples=30, deadline=None)
