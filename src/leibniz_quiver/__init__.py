@@ -82,6 +82,6 @@ from .ext import (
     ext_trivial_closed,
     nhat,
 )
-from .quiver import Quiver, Vertex, quiver_from_json, quiver_hemi, quiver_trivial, to_dot, to_json
+from .quiver import Quiver, quiver_from_json, quiver_hemi, quiver_trivial, to_dot, to_json
 
 __version__ = "0.1.0"

@@ -31,7 +31,8 @@ from .algebra import (algebra_from_spec, check_left_leibniz, leibniz_kernel, quo
                       trivial_algebra)
 from .bimodule import OneDimBimodule, bimodule_from_spec
 from .cohomology import ce_cohomology, leibniz_cohomology
-from .ext import SimpleDescriptor, ext1_hemi_oracle, ext_dims, ext_simple_closed, ext_trivial_closed
+from .ext import (EXT1_SOURCE_KINDS, EXT1_TARGET_KINDS, SimpleDescriptor, ext1_hemi_oracle,
+                  ext_dims, ext_simple_closed, ext_trivial_closed)
 from .linear import parse_rational
 from .quiver import quiver_hemi, quiver_trivial, to_dot, to_json
 from .repsl2 import simple_module, sl2
@@ -230,10 +231,10 @@ def _cmd_ext_hemi(args, out) -> int:
     if args.method in ("closed", "both"):
         results["closed"] = ext_simple_closed(args.n, src, dst, 1)
     if args.method in ("oracle", "both"):
-        if src.kind == "antisymmetric" or dst.kind == "symmetric":
-            results["oracle"] = 0
-        else:
+        if src.kind in EXT1_SOURCE_KINDS and dst.kind in EXT1_TARGET_KINDS:
             results["oracle"] = ext1_hemi_oracle(args.n, dst.weight).multiplicity(src.weight)
+        else:
+            results["oracle"] = 0
     return _report(args, out, src, dst, results, lambda k: [k])
 
 

@@ -23,6 +23,15 @@ in (b_a . f)(y_1, ...) the bracket with y_1 is the ad term, the rest is b_a
 on f(y_1, ...); in (d f)(x_0, ...) the i = 0 terms are (x_0 . f)(x_1, ...),
 the rest is -(d g)(x_1, ...) for g = f(x_0, ...) with each index i one lower.
 
+So with (i_a f)(y, ...) = f(b_a, y, ...), row block a of d_q reads
+i_a d_q = A^(q)_a - d_(q-1) i_a, which is Cartan's formula
+
+    A^(q)_a = i_a d_q + d_(q-1) i_a    (q >= 1).
+
+On a cocycle z it leaves the coboundary d_(q-1)(i_a z): h acts by zero
+on HL^q for every q >= 1, and only HL^0, the right invariants of M,
+keeps a nonzero (left) action.
+
 The Chevalley-Eilenberg complex of a Lie algebra g with coefficients in
 a left module (M, rho) has C^p = Hom(Lambda^p g, M), flattened in the
 same way over the sorted p-subsets T of the basis in lexicographic order:
@@ -170,12 +179,20 @@ def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(space: str, size: int) -> None:
+def _check_budget(space: str, size: int, unit: str = "") -> None:
     """Refuse, before it is allocated, a space of dimension above
-    COCHAIN_BUDGET; ``space`` names it in the message."""
+    COCHAIN_BUDGET, or with ``unit`` (such as "degrees") more than
+    COCHAIN_BUDGET of those; ``space`` names it in the message."""
     if size > COCHAIN_BUDGET:
-        raise InputError(f"{space} has dimension {size}, "
-                         f"above the budget of {COCHAIN_BUDGET}")
+        amount = f"{size} {unit}" if unit else f"dimension {size}"
+        raise InputError(f"{space} has {amount}, above the budget of {COCHAIN_BUDGET}")
+
+
+def _check_degrees(last: int) -> None:
+    """Refuse, before any per-degree list is built, a run of degrees
+    0..last longer than COCHAIN_BUDGET: each space may be small (every
+    CE space above dim g is zero), but the run is not."""
+    _check_budget(f"the degree range 0..{last}", last + 1, "degrees")
 
 
 def _action(h: LeibnizAlgebra, m: Bimodule, a: int, q: int) -> Mat:
@@ -214,6 +231,7 @@ def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
+    _check_degrees(qmax + 1)
     _check_budget(f"the cochain space CL^{qmax + 1}", h.dim ** (qmax + 1) * m.dim)
     d, dm = h.dim, m.dim
     dims = [d ** q * dm for q in range(qmax + 2)]
@@ -261,7 +279,9 @@ def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
 def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
     """The groups of ``cohom = leibniz_cohomology(h, m, qmax)`` as
     modules over the Lie quotient of h: the cochain action restricted to
-    the cocycles and projected modulo the coboundaries."""
+    the cocycles and projected modulo the coboundaries.  By Cartan's
+    formula (module docstring) every HL^q with q >= 1 comes out as a
+    trivial module."""
     return [induced_module(h, cochain_action(h, m, q), g.cocycles, g.coboundaries)
             for q, g in enumerate(cohom.groups)]
 
@@ -316,9 +336,11 @@ def ce_differential(g: LieAlgebra, m: LeftModule, p: int) -> Mat:
 
 def ce_complex(g: LieAlgebra, m: LeftModule, pmax: int) -> CochainComplex:
     """The complex C^0 -> ... -> C^(pmax+1); InputError, before any
-    differential is built, when a C^p exceeds COCHAIN_BUDGET."""
+    differential is built, when a C^p or the number of degrees exceeds
+    COCHAIN_BUDGET."""
     if pmax < 0:
         raise DimensionError("pmax must be nonnegative")
+    _check_degrees(pmax + 1)
     dims = [comb(g.dim, p) * m.dim for p in range(pmax + 2)]
     for p, size in enumerate(dims):
         _check_budget(f"the cochain space C^{p}", size)
@@ -368,6 +390,7 @@ def trivial_algebra_closed_form(m: Bimodule, qmax: int) -> list:
         raise DimensionError("closed form needs the one-dimensional algebra")
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
+    _check_degrees(qmax)
     L, R = m.left[0], m.right[0]
     rank_r = rank(R)
     rank_lr = rank(L + R)

@@ -38,9 +38,9 @@ from .bimodule import (
     KIND_TRIVIAL,
     hom_module_action,
 )
-from .cohomology import (_check_budget, ce_cohomology, ce_dims_via_invariants,
+from .cohomology import (_check_budget, _check_degrees, ce_cohomology, ce_dims_via_invariants,
                          hl_module_structure, hl_modules, induced_module, leibniz_cohomology)
-from .repsl2 import SL2Module, WeightMultiset, clebsch_gordan, decompose, hemi_sl2, sl2, simple_module
+from .repsl2 import SL2Module, WeightMultiset, decompose, hemi_sl2, sl2, simple_module
 
 
 class E2Page:
@@ -346,6 +346,13 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     return _cokernel_module(hom, f)
 
 
+# Degree-1 Ext between simples over V_n x_hs sl2 can be nonzero only
+# from these source kinds to these target kinds, the pairs that
+# ext1_hemi_oracle computes: dim Ext^1(V_p^s, V_m^a), V_0 being both.
+EXT1_SOURCE_KINDS = (KIND_TRIVIAL, KIND_SYMMETRIC)
+EXT1_TARGET_KINDS = (KIND_TRIVIAL, KIND_ANTISYMMETRIC)
+
+
 def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:
     """decompose(N-hat(V_m)) over V_n x_hs sl2: its multiplicity of V_p
     is dim Ext^1(V_p^s, V_m^a), the oracle for ``ext1_hemi_closed``;
@@ -356,16 +363,15 @@ def ext1_hemi_oracle(n: int, m: int) -> WeightMultiset:
 
 def ext1_hemi_closed(n: int, p: int, m: int) -> int:
     """dim Ext^1(V_p^s, V_m^a) over V_n x_hs sl2, counted as the
-    multiplicity of V_p in the closed-form decomposition of N-hat."""
+    multiplicity of V_p in the closed-form decomposition of N-hat:
+    V_m (x) V_n, whose weights run over |m - n| <= p <= m + n with
+    p = m + n (mod 2), plus V_(m+2) and V_(m-2)."""
     if n < 1:
         raise InputError("the hemi-semidirect module weight n must be >= 1")
     if p < 0 or m < 0:
         raise InputError("weights must be nonnegative")
-    if m >= 2:
-        return int(p in clebsch_gordan(m, n).mults) + int(p in (m + 2, m - 2))
-    if m == 1:
-        return [n + 1, n - 1, 3].count(p)
-    return [n, 2].count(p)
+    in_tensor = abs(m - n) <= p <= m + n and (m + n - p) % 2 == 0
+    return int(in_tensor) + int(p in (m + 2, m - 2))
 
 
 def ext_trivial_closed(mk: OneDimBimodule, nk: OneDimBimodule, nmax: int) -> list:
@@ -374,6 +380,7 @@ def ext_trivial_closed(mk: OneDimBimodule, nk: OneDimBimodule, nmax: int) -> lis
     gives 1, 1, 0, ...; everything else vanishes."""
     if nmax < 0:
         raise DimensionError("nmax must be nonnegative")
+    _check_degrees(nmax)
     if mk.kind == KIND_TRIVIAL and nk.kind == KIND_TRIVIAL:
         return [1] + [2] * nmax
     if mk.kind == nk.kind and mk.lam == nk.lam:
@@ -400,8 +407,7 @@ def ext_simple_closed(n: int, src: SimpleDescriptor, dst: SimpleDescriptor,
     if degree == 0:
         return 1 if src == dst else 0
     if degree == 1:
-        if src.kind in (KIND_TRIVIAL, KIND_SYMMETRIC) and \
-           dst.kind in (KIND_TRIVIAL, KIND_ANTISYMMETRIC):
+        if src.kind in EXT1_SOURCE_KINDS and dst.kind in EXT1_TARGET_KINDS:
             return ext1_hemi_closed(n, src.weight, dst.weight)
         return 0
     if (src.kind == KIND_SYMMETRIC and dst.kind == KIND_ANTISYMMETRIC

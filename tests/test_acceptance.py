@@ -175,7 +175,7 @@ def test_acceptance_06_hemi_quiver_windows():
     }
     for n, expect in ((1, expect1), (2, expect2)):
         q = quiver_hemi(n, 4, verify=True)
-        got = {(q.vertices[s].label, q.vertices[d].label): k
+        got = {(q.vertices[s].label(), q.vertices[d].label()): k
                for s, d, k in q.edges}
         assert got == expect, n
     # the two-arrows-into-the-trivial-vertex statement for n = 2

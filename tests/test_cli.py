@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from leibniz_quiver import cli, cohomology
+from leibniz_quiver import cli, cohomology, quiver
 from leibniz_quiver.algebra import LeftModule, algebra_to_spec
 from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec
 from leibniz_quiver.errors import CollapseNotCertifiedError
@@ -345,6 +345,34 @@ def test_weights_beyond_budget_are_refused_before_any_module(capsys, monkeypatch
         code, out, err = run(capsys, *argv)
         assert (code, out, built) == (1, "", [])
         assert err == f"error: {space}, above the budget of 6\n"
+
+
+def test_quiver_window_beyond_budget_is_refused_before_any_vertex(capsys, monkeypatch):
+    # the window 0..2 has (2 + 1)^2 = 9 source-target pairs
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 8)
+    built = []
+    descriptor = quiver.SimpleDescriptor
+
+    def spy(*args):
+        built.append(args)
+        return descriptor(*args)
+
+    monkeypatch.setattr(quiver, "SimpleDescriptor", spy)
+    code, out, err = run(capsys, "quiver", "hemi", "--n", "1", "--max-weight", "2")
+    assert (code, out, built) == (1, "", [])
+    assert err == "error: the weight window 0..2 has 9 source-target pairs, above the budget of 8\n"
+
+
+def test_degree_ranges_beyond_budget_are_exit_one(capsys, tmp_path, monkeypatch):
+    # each space is at most 3-dimensional; the 9 degrees 0..8 are too many
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 8)
+    apath = write_json(tmp_path, "a.json", TRIVIAL_ALGEBRA)
+    bpath = write_json(tmp_path, "b.json", ANTI_BIMODULE)
+    for argv in (["ce", "--module", "V0", "--pmax", "7"],
+                 ["cohomology", "--algebra", apath, "--bimodule", bpath, "--qmax", "7"],
+                 ["ext", "trivial", "--src", "K", "--dst", "K", "--nmax", "8"]):
+        assert run(capsys, *argv) == (
+            1, "", "error: the degree range 0..8 has 9 degrees, above the budget of 8\n"), argv
 
 
 def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):

@@ -46,9 +46,10 @@ from leibniz_quiver.cohomology import (
 from leibniz_quiver.algebra import LeibnizAlgebra
 from leibniz_quiver.bimodule import Bimodule
 from leibniz_quiver.errors import ComplexError, DimensionError, InputError
-from leibniz_quiver.ext import SimpleDescriptor, ext_dims
-from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, kernel_basis, rank, solve
-from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2
+from leibniz_quiver.ext import SimpleDescriptor, ext_dims, ext_trivial_closed
+from leibniz_quiver.linear import (Mat, SubspaceBasis, image_basis, kernel_basis, rank,
+                                   restrict_and_project, solve)
+from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2, tensor
 
 from conftest import make_trivial_bimodule
 
@@ -355,6 +356,45 @@ def test_hl_structure_theorem_window():
             assert dims == [m + 1, expect1, 0]
 
 
+def _hl_action_cases():
+    """(name, h, M, qmax) for the HL^q action test: hemi_sl2(1) and
+    hemi_sl2(2) with K, V_1..V_3 of both kinds and V_1 (x) V_n, the two
+    sheared problems, and random bimodules over the one-dim algebra."""
+    cases = []
+    for n, qmax in ((1, 3), (2, 2)):
+        h = hemi_sl2(n)
+        cases.append((f"n={n} K", h, trivial_bimodule(h), qmax))
+        for m in (1, 2, 3):
+            v = simple_module(m).underlying
+            cases += [(f"n={n} V_{m}^s", h, symmetric(h, v), qmax),
+                      (f"n={n} V_{m}^a", h, antisymmetric(h, v), qmax)]
+        v1vn = tensor(simple_module(1), simple_module(n)).underlying
+        cases.append((f"n={n} V_1 x V_{n} ^a", h, antisymmetric(h, v1vn), qmax))
+    refs = _reference_cases()
+    cases += [(name, *refs[name], 2) for name in ("V_1^a sheared", "V_1^s sheared")]
+    rng = random.Random(5)
+    cases += [(f"one-dim {i}", trivial_algebra(), make_trivial_bimodule(rng), 4)
+              for i in range(8)]
+    return cases
+
+
+def test_h_acts_by_zero_on_hl_above_degree_zero():
+    # Cartan's formula A^(q)_a = i_a d_q + d_(q-1) i_a (cohomology module
+    # docstring) sends every cocycle of degree q >= 1 to a coboundary.
+    nonzero_hl0_action = nonzero_higher = 0
+    for name, h, m, qmax in _hl_action_cases():
+        for q, g in enumerate(leibniz_cohomology(h, m, qmax).groups):
+            if g.dim == 0:
+                continue
+            induced = restrict_and_project(cochain_action(h, m, q), g.cocycles, g.coboundaries)
+            if q == 0:
+                nonzero_hl0_action += not all(a.is_zero() for a in induced)
+            else:
+                nonzero_higher += 1
+                assert all(a.is_zero() for a in induced), (name, q)
+    assert nonzero_hl0_action > 0 and nonzero_higher > 0
+
+
 # --------------------------------------------------------------- CE cohomology
 
 def test_ce_sl2_trivial_coefficients():
@@ -495,6 +535,26 @@ def test_oversized_complex_is_refused_before_any_differential(monkeypatch):
     with pytest.raises(InputError, match="139968"):
         leibniz_cohomology(h, bm, 5)
     assert built == []
+
+
+def test_degree_ranges_count_against_the_budget(monkeypatch):
+    # Every space below has dimension at most 3; only the number of
+    # degrees, 9 against a budget of 8, is too large.
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 8)
+    built = []
+    monkeypatch.setattr(cohomology, "ce_differential", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    k = OneDimBimodule(KIND_TRIVIAL)
+    for refused in (lambda: ce_complex(sl2(), simple_module(0).underlying, 7),
+                    lambda: leibniz_complex(trivial_algebra(), k.realize(), 7),
+                    lambda: trivial_algebra_closed_form(k.realize(), 8),
+                    lambda: ext_trivial_closed(k, k, 8)):
+        with pytest.raises(InputError, match="the degree range 0..8 has 9 degrees, "
+                                             "above the budget of 8"):
+            refused()
+    assert built == []
+    assert trivial_algebra_closed_form(k.realize(), 7) == [1] * 8
+    assert ext_trivial_closed(k, k, 7) == [1] + [2] * 7
 
 
 def test_differential_checks_its_own_target_dimension(monkeypatch):

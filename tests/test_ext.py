@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from leibniz_quiver import cohomology, ext
+from leibniz_quiver import cohomology, ext, repsl2
 from leibniz_quiver.algebra import lift_module, quotient_data, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
@@ -40,6 +40,7 @@ from leibniz_quiver.ext import (
 from leibniz_quiver.linear import cokernel_dim, nullity
 from leibniz_quiver.repsl2 import (
     SL2Module,
+    clebsch_gordan,
     decompose,
     hemi_sl2,
     hom_dim,
@@ -253,6 +254,22 @@ def test_ext1_hemi_closed_spot_values():
         ext1_hemi_closed(0, 1, 1)
     with pytest.raises(InputError):
         ext1_hemi_closed(1, -1, 0)
+
+
+def test_ext1_closed_form_tests_membership_without_the_multiset(monkeypatch):
+    # V_2 lies in V_m (x) V_m for m = 30 000 000, a multiset of 30 000 001
+    # weights that the closed form must not build.
+    def refuse(*args):
+        raise AssertionError("clebsch_gordan was called")
+
+    monkeypatch.setattr(repsl2, "clebsch_gordan", refuse)
+    monkeypatch.setattr(ext, "clebsch_gordan", refuse, raising=False)
+    assert ext1_hemi_closed(30_000_000, 2, 30_000_000) == 1
+    assert ext1_hemi_closed(30_000_000, 3, 30_000_000) == 0
+    monkeypatch.undo()
+    for n, m, p in product(range(1, 7), range(13), range(13)):
+        in_tensor = p in clebsch_gordan(m, n).mults
+        assert ext1_hemi_closed(n, p, m) == int(in_tensor) + int(p in (m + 2, m - 2)), (n, m, p)
 
 
 def test_ext1_closed_equals_nhat_oracle_window():

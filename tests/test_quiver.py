@@ -1,6 +1,7 @@
 """Gabriel quivers: construction, closed-form edges, DOT and JSON output."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,10 +11,9 @@ from leibniz_quiver.bimodule import (
     KIND_TRIVIAL,
 )
 from leibniz_quiver.errors import InputError, VerificationError
-from leibniz_quiver.ext import SimpleDescriptor, ext_simple_closed
+from leibniz_quiver.ext import SimpleDescriptor, ext_simple_closed, ext_trivial_closed
 from leibniz_quiver.quiver import (
     Quiver,
-    Vertex,
     quiver_from_json,
     quiver_hemi,
     quiver_trivial,
@@ -23,29 +23,14 @@ from leibniz_quiver.quiver import (
 
 
 def edge_labels(q: Quiver) -> dict:
-    return {(q.vertices[s].label, q.vertices[d].label): k
+    return {(q.vertices[s].label(), q.vertices[d].label()): k
             for s, d, k in q.edges}
 
 
 # ------------------------------------------------------------------- vertices
 
-def test_vertex_validation():
-    Vertex("K", KIND_TRIVIAL)
-    Vertex("V_2^s", KIND_SYMMETRIC, weight=2)
-    Vertex("M^a(1)", KIND_ANTISYMMETRIC, lam=Fraction(1))
-    with pytest.raises(InputError):
-        Vertex("K", KIND_TRIVIAL, weight=1)
-    with pytest.raises(InputError):
-        Vertex("x", KIND_SYMMETRIC)  # nontrivial kind needs weight or eigenvalue
-    with pytest.raises(InputError):
-        Vertex("x", KIND_SYMMETRIC, weight=1, lam=Fraction(1))
-    for weight in (2.7, "2", True):
-        with pytest.raises(InputError):
-            Vertex("x", KIND_SYMMETRIC, weight=weight)
-
-
 def test_quiver_merges_parallel_edge_records():
-    vs = [Vertex("a", KIND_SYMMETRIC, weight=1), Vertex("b", KIND_ANTISYMMETRIC, weight=1)]
+    vs = [SimpleDescriptor(KIND_SYMMETRIC, 1), SimpleDescriptor(KIND_ANTISYMMETRIC, 1)]
     q = Quiver(vs, [(0, 1, 1), (0, 1, 2)])
     assert q.edges == ((0, 1, 3),)
     assert q.edge_multiplicity(0, 1) == 3
@@ -60,13 +45,13 @@ def test_quiver_merges_parallel_edge_records():
 
 def test_quiver_trivial_single_eigenvalue():
     q = quiver_trivial([1])
-    assert [v.label for v in q.vertices] == ["K", "M^a(1)", "M^s(1)"]
+    assert [v.label() for v in q.vertices] == ["K", "M^a(1)", "M^s(1)"]
     assert q.edges == ((0, 0, 2), (1, 1, 1), (2, 2, 1))
 
 
 def test_quiver_trivial_two_eigenvalues():
     q = quiver_trivial([1, Fraction(1, 2)])
-    assert [v.label for v in q.vertices] == [
+    assert [v.label() for v in q.vertices] == [
         "K", "M^a(1)", "M^s(1)", "M^a(1/2)", "M^s(1/2)",
     ]
     assert q.edges == ((0, 0, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1))
@@ -85,7 +70,7 @@ def test_quiver_trivial_rejects_bad_eigenvalues():
 
 def test_quiver_hemi_window_two():
     q = quiver_hemi(2, 3, verify=True)
-    labels = [v.label for v in q.vertices]
+    labels = [v.label() for v in q.vertices]
     assert labels == ["V_0", "V_1^s", "V_1^a", "V_2^s", "V_2^a", "V_3^s", "V_3^a"]
     got = edge_labels(q)
     assert got == {
@@ -102,7 +87,7 @@ def test_quiver_hemi_window_two():
 def test_quiver_hemi_edges_match_closed_form():
     for n in (1, 2):
         q = quiver_hemi(n, 4)
-        by_label = {v.label: v for v in q.vertices}
+        by_label = {v.label(): v for v in q.vertices}
         for s, d, k in q.edges:
             vs, vd = q.vertices[s], q.vertices[d]
             src = (SimpleDescriptor(KIND_TRIVIAL) if vs.kind == KIND_TRIVIAL
@@ -111,6 +96,17 @@ def test_quiver_hemi_edges_match_closed_form():
                    else SimpleDescriptor(vd.kind, vd.weight))
             assert k == ext_simple_closed(n, src, dst, 1)
         assert by_label["V_0"].kind == KIND_TRIVIAL
+
+
+def test_every_vertex_pair_has_the_closed_form_multiplicity():
+    # an absent edge counts as 0, so missing arrows are caught as well
+    q = quiver_trivial([1, Fraction(1, 2), -3])
+    for (i, s), (j, d) in product(enumerate(q.vertices), repeat=2):
+        assert q.edge_multiplicity(i, j) == ext_trivial_closed(s, d, 1)[1], (s, d)
+    for n in (1, 2, 3):
+        q = quiver_hemi(n, 6)
+        for (i, s), (j, d) in product(enumerate(q.vertices), repeat=2):
+            assert q.edge_multiplicity(i, j) == ext_simple_closed(n, s, d, 1), (n, s, d)
 
 
 def test_quiver_hemi_edge_directions():
@@ -136,6 +132,12 @@ def test_quiver_hemi_input_validation():
         quiver_hemi(0, 3)
     with pytest.raises(InputError):
         quiver_hemi(1, -1)
+
+
+def test_quiver_hemi_window_counts_against_the_budget():
+    # 224^2 = 50 176 source-target pairs are above COCHAIN_BUDGET; 223^2 fit
+    with pytest.raises(InputError, match="0..223 has 50176 source-target pairs"):
+        quiver_hemi(1, 223)
 
 
 def test_quiver_hemi_verify_catches_wrong_closed_form(monkeypatch):
@@ -211,6 +213,19 @@ def test_json_rejects_malformed_documents():
             '{"vertices": [{"label": "x", "kind": "symmetric", "weight": "1e5000"}],'
             ' "edges": []}'
         )
+    # A record must name a descriptor, with that descriptor's label and kind.
+    for record in (
+            '{"label": "K", "kind": "trivial", "weight": 1}',
+            '{"label": "V_0", "kind": "symmetric", "weight": 0}',  # neither weight nor scalar
+            '{"label": "K", "kind": "symmetric", "weight": 0}',
+            '{"label": "x", "kind": "symmetric", "weight": 2.7}',
+            '{"label": "V_2^s", "kind": "symmetric", "weight": "2"}',  # names M^s(2)
+            '{"label": "x", "kind": "symmetric", "weight": 2}',
+            '{"label": "V_2^s", "kind": "antisymmetric", "weight": 2}',
+            '{"label": "M^s(2)", "kind": "antisymmetric", "weight": "2"}',
+            '{"label": "V_1^s", "kind": "other", "weight": 1}'):
+        with pytest.raises(InputError):
+            quiver_from_json('{"vertices": [' + record + '], "edges": []}')
     one_vertex = '{"vertices": [{"label": "K", "kind": "trivial", "weight": 0}], '
     with pytest.raises(InputError):
         quiver_from_json(one_vertex + '"edges": [{"src": Infinity, "dst": 0, "mult": 1}]}')
