@@ -30,7 +30,7 @@ from .errors import (
 from .algebra import (algebra_from_spec, check_left_leibniz, leibniz_kernel, quotient_data,
                       trivial_algebra)
 from .bimodule import OneDimBimodule, bimodule_from_spec
-from .cohomology import ce_cohomology, leibniz_cohomology
+from .cohomology import ce_cohomology, cohomology_of_complex, leibniz_cohomology, leibniz_complex
 from .ext import (EXT1_SOURCE_KINDS, EXT1_TARGET_KINDS, SimpleDescriptor, ext1_hemi_oracle,
                   ext_dims, ext_simple_closed, ext_trivial_closed)
 from .linear import parse_rational
@@ -166,6 +166,9 @@ def _cmd_check(args, out) -> int:
 def _cmd_cohomology(args, out) -> int:
     h = algebra_from_spec(_load_json(args.algebra))
     b = bimodule_from_spec(h, _load_json(args.bimodule))
+    if args.bases:  # bases of all of Z^q and B^q, not weight-0 representatives
+        return _print_cohomology(args, out, "HL",
+                                 cohomology_of_complex(leibniz_complex(h, b, args.qmax)))
     return _print_cohomology(args, out, "HL", leibniz_cohomology(h, b, args.qmax))
 
 

@@ -32,6 +32,37 @@ On a cocycle z it leaves the coboundary d_(q-1)(i_a z): h acts by zero
 on HL^q for every q >= 1, and only HL^0, the right invariants of M,
 keeps a nonzero (left) action.
 
+Cartan's formula also cuts the complex down above degree 0.  Let
+b = b_g have diagonal ad(b) and L_b, [b, b_t] = alpha_t b_t and
+b . m_j = mu_j m_j, with alpha_g = 0 (that is, ad(b) b = 0).  By the
+recursion A_b = A^(q)_g is diagonal on CL^q, with eigenvalue
+mu_j - sum_i alpha_(t_i) at the basis cochain (t, j); call its
+eigenspaces C_lambda.
+
+  * d commutes with A_b.  For q >= 1, d_q A^(q)_b and A^(q+1)_b d_q
+    both equal d_q i_b d_q, by Cartan's formula in degrees q and q + 1
+    and d.d = 0.  For q = 0, row block a of A^(1)_b d_0 is
+    -L_b R_a + R_([b, b_a]), which the bimodule axiom (LML) makes
+    -R_a L_b, row block a of d_0 L_b.  So each d_q maps C_lambda into
+    C_lambda, and the complex is the direct sum of the complexes C_lambda.
+  * i_b preserves each C_lambda: it takes the coordinate (g, t, j) to
+    (t, j), and alpha_g = 0 gives the two the same eigenvalue.
+  * For q >= 1 and lambda != 0, Cartan's formula on C_lambda reads
+    lambda id = i_b d + d i_b.  A cocycle z of C_lambda^q is therefore
+    the coboundary d(i_b z / lambda) of a cochain of C_lambda^(q-1), and
+    C_lambda is acyclic in every degree q >= 1.
+
+Hence HL^q = H^q(C_0) for q >= 1, where C_0 spans the cochains (t, j)
+with sum_i alpha_(t_i) = mu_j.  The formula does not hold in degree 0
+(i_b d_0 = -R_b, not L_b), so HL^0 stays ker d_0 on all of M.  A basis
+element of the Leibniz kernel has ad(b) = 0 and L_b = 0, diagonal with
+every weight zero, and grading by it makes C_0 the whole complex;
+``leibniz_cohomology`` takes the first b with some weight nonzero.  The
+block of d_q at eigenvalue lambda reads, in row block a, A^(q)_a from
+lambda to lambda + alpha_a and d_(q-1) at lambda + alpha_a.  So C_0 up
+to degree qmax needs, in degree q, only the blocks at 0 and at sums of
+at most qmax - q of the alphas, and the complex is built upward once.
+
 The Chevalley-Eilenberg complex of a Lie algebra g with coefficients in
 a left module (M, rho) has C^p = Hom(Lambda^p g, M), flattened in the
 same way over the sorted p-subsets T of the basis in lexicographic order:
@@ -53,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -62,6 +94,7 @@ from .errors import ComplexError, DimensionError, InputError, StabilityError
 from .linear import (
     Mat,
     SubspaceBasis,
+    _basis,
     _column_basis,
     _kernel_and_pivots,
     _sum,
@@ -73,7 +106,9 @@ from .linear import (
     restrict_and_project,
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
-from .bimodule import Bimodule
+from .bimodule import Bimodule, right_invariants
+
+_ZERO = Fraction(0)
 
 
 # The largest cochain space, dim h^(q+1) * dim M, that a Leibniz
@@ -195,26 +230,209 @@ def _check_degrees(last: int) -> None:
     _check_budget(f"the degree range 0..{last}", last + 1, "degrees")
 
 
-def _action(h: LeibnizAlgebra, m: Bimodule, a: int, q: int) -> Mat:
-    """A^(q)_a, the matrix of b_a on CL^q (module docstring)."""
-    if q == 0:
-        return m.left[a]
-    below = _action(h, m, a, q - 1)
-    minus_ad_t = Mat.from_sparse(h.dim, h.dim, [{k: -x for k, x in enumerate(r)} for r in h.c[a]])
-    return kron(Mat.identity(h.dim), below) + kron(minus_ad_t, Mat.identity(below.rows))
+def _check_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> None:
+    """The checks of a complex CL^0 -> ... -> CL^(qmax+1), in order:
+    DimensionError for a negative qmax, InputError for a run of degrees
+    or a CL^(qmax+1) above the budget, DimensionError for a bimodule
+    over another algebra."""
+    if qmax < 0:
+        raise DimensionError("qmax must be nonnegative")
+    _check_degrees(qmax + 1)
+    _check_budget(f"the cochain space CL^{qmax + 1}", h.dim ** (qmax + 1) * m.dim)
+    if m.algebra != h:
+        raise DimensionError("bimodule is not over the given algebra")
 
 
-def _differential(h: LeibnizAlgebra, m: Bimodule, q: int) -> Mat:
-    """d_q (module docstring) by its row blocks A^(q)_a - e_a^T (x) d_(q-1),
-    which share the entries of -d_(q-1) and hold one A^(q)_a at a time."""
-    if q == 0:
-        blocks, cols = [-r for r in m.right], m.dim
-    else:
-        minus_below = -_differential(h, m, q - 1)
-        blocks = [_action(h, m, a, q) + kron(Mat.from_sparse(1, h.dim, [{a: 1}]), minus_below)
-                  for a in range(h.dim)]
-        cols = minus_below.rows
-    return Mat.vstack(blocks) if blocks else Mat.zero(0, cols)  # dim h = 0: no blocks
+def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
+    """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
+    on the basis of M for the first basis element b with ad(b) and L_b
+    diagonal, ad(b) b = 0 and some eigenvalue nonzero; all zero when no
+    basis element qualifies.  A basis element of the Leibniz kernel has
+    ad(b) = 0 and L_b = 0, so it passes the first three tests and fails
+    the last."""
+    for g, plane in enumerate(h.c):  # plane[t] = [b_g, b_t]
+        alpha = tuple(row[t] for t, row in enumerate(plane))
+        if alpha[g] or any(x for t, row in enumerate(plane)
+                           for s, x in enumerate(row) if s != t):
+            continue
+        left = m.left[g]
+        if any(k != j for j in range(m.dim) for k, _ in left.nonzeros(j)):
+            continue
+        mu = tuple(left[j, j] for j in range(m.dim))
+        if any(alpha) or any(mu):
+            return alpha, mu
+    return (_ZERO,) * h.dim, (_ZERO,) * m.dim
+
+
+class _Grading:
+    """The eigenvalue blocks of A_b on CL^0..CL^(top+1) (module
+    docstring), for the eigenvalues ``alpha`` of ad(b) on the basis of h
+    and ``mu`` of L_b on the basis of M.  All zero is the ungraded
+    complex: one block per degree, the whole space.
+
+    The basis cochain (t, j) has eigenvalue mu_j - sum_i alpha_(t_i).  A
+    block lists its cochains in increasing flat order: first slot
+    t_1 = 0, 1, ... in turn, each followed by the block of eigenvalue
+    nu + alpha_(t_1) one degree below.  ``sizes[q]`` maps the eigenvalues
+    of CL^q to the sizes of their blocks.  ``need[q]``, for q <= top,
+    holds 0 and every eigenvalue nu + alpha_a at which the nonempty
+    blocks of ``need[q + 1]`` read d_q or A^(q).
+    """
+
+    __slots__ = ("alpha", "mu", "graded", "members", "pos", "sizes", "need")
+
+    def __init__(self, alpha: Sequence, mu: Sequence, top: int):
+        self.alpha, self.mu = alpha, mu
+        self.graded = any(alpha) or any(mu)
+        self.members, self.pos = {}, []  # cochains of M per eigenvalue, index in block
+        for j, x in enumerate(mu):
+            block = self.members.setdefault(x, [])
+            self.pos.append(len(block))
+            block.append(j)
+        self.sizes = [Counter({x: len(js) for x, js in self.members.items()})]
+        for _ in range(top + 1):
+            here = Counter()
+            for a in alpha:
+                for nu, s in self.sizes[-1].items():
+                    here[nu - a] += s
+            self.sizes.append(here)
+        need = [{0}]
+        for q in range(top, 0, -1):
+            here, below = self.sizes[q], self.sizes[q - 1]
+            need.append({0} | {nu + a for nu in need[-1] if here[nu]
+                               for a in alpha if below[nu + a]})
+        self.need = need[::-1]
+
+    def offsets(self, q: int, nu) -> list:
+        """Where the run of each first slot starts in block nu of CL^q."""
+        below, out, at = self.sizes[q - 1], [], 0
+        for a in self.alpha:
+            out.append(at)
+            at += below[nu + a]
+        return out
+
+    def zero_coordinates(self, top: int) -> list:
+        """For q = 0..top, the coordinates in CL^q of the cochains of the
+        eigenvalue-0 block, in block order."""
+        dim_m, n = len(self.mu), len(self.alpha)
+        blocks = {nu: self.members.get(nu, []) for nu in self.need[0]}
+        out = [blocks[0]]
+        for q in range(1, top + 1):
+            width = n ** (q - 1) * dim_m
+            blocks = {nu: [t * width + c for t, a in enumerate(self.alpha)
+                           for c in blocks.get(nu + a, ())] for nu in self.need[q]}
+            out.append(blocks[0])
+        return out
+
+
+def _degree_zero(g: _Grading, mats: Sequence[Mat], nu, negate: bool) -> list:
+    """Per basis element b_a of h, the block of ``mats[a]`` (negated if
+    ``negate``) from eigenvalue nu of M to nu + alpha_a, as block-local
+    rows.  Both L_a and R_a raise eigenvalues by alpha_a (the bimodule
+    axioms (LLM) and (LML) with x = b); ComplexError if an entry says
+    otherwise."""
+    out = []
+    for mat, a in zip(mats, g.alpha):
+        rows = []
+        for j in g.members.get(nu + a, ()):
+            row = {}
+            for k, x in mat.nonzeros(j):
+                if g.mu[k] != nu:
+                    raise ComplexError("the bimodule does not respect the grading")
+                row[g.pos[k]] = -x if negate else x
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+def _lift_actions(h: LeibnizAlgebra, g: _Grading, q: int, below: dict) -> dict:
+    """The blocks of A^(q)_a = I_h (x) A^(q-1)_a - ad(b_a)^T (x) I at the
+    nonempty eigenvalues nu of ``g.need[q]``, from ``below``, those of
+    A^(q-1)_a: ``{nu: [rows of A^(q)_a from nu to nu + alpha_a, for each
+    a]}``.  The run of first slot t holds A^(q-1)_a at nu + alpha_t, and
+    -[b_a, b_t]_s times the identity into the run of slot s, whose block
+    is the same because ad(b) is a derivation."""
+    alpha, sizes = g.alpha, g.sizes[q - 1]
+    out = {}
+    for nu in g.need[q]:
+        if not g.sizes[q][nu]:
+            continue
+        off = g.offsets(q, nu)
+        blocks = []
+        for a, plane in enumerate(h.c):
+            rows = []
+            for t, (shift, at) in enumerate(zip(off, alpha)):
+                src = below.get(nu + at)
+                run = src[a] if src else ({},) * sizes[nu + at + alpha[a]]
+                ad = [(off[s], -x) for s, x in enumerate(plane[t]) if x]
+                for r, src_row in enumerate(run):
+                    row = {j + shift: x for j, x in src_row.items()}
+                    for base, x in ad:
+                        k = base + r
+                        v = row.get(k)
+                        if v is None:
+                            row[k] = x
+                        elif v := v + x:
+                            row[k] = v
+                        else:
+                            del row[k]
+                    rows.append(row)
+            blocks.append(rows)
+        out[nu] = blocks
+    return out
+
+
+def _differential_blocks(m: Bimodule, g: _Grading, q: int, actions: dict | None,
+                         below: dict | None) -> dict:
+    """``{nu: d_q at nu}`` for nu in ``g.need[q]``.  Row block a at nu is
+    -R_a for q = 0 and otherwise A^(q)_a at nu, whose rows in ``actions``
+    it takes over, plus -d_(q-1) at nu + alpha_a (from ``below``) shifted
+    into the run of first slot a.  Each block of -d_(q-1) is negated
+    once, and its row blocks share the negated entries."""
+    out, negated = {}, {}
+    for nu in g.need[q]:
+        if q == 0:
+            rows = [row for block in _degree_zero(g, m.right, nu, True) for row in block]
+        else:
+            rows = []
+            own = actions.get(nu)
+            for a, (shift, at) in enumerate(zip(g.offsets(q, nu), g.alpha)):
+                block = own[a] if own else [{} for _ in range(g.sizes[q][nu + at])]
+                sub = negated.get(nu + at)
+                if sub is None and nu + at in below:
+                    sub = negated[nu + at] = -below[nu + at]
+                if sub is not None:
+                    for i, row in enumerate(block):
+                        for j, x in sub.nonzeros(i):
+                            k = j + shift
+                            v = row.get(k)
+                            if v is None:
+                                row[k] = x
+                            elif v := v + x:
+                                row[k] = v
+                            else:
+                                del row[k]
+                rows += block
+        out[nu] = _wrap(g.sizes[q + 1][nu], g.sizes[q][nu], rows)
+    return out
+
+
+def _block_differentials(h: LeibnizAlgebra, m: Bimodule, g: _Grading, top: int):
+    """Yield the blocks of d_0, ..., d_top (``_differential_blocks``) in
+    one upward pass.  A^(q) is lifted to A^(q+1) before d_q takes over
+    its rows, and each degree's blocks are dropped once the next degree
+    is built."""
+    actions = {nu: _degree_zero(g, m.left, nu, False) for nu in g.need[0] if g.sizes[0][nu]}
+    blocks = None
+    for q in range(top + 1):
+        lifted = _lift_actions(h, g, q + 1, actions) if q < top else None
+        blocks = _differential_blocks(m, g, q, actions, blocks)
+        yield blocks
+        actions = lifted
+
+
+def _ungraded(h: LeibnizAlgebra, m: Bimodule, top: int) -> _Grading:
+    return _Grading((_ZERO,) * h.dim, (_ZERO,) * m.dim, top)
 
 
 def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
@@ -225,23 +443,61 @@ def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
     if n < 0:
         raise DimensionError(f"cochain degree {n} is negative")
     _check_budget(f"the cochain space CL^{n + 1}", h.dim ** (n + 1) * m.dim)
-    return _differential(h, m, n)
+    for blocks in _block_differentials(h, m, _ungraded(h, m, n), n):
+        pass
+    return blocks[0]
+
+
+def _zero_block_complex(h: LeibnizAlgebra, m: Bimodule, g: _Grading,
+                        qmax: int) -> CochainComplex:
+    """The eigenvalue-0 blocks of CL^0 -> ... -> CL^(qmax+1), verified."""
+    diffs = [blocks[0] for blocks in _block_differentials(h, m, g, qmax)]
+    return CochainComplex([g.sizes[q][0] for q in range(qmax + 2)], diffs)
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
-    if qmax < 0:
-        raise DimensionError("qmax must be nonnegative")
-    _check_degrees(qmax + 1)
-    _check_budget(f"the cochain space CL^{qmax + 1}", h.dim ** (qmax + 1) * m.dim)
-    d, dm = h.dim, m.dim
-    dims = [d ** q * dm for q in range(qmax + 2)]
-    diffs = [leibniz_differential(h, m, q) for q in range(qmax + 1)]
-    return CochainComplex(dims, diffs)
+    """The complex CL^0 -> ... -> CL^(qmax+1), built in one ungraded pass;
+    InputError, before anything is built, when CL^(qmax+1) or the number
+    of degrees exceeds COCHAIN_BUDGET."""
+    _check_complex(h, m, qmax)
+    return _zero_block_complex(h, m, _ungraded(h, m, qmax), qmax)
+
+
+def _in_cochains(basis: SubspaceBasis, coords: Sequence[int], dim: int) -> SubspaceBasis:
+    """``basis``, a subspace of the block whose cochains sit at ``coords``
+    of a space of dimension ``dim``, as a subspace of that space."""
+    rows = [{}] * dim
+    vectors = basis.matrix()
+    for i, c in enumerate(coords):
+        rows[c] = dict(vectors.nonzeros(i))
+    return _basis(_wrap(dim, basis.dim, rows))
 
 
 def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyResult:
-    """HL^q(h, m) for q = 0..qmax, with cocycle/coboundary bases."""
-    return cohomology_of_complex(leibniz_complex(h, m, qmax))
+    """HL^q(h, m) for q = 0..qmax, with cocycle/coboundary bases.
+
+    HL^0 is ker d_0 on all of M, the right invariants.  For q >= 1 the
+    groups are those of the eigenvalue-0 block C_0 of the first basis
+    element that ``_weights`` finds (module docstring), so their bases
+    are weight-0 representatives: cocycles of C_0^q and coboundaries
+    d(C_0^(q-1)), written in the coordinates of CL^q, which need not
+    span h-stable subspaces.  With no such basis element C_0 is the whole
+    complex and the bases are those of all of Z^q and B^q, which
+    ``cohomology_of_complex(leibniz_complex(h, m, qmax))`` gives for any
+    input.
+    """
+    _check_complex(h, m, qmax)
+    g = _Grading(*_weights(h, m), qmax)
+    res = cohomology_of_complex(_zero_block_complex(h, m, g, qmax))
+    if not g.graded:
+        return res
+    z0 = right_invariants(m)
+    groups = [DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim))]
+    for q, coords in enumerate(g.zero_coordinates(qmax)[1:], 1):
+        dim, grp = h.dim ** q * m.dim, res[q]
+        groups.append(DegreeGroup(grp.dim, _in_cochains(grp.cocycles, coords, dim),
+                                  _in_cochains(grp.coboundaries, coords, dim)))
+    return CohomologyResult(groups)
 
 
 def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
@@ -255,7 +511,12 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     """
     if q < 0:
         raise DimensionError(f"cochain degree {q} is negative")
-    return [_action(h, m, a, q) for a in range(h.dim)]
+    g = _ungraded(h, m, q)
+    actions = {0: _degree_zero(g, m.left, 0, False)}
+    for p in range(1, q + 1):
+        actions = _lift_actions(h, g, p, actions)
+    size = g.sizes[q][0]
+    return [_wrap(size, size, rows) for rows in actions.get(0, [[]] * h.dim)]
 
 
 def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
@@ -277,13 +538,16 @@ def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
 
 
 def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
-    """The groups of ``cohom = leibniz_cohomology(h, m, qmax)`` as
-    modules over the Lie quotient of h: the cochain action restricted to
-    the cocycles and projected modulo the coboundaries.  By Cartan's
-    formula (module docstring) every HL^q with q >= 1 comes out as a
-    trivial module."""
-    return [induced_module(h, cochain_action(h, m, q), g.cocycles, g.coboundaries)
-            for q, g in enumerate(cohom.groups)]
+    """The groups of ``cohom = leibniz_cohomology(h, m, qmax)`` as modules
+    over the Lie quotient of h.  HL^0 is the left action restricted to
+    the right invariants.  Every HL^q with q >= 1 is the zero-action
+    module of its dimension: by Cartan's formula (module docstring) h
+    acts by zero there, and the weight-0 cocycles of the graded route
+    need not span an h-stable subspace to restrict an action to."""
+    lie = quotient_data(h).lie
+    zero = [LeftModule(lie, g.dim, [Mat.zero(g.dim, g.dim)] * lie.dim, check=False)
+            for g in cohom.groups[1:]]
+    return [induced_module(h, m.left, cohom[0].cocycles, cohom[0].coboundaries)] + zero
 
 
 def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:

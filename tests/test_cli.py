@@ -281,6 +281,24 @@ def test_cohomology_bases_flag(capsys, tmp_path):
     assert doc["bases"][0]["cocycles"] == [["1"]]
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_cohomology_bases_golden(capsys, tmp_path):
+    # --bases prints the bases of all of Z^q and B^q from the full complex;
+    # the files hold that output for V_1^a over hemi_sl2(1) as it was
+    # before leibniz_cohomology switched to the eigenvalue-0 block.
+    h = hemi_sl2(1)
+    apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
+    bpath = write_json(tmp_path, "b.json",
+                       bimodule_to_spec(antisymmetric(h, simple_module(1).underlying)))
+    for fmt, suffix in (("text", "txt"), ("json", "json")):
+        code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+                             "--qmax", "2", "--bases", "--format", fmt)
+        golden = (DATA / f"cohomology_bases_hemi1_V1a.{suffix}").read_text(encoding="utf-8")
+        assert (code, out, err) == (0, golden, "")
+
+
 def test_cohomology_rejects_invalid_bimodule(capsys, tmp_path):
     apath = write_json(tmp_path, "a.json", TRIVIAL_ALGEBRA)
     bad = write_json(tmp_path, "b.json", {"dim": 1, "left": [[[1]]], "right": [[[1]]]})
@@ -381,7 +399,7 @@ def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
     bpath = write_json(tmp_path, "b.json",
                        bimodule_to_spec(antisymmetric(h, simple_module(2).underlying)))
     built = []
-    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
     code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
                          "--qmax", "5")
     assert code == 1 and out == "" and built == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibniz_quiver.algebra import (
     LeftModule,
@@ -42,6 +43,7 @@ from leibniz_quiver.cohomology import (
     leibniz_differential,
     trivial_algebra_closed_form,
     hl_module_structure,
+    hl_modules,
 )
 from leibniz_quiver.algebra import LeibnizAlgebra
 from leibniz_quiver.bimodule import Bimodule
@@ -92,19 +94,24 @@ class _CountedRows(list):
             yield row
 
 
-def _sheared(h, b):
-    """h and b in the bases b_(k+1) += b_k (a chain of shears over every
-    coordinate), so that no differential is graded by weight."""
-    def chain(n):
-        return Mat.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
-
-    p, q = chain(h.dim), chain(b.dim)
+def _in_bases(h, b, p, q):
+    """h and b in the bases given by the columns of p (for h) and q (for
+    the bimodule)."""
     p_inv, q_inv = solve(p, Mat.identity(h.dim)), solve(q, Mat.identity(b.dim))
     c = [[p_inv.apply(h.bracket(p.col(i), p.col(j))) for j in range(h.dim)]
          for i in range(h.dim)]
     h2 = LeibnizAlgebra(h.dim, c)
     return h2, Bimodule(h2, b.dim, [q_inv * b.left_by(p.col(i)) * q for i in range(h.dim)],
                         [q_inv * b.right_by(p.col(i)) * q for i in range(h.dim)])
+
+
+def _sheared(h, b):
+    """h and b in the bases b_(k+1) += b_k (a chain of shears over every
+    coordinate), so that no differential is graded by weight."""
+    def chain(n):
+        return Mat.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
+
+    return _in_bases(h, b, chain(h.dim), chain(b.dim))
 
 
 def _spy_eliminations(monkeypatch) -> list:
@@ -134,7 +141,11 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
     if sheared:
         h, bm = _sheared(h, bm)
     calls = _spy_eliminations(monkeypatch)
-    res = leibniz_cohomology(h, bm, 3)
+    # The sheared problem has no diagonal basis element, so
+    # leibniz_cohomology takes the full complex; in the weight basis it
+    # takes the eigenvalue-0 block, which the next test covers.
+    res = (leibniz_cohomology(h, bm, 3) if sheared
+           else cohomology_of_complex(leibniz_complex(h, bm, 3)))
     monkeypatch.undo()
     diffs = leibniz_complex(h, bm, 3).differentials
     assert res.dims == [2, 1, 0, 0]
@@ -154,19 +165,67 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
                                   else SubspaceBasis.empty(diffs[0].cols))
 
 
+def _spy_complexes(monkeypatch) -> list:
+    """Record every complex that ``cohomology_of_complex`` is given."""
+    seen = []
+    real = cohomology.cohomology_of_complex
+
+    def recording(cx):
+        seen.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(cohomology, "cohomology_of_complex", recording)
+    return seen
+
+
+def test_one_bounded_elimination_per_block_differential(monkeypatch):
+    h, bm = _hemi1_v1a()
+    full = leibniz_complex(h, bm, 3).differentials
+    complexes = _spy_complexes(monkeypatch)
+    calls = _spy_eliminations(monkeypatch)
+    res = leibniz_cohomology(h, bm, 3)
+    monkeypatch.undo()
+    assert res.dims == [2, 1, 0, 0]
+    (block,) = complexes
+    # C_0 spans the cochains (t, j) whose h-weights sum to the weight of
+    # m_j: none in M (weights 1, -1), and 160 of the 1250 in CL^4.
+    assert block.dims == (0, 2, 8, 36, 160)
+    diffs = block.differentials
+    # One elimination per block differential, one for HL^0 = ker d_0 on
+    # all of M, then one solve per containment check of the block run
+    # that has vectors on both sides.
+    checks = sum(1 for g in res.groups[1:] if g.cocycles.dim and g.coboundaries.dim)
+    assert len(calls) == len(diffs) + 1 + checks
+    bounded = [(shape, limit, read) for shape, limit, read in calls if limit is not None]
+    assert [shape for shape, _, _ in bounded] == (
+        [(d.rows, d.cols) for d in diffs] + [(full[0].rows, full[0].cols)])
+    assert bounded[1][2] == diffs[1].rows  # H^1(C_0) != 0: every row is read
+    assert bounded[3][2] < diffs[3].rows  # H^3(C_0) = 0: the bound is the rank
+    assert res[0].cocycles == kernel_basis(full[0])
+    for q in range(1, 4):
+        g = res[q]
+        assert g.cocycles.ambient_dim == full[q].cols
+        assert all(not any(full[q].apply(v)) for v in g.cocycles.vectors)
+        assert image_basis(Mat.hstack([full[q - 1], g.coboundaries.matrix()])).dim \
+            == rank(full[q - 1])
+
+
 def test_ext_where_the_bound_is_never_reached(monkeypatch):
     # Ext^3(V_1^a, V_1^a) = H^3(sl2, Hom(V_1, HL^0)) = 1 over hemi_sl2(1).
-    # HL^0 and HL^1 of V_1^a are nonzero, so the bounds on d_0 and d_1
-    # exceed their ranks and those eliminations read every row.
+    # HL^0 and HL^1 of V_1^a are nonzero, so the bounds on d_0 (on all of
+    # M) and on the eigenvalue-0 block of d_1 exceed their ranks and those
+    # eliminations read every row.
     h, bm = _hemi1_v1a()
+    complexes = _spy_complexes(monkeypatch)
     calls = _spy_eliminations(monkeypatch)
     assert ext_dims(h, SimpleDescriptor("antisymmetric", 1), bm, 3, fast=True).dims[3] == 1
     monkeypatch.undo()
-    # Among the eliminations given a limit, HL^0..3 of V_1^a come first.
+    # Among the eliminations given a limit, HL^0..3 of V_1^a come first:
+    # the block run d_0..d_3, then ker d_0 on all of M.
     bounded = [(shape, limit, read) for shape, limit, read in calls if limit is not None]
-    diffs = leibniz_complex(h, bm, 3).differentials
-    assert [shape for shape, _, _ in bounded[:4]] == [(d.rows, d.cols) for d in diffs]
-    for d, (_, limit, read) in zip(diffs[:2], bounded):
+    diffs = list(complexes[0].differentials) + [leibniz_differential(h, bm, 0)]
+    assert [shape for shape, _, _ in bounded[:5]] == [(d.rows, d.cols) for d in diffs]
+    for d, (_, limit, read) in ((diffs[4], bounded[4]), (diffs[1], bounded[1])):
         assert limit > rank(d) and read == d.rows
 
 
@@ -383,7 +442,7 @@ def test_h_acts_by_zero_on_hl_above_degree_zero():
     # docstring) sends every cocycle of degree q >= 1 to a coboundary.
     nonzero_hl0_action = nonzero_higher = 0
     for name, h, m, qmax in _hl_action_cases():
-        for q, g in enumerate(leibniz_cohomology(h, m, qmax).groups):
+        for q, g in enumerate(cohomology_of_complex(leibniz_complex(h, m, qmax)).groups):
             if g.dim == 0:
                 continue
             induced = restrict_and_project(cochain_action(h, m, q), g.cocycles, g.coboundaries)
@@ -393,6 +452,95 @@ def test_h_acts_by_zero_on_hl_above_degree_zero():
                 nonzero_higher += 1
                 assert all(a.is_zero() for a in induced), (name, q)
     assert nonzero_hl0_action > 0 and nonzero_higher > 0
+
+
+# ------------------------------------------------- the eigenvalue-0 block route
+
+def test_grading_skips_the_leibniz_kernel():
+    # b_0 and b_1 span the Leibniz kernel V_1 of hemi_sl2(1): ad and L of
+    # either are zero, hence diagonal with ad(b)b = 0, but every weight is
+    # 0, and grading by them would make C_0 the whole complex.  The
+    # grading element is h = b_3.
+    h, bm = _hemi1_v1a()
+    for g in (0, 1):
+        assert h.left_mult(g).is_zero() and bm.left[g].is_zero()
+    alpha, mu = cohomology._weights(h, bm)
+    assert (alpha, mu) == ((1, -1, 2, 0, -2), (1, -1))
+    sizes = cohomology._Grading(alpha, mu, 3).sizes
+    assert (sizes[4][0], sum(sizes[4].values())) == (160, 1250)
+
+
+def _check_graded_route(h, m, qmax):
+    """leibniz_cohomology against the full complex: equal dims, and for
+    q >= 1 the zero-action modules of ``hl_modules`` against the action
+    restricted to all of Z^q modulo B^q."""
+    graded = leibniz_cohomology(h, m, qmax)
+    full = cohomology_of_complex(leibniz_complex(h, m, qmax))
+    assert graded.dims == full.dims
+    assert graded[0].cocycles == full[0].cocycles
+    for q, module in enumerate(hl_modules(h, m, graded)[1:], 1):
+        g = full[q]
+        induced = restrict_and_project(cochain_action(h, m, q), g.cocycles, g.coboundaries)
+        assert module.dim == g.dim
+        assert all(a.is_zero() for a in module.action)
+        assert all(a.is_zero() for a in induced)
+
+
+_SCALES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 2), m=st.integers(0, 3),
+       make=st.sampled_from([symmetric, antisymmetric]), data=st.data())
+def test_graded_route_matches_the_full_complex_over_hemi(n, m, make, data):
+    # A diagonal rescaling keeps ad(h) and L_h diagonal and rescales
+    # their weights, so the graded route runs on rational weights.
+    h = hemi_sl2(n)
+    bm = make(h, simple_module(m).underlying)
+    p = Mat.diagonal(data.draw(st.lists(_SCALES, min_size=h.dim, max_size=h.dim)))
+    q = Mat.diagonal(data.draw(st.lists(_SCALES, min_size=bm.dim, max_size=bm.dim)))
+    h2, bm2 = _in_bases(h, bm, p, q)
+    assert any(cohomology._weights(h2, bm2)[0])
+    _check_graded_route(h2, bm2, 3 if n == 1 else 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=4))
+def test_graded_route_matches_the_full_complex_over_the_one_dim_algebra(entries):
+    # L = diag(lam) and R = diag(-lam or 0) satisfy LR = RL and R(L+R) = 0.
+    left = Mat.diagonal([lam for lam, _ in entries])
+    right = Mat.diagonal([-lam if sym else 0 for lam, sym in entries])
+    _check_graded_route(trivial_algebra(), Bimodule(trivial_algebra(), len(entries),
+                                                    [left], [right]), 4)
+
+
+def _spy_block_builds(monkeypatch) -> list:
+    """Record the degree of every call that builds the blocks of a d_q."""
+    degrees = []
+    real = cohomology._differential_blocks
+
+    def recording(m, g, q, *rest):
+        degrees.append(q)
+        return real(m, g, q, *rest)
+
+    monkeypatch.setattr(cohomology, "_differential_blocks", recording)
+    return degrees
+
+
+def test_one_dim_algebra_to_degree_one_hundred(monkeypatch):
+    # The seeded inputs are conjugated, so most take the ungraded route;
+    # {"left": [[[2]]], "right": [[[0]]]} is graded with an empty C_0.
+    rng = random.Random(100)
+    cases = [make_trivial_bimodule(rng, max_dim=4) for _ in range(4)]
+    cases.append(Bimodule(trivial_algebra(), 1, [Mat.from_rows([[2]])], [Mat.zero(1, 1)]))
+    graded = [any(cohomology._weights(trivial_algebra(), b)[1]) for b in cases]
+    assert graded == [False, True, False, False, True]
+    for b in cases:
+        built = _spy_block_builds(monkeypatch)
+        assert leibniz_cohomology(trivial_algebra(), b, 100).dims == \
+            trivial_algebra_closed_form(b, 100)
+        assert built == list(range(101))  # each degree's blocks once
+        monkeypatch.undo()
 
 
 # --------------------------------------------------------------- CE cohomology
@@ -531,7 +679,7 @@ def test_oversized_complex_is_refused_before_any_differential(monkeypatch):
     h = hemi_sl2(2)
     bm = antisymmetric(h, simple_module(2).underlying)
     built = []
-    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
     with pytest.raises(InputError, match="139968"):
         leibniz_cohomology(h, bm, 5)
     assert built == []
@@ -543,7 +691,7 @@ def test_degree_ranges_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 8)
     built = []
     monkeypatch.setattr(cohomology, "ce_differential", lambda *args: built.append(args))
-    monkeypatch.setattr(cohomology, "leibniz_differential", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
     k = OneDimBimodule(KIND_TRIVIAL)
     for refused in (lambda: ce_complex(sl2(), simple_module(0).underlying, 7),
                     lambda: leibniz_complex(trivial_algebra(), k.realize(), 7),

@@ -329,27 +329,23 @@ def test_hemi_first_sequence_full_ext_row():
 
 
 def test_ext_job_builds_at_most_four_differentials(monkeypatch):
-    # degrees 0..3 need d_0..d_3: the first sequence reads them all from
-    # one verified complex; the second needs only d_0..d_2, from one
-    # complex that also gives the HL^0 cocycles of the map f
-    real = cohomology.leibniz_differential
+    # One complex per Ext job: the first sequence reads HL^0..3, so its
+    # complex runs to d_3; the second reads HL^0..2, from one complex to
+    # d_2 that also gives the HL^0 cocycles of the map f.
+    real = cohomology._block_differentials
     built = []
 
-    def counting(h, m, q):
-        built.append(q)
-        return real(h, m, q)
+    def counting(h, m, grading, top):
+        built.append(top)
+        return real(h, m, grading, top)
 
-    for module in (cohomology, ext):
-        monkeypatch.setattr(module, "leibniz_differential", counting, raising=False)
+    monkeypatch.setattr(cohomology, "_block_differentials", counting)
     h = hemi_sl2(1)
     target = antisymmetric(h, simple_module(1).underlying)
     for kind, weight in ((KIND_TRIVIAL, 0), (KIND_ANTISYMMETRIC, 1), (KIND_SYMMETRIC, 1)):
         built.clear()
         assert ext_dims(h, SimpleDescriptor(kind, weight), target, 3, fast=True).dims
-        if kind == KIND_SYMMETRIC:
-            assert sorted(built) == [0, 1, 2]
-        else:
-            assert sorted(built) == [0, 1, 2, 3]
+        assert built == ([2] if kind == KIND_SYMMETRIC else [3])
 
 
 # ------------------------------------------------------------- closed degree 2
