@@ -111,10 +111,9 @@ from .bimodule import Bimodule, right_invariants
 _ZERO = Fraction(0)
 
 
-# The largest cochain space, dim h^(q+1) * dim M, that a Leibniz
-# differential may map into.  HL^4(hemi_sl2(2), V_2^a) needs 23 328;
-# degree 5 over a 6-dimensional algebra with a 3-dimensional bimodule
-# would need 139 968 rows and is refused.
+# The most rows a matrix of a Leibniz pass may have (``_checked_grading``):
+# HL^5(hemi_sl2(2), V_2^a) builds blocks of at most 25 152 rows and writes
+# into CL^5 (23 328); the complex to degree 5 needs all of CL^6 (139 968).
 COCHAIN_BUDGET = 50_000
 
 
@@ -230,19 +229,6 @@ def _check_degrees(last: int) -> None:
     _check_budget(f"the degree range 0..{last}", last + 1, "degrees")
 
 
-def _check_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> None:
-    """The checks of a complex CL^0 -> ... -> CL^(qmax+1), in order:
-    DimensionError for a negative qmax, InputError for a run of degrees
-    or a CL^(qmax+1) above the budget, DimensionError for a bimodule
-    over another algebra."""
-    if qmax < 0:
-        raise DimensionError("qmax must be nonnegative")
-    _check_degrees(qmax + 1)
-    _check_budget(f"the cochain space CL^{qmax + 1}", h.dim ** (qmax + 1) * m.dim)
-    if m.algebra != h:
-        raise DimensionError("bimodule is not over the given algebra")
-
-
 def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
     """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
     on the basis of M for the first basis element b with ad(b) and L_b
@@ -276,7 +262,7 @@ class _Grading:
     nu + alpha_(t_1) one degree below.  ``sizes[q]`` maps the eigenvalues
     of CL^q to the sizes of their blocks.  ``need[q]``, for q <= top,
     holds 0 and every eigenvalue nu + alpha_a at which the nonempty
-    blocks of ``need[q + 1]`` read d_q or A^(q).
+    blocks of ``need[q + 1]`` read d_q or A^(q), and ``need[top + 1]`` = {0}.
     """
 
     __slots__ = ("alpha", "mu", "graded", "members", "pos", "sizes", "need")
@@ -297,11 +283,10 @@ class _Grading:
                     here[nu - a] += s
             self.sizes.append(here)
         need = [{0}]
-        for q in range(top, 0, -1):
-            here, below = self.sizes[q], self.sizes[q - 1]
-            need.append({0} | {nu + a for nu in need[-1] if here[nu]
-                               for a in alpha if below[nu + a]})
-        self.need = need[::-1]
+        for q in range(top, 0, -1):  # below[nu + a] > 0 makes block nu of CL^q nonempty
+            below = self.sizes[q - 1]
+            need.append({0} | {nu + a for nu in need[-1] for a in alpha if below[nu + a]})
+        self.need = need[::-1] + [{0}]
 
     def offsets(self, q: int, nu) -> list:
         """Where the run of each first slot starts in block nu of CL^q."""
@@ -431,19 +416,32 @@ def _block_differentials(h: LeibnizAlgebra, m: Bimodule, g: _Grading, top: int):
         actions = lifted
 
 
-def _ungraded(h: LeibnizAlgebra, m: Bimodule, top: int) -> _Grading:
-    return _Grading((_ZERO,) * h.dim, (_ZERO,) * m.dim, top)
+def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
+                     graded: bool = False) -> _Grading:
+    """The grading of a pass that builds d_0, ..., d_top, after the checks
+    every Leibniz entry point makes past its sign check, before anything is
+    built: the run of degrees 0..top+1, the algebra of m, then the rows of
+    every matrix against COCHAIN_BUDGET: first all of the last space held
+    whole (CL^(top+1) ungraded, CL^top graded, where ``leibniz_cohomology``
+    writes its bases), which bounds the block table, then each d_q's blocks."""
+    _check_degrees(top + 1)
+    if m.algebra != h:
+        raise DimensionError("bimodule is not over the given algebra")
+    alpha, mu = _weights(h, m) if graded else ((_ZERO,) * h.dim, (_ZERO,) * m.dim)
+    whole = top if any(alpha) or any(mu) else top + 1
+    _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
+    g = _Grading(alpha, mu, top)
+    for q in range(top + 1):
+        _check_budget(f"the block differential d_{q}",
+                      sum(g.sizes[q + 1][nu] for nu in g.need[q]), "rows")
+    return g
 
 
 def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
-    """Matrix of d: CL^n -> CL^(n+1) for the bimodule m over h;
-    InputError when CL^(n+1) exceeds COCHAIN_BUDGET."""
-    if m.algebra != h:
-        raise DimensionError("bimodule is not over the given algebra")
+    """Matrix of d: CL^n -> CL^(n+1), refused as ``leibniz_complex(h, m, n)`` is."""
     if n < 0:
         raise DimensionError(f"cochain degree {n} is negative")
-    _check_budget(f"the cochain space CL^{n + 1}", h.dim ** (n + 1) * m.dim)
-    for blocks in _block_differentials(h, m, _ungraded(h, m, n), n):
+    for blocks in _block_differentials(h, m, _checked_grading(h, m, n), n):
         pass
     return blocks[0]
 
@@ -456,11 +454,11 @@ def _zero_block_complex(h: LeibnizAlgebra, m: Bimodule, g: _Grading,
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
-    """The complex CL^0 -> ... -> CL^(qmax+1), built in one ungraded pass;
-    InputError, before anything is built, when CL^(qmax+1) or the number
-    of degrees exceeds COCHAIN_BUDGET."""
-    _check_complex(h, m, qmax)
-    return _zero_block_complex(h, m, _ungraded(h, m, qmax), qmax)
+    """The complex CL^0 -> ... -> CL^(qmax+1), built in one ungraded pass
+    and refused, before anything is built, as ``_checked_grading`` says."""
+    if qmax < 0:
+        raise DimensionError("qmax must be nonnegative")
+    return _zero_block_complex(h, m, _checked_grading(h, m, qmax), qmax)
 
 
 def _in_cochains(basis: SubspaceBasis, coords: Sequence[int], dim: int) -> SubspaceBasis:
@@ -484,10 +482,11 @@ def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyR
     span h-stable subspaces.  With no such basis element C_0 is the whole
     complex and the bases are those of all of Z^q and B^q, which
     ``cohomology_of_complex(leibniz_complex(h, m, qmax))`` gives for any
-    input.
+    input.  ``_checked_grading`` decides the budget.
     """
-    _check_complex(h, m, qmax)
-    g = _Grading(*_weights(h, m), qmax)
+    if qmax < 0:
+        raise DimensionError("qmax must be nonnegative")
+    g = _checked_grading(h, m, qmax, graded=True)
     res = cohomology_of_complex(_zero_block_complex(h, m, g, qmax))
     if not g.graded:
         return res
@@ -507,11 +506,12 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
                                  - sum_i f(y_1, ..., [x, y_i], ..., y_q)
 
     The Leibniz kernel acts by zero (left multiplications by squares
-    vanish), so this is really an action of the Lie quotient.
+    vanish), so this is really an action of the Lie quotient.  It is
+    what the pass to degree q - 1 lifts to CL^q, refused as that pass is.
     """
     if q < 0:
         raise DimensionError(f"cochain degree {q} is negative")
-    g = _ungraded(h, m, q)
+    g = _checked_grading(h, m, q - 1)
     actions = {0: _degree_zero(g, m.left, 0, False)}
     for p in range(1, q + 1):
         actions = _lift_actions(h, g, p, actions)

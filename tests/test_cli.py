@@ -394,14 +394,17 @@ def test_degree_ranges_beyond_budget_are_exit_one(capsys, tmp_path, monkeypatch)
 
 
 def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
+    # --bases reads the full complex, whose CL^6 has 139 968 cochains at
+    # qmax 5; without it, qmax 6 writes the bases of HL^6 into that CL^6.
     h = hemi_sl2(2)
     apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
     bpath = write_json(tmp_path, "b.json",
                        bimodule_to_spec(antisymmetric(h, simple_module(2).underlying)))
     built = []
     monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
-    code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
-                         "--qmax", "5")
-    assert code == 1 and out == "" and built == []
-    assert err == ("error: the cochain space CL^6 has dimension 139968, "
-                   f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
+    for qmax, bases in (("5", ["--bases"]), ("6", [])):
+        code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+                             "--qmax", qmax, *bases)
+        assert code == 1 and out == "" and built == []
+        assert err == ("error: the cochain space CL^6 has dimension 139968, "
+                       f"above the budget of {cohomology.COCHAIN_BUDGET}\n")

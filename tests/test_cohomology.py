@@ -3,6 +3,7 @@ induced module structures."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -356,6 +357,45 @@ def test_negative_degrees_are_refused():
         ce_differential(sl2(), simple_module(1).underlying, -1)
 
 
+_ENTRY_POINTS = (leibniz_complex, leibniz_cohomology, leibniz_differential, cochain_action)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_entry_points_check_sign_degree_run_algebra_in_that_order(entry, monkeypatch):
+    # a bimodule over hemi_sl2(1) offered to hemi_sl2(2); a complex to
+    # degree q runs over 0..q+1, the action on CL^q over 0..q
+    h, other = hemi_sl2(2), _hemi1_v1a()[1]
+    with pytest.raises(DimensionError, match="negative"):
+        entry(h, other, -1)
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 3)
+    with pytest.raises(InputError, match="^the degree range 0..4 has 5 degrees"):
+        entry(h, other, 4 if entry is cochain_action else 3)
+    with pytest.raises(DimensionError, match="bimodule is not over the given algebra"):
+        entry(h, other, 1)
+
+
+def test_huge_differential_degree_is_refused_at_once():
+    h, bm = _hemi1_v1a()
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^the degree range 0..3000001 has 3000002 degrees"):
+        leibniz_differential(h, bm, 3_000_000)
+    assert time.perf_counter() - start < 1
+
+
+def test_cochain_action_is_refused_before_any_action(monkeypatch):
+    # CL^2 of V_1^a over hemi_sl2(1) has 5^2 * 2 = 50 cochains
+    h, bm = _hemi1_v1a()
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 49)
+    lifted = []
+    monkeypatch.setattr(cohomology, "_lift_actions", lambda *args: lifted.append(args))
+    with pytest.raises(InputError, match="^the cochain space CL\\^2 has dimension 50, "):
+        cochain_action(h, bm, 2)
+    assert lifted == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 50)
+    assert [a.rows for a in cochain_action(h, bm, 2)] == [50] * h.dim
+
+
 # ------------------------------------------------- trivial-algebra closed form
 
 def test_closed_form_for_one_dim_kinds():
@@ -670,19 +710,53 @@ def test_weyl_shortcut_agrees_with_brute_force():
 # ------------------------------------------------------------ resource budget
 
 def test_cochain_budget_sits_between_the_largest_target_and_qmax_five():
-    # HL^4(hemi_sl2(2), V_2^a) maps into 6^5 * 3 = 23 328 cochains and is
-    # allowed; qmax 5 on the same pair would need 6^6 * 3 = 139 968 rows.
+    # HL^5(hemi_sl2(2), V_2^a) builds weight blocks of at most 25 152 rows
+    # and writes its bases into CL^5, 6^5 * 3 = 23 328 cochains, so it is
+    # allowed; the ungraded complex to qmax 5 and HL^6 on the same pair
+    # need all of CL^6, 6^6 * 3 = 139 968 rows.
     assert 6 ** 5 * 3 <= COCHAIN_BUDGET < 6 ** 6 * 3
 
 
 def test_oversized_complex_is_refused_before_any_differential(monkeypatch):
+    # HL^6 would build blocks of 141 696 rows and write bases into CL^6.
     h = hemi_sl2(2)
     bm = antisymmetric(h, simple_module(2).underlying)
     built = []
     monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
-    with pytest.raises(InputError, match="139968"):
-        leibniz_cohomology(h, bm, 5)
+    monkeypatch.setattr(cohomology, "_Grading", lambda *args: built.append(args))
+    for refused in (lambda: leibniz_cohomology(h, bm, 6), lambda: leibniz_complex(h, bm, 5)):
+        with pytest.raises(InputError, match="the cochain space CL\\^6 has dimension 139968"):
+            refused()
     assert built == []
+
+
+def test_graded_route_counts_the_blocks_it_builds(monkeypatch):
+    # Over hemi_sl2(2) with V_2^a to qmax 1 the blocks of d_0 and d_1 have
+    # 14 and 28 rows, and CL^1, where the bases of HL^1 go, has 18; the
+    # ungraded complex maps into all 108 cochains of CL^2.
+    h = hemi_sl2(2)
+    bm = antisymmetric(h, simple_module(2).underlying)
+    want = leibniz_cohomology(h, bm, 1).dims
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 27)
+    built = []
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
+    with pytest.raises(InputError, match="^the block differential d_1 has 28 rows, "
+                                         "above the budget of 27$"):
+        leibniz_cohomology(h, bm, 1)
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 28)
+    assert leibniz_cohomology(h, bm, 1).dims == want
+    with pytest.raises(InputError, match="^the cochain space CL\\^2 has dimension 108, "):
+        leibniz_complex(h, bm, 1)
+
+
+def test_inputs_beyond_the_full_space_budget_are_answered():
+    # CL^5 has 7^5 * 3 = 50 421 cochains, above the budget; the graded
+    # route builds blocks of at most 4 111 rows and writes into CL^4.
+    h = hemi_sl2(3)
+    assert leibniz_cohomology(h, antisymmetric(h, simple_module(2).underlying), 4).dims \
+        == [3, 1, 0, 0, 0]
 
 
 def test_degree_ranges_count_against_the_budget(monkeypatch):
@@ -708,9 +782,10 @@ def test_degree_ranges_count_against_the_budget(monkeypatch):
 def test_differential_checks_its_own_target_dimension(monkeypatch):
     h = hemi_sl2(1)
     bm = antisymmetric(h, simple_module(1).underlying)
+    want = [x.dim for x in hl_module_structure(h, bm, 1)]
     monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 5 * 2)
     assert leibniz_differential(h, bm, 0).rows == 10
     with pytest.raises(InputError, match="CL\\^2 has dimension 50"):
         leibniz_differential(h, bm, 1)
-    with pytest.raises(InputError):
-        hl_module_structure(h, bm, 1)
+    # the graded route builds blocks of 6 and 8 rows and writes into CL^1
+    assert [x.dim for x in hl_module_structure(h, bm, 1)] == want

@@ -401,6 +401,19 @@ def test_closed_forms_match_certified_spectral_route():
         assert list(res.dims) == [ext_simple_closed(n, src, dst, q) for q in range(3)], (n, src, dst)
 
 
+def test_degree_four_over_hemi_three_beyond_the_full_space_budget():
+    # HL^4(hemi_sl2(3), V_2^a) maps into CL^5, 7^5 * 3 = 50 421 cochains,
+    # above the budget; the graded route builds blocks of at most 4 111 rows.
+    h = hemi_sl2(3)
+    src, dst = SimpleDescriptor(KIND_TRIVIAL), SimpleDescriptor(KIND_ANTISYMMETRIC, 2)
+    runs = [ext_dims(h, src, dst.realize(h), 4, fast=fast) for fast in (True, False)]
+    for res in runs:
+        assert res.certificate.certified
+        assert list(res.dims) == [0, 1, 0, 0, 1]
+    assert runs[0].page.dims == runs[1].page.dims
+    assert list(runs[0].dims[:3]) == [ext_simple_closed(3, src, dst, q) for q in range(3)]
+
+
 def test_ext_simple_closed_degree_guard():
     s = SimpleDescriptor(KIND_SYMMETRIC, 2)
     with pytest.raises(UnsupportedDegreeError):
