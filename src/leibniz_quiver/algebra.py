@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import Mat, SubspaceBasis, as_scalar, image_basis, lincomb, pivot_extension, solve
+from .linear import Mat, SubspaceBasis, _wrap, as_scalar, image_basis, lincomb, pivot_extension, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -120,12 +121,44 @@ def check_left_leibniz(a: LeibnizAlgebra) -> bool:
 
 
 def _action_failure(a: LeibnizAlgebra, rho: Sequence[Mat], dim: int) -> str | None:
-    """Where rho([b_i, b_j]) = [rho(b_i), rho(b_j)] fails, if anywhere."""
+    """Where rho([b_i, b_j]) = [rho(b_i), rho(b_j)] fails, if anywhere.
+
+    Each commutator is formed once, at i < j.  At i >= j the condition is
+    rho(c_ij + c_ji) = 0: [rho_i, rho_j] = -[rho_j, rho_i], which is zero
+    at i = j and is -rho(c_ji) once the row-major scan has passed (j, i).
+    """
     for i in range(a.dim):
         for j in range(a.dim):
-            if lincomb(rho, a.c[i][j], dim) != rho[i] * rho[j] - rho[j] * rho[i]:
+            if not _acts_on_pair(a.c, rho, dim, i, j):
                 return f"rho([b{i}, b{j}]) differs from the commutator"
     return None
+
+
+def _acts_on_pair(c, rho: Sequence[Mat], dim: int, i: int, j: int) -> bool:
+    """rho(c_ij) = [rho_i, rho_j], given it at every earlier pair of a row-major scan."""
+    if i < j:
+        return lincomb(rho, c[i][j], dim) == _commutator(rho[i], rho[j])
+    return lincomb(rho, [x + y for x, y in zip(c[i][j], c[j][i])], dim).is_zero()
+
+
+def _commutator(a: Mat, b: Mat) -> Mat:
+    """a b - b a as (A B - B A) / (d_a d_b) for the integer A = d_a a, B = d_b b."""
+    ints = []
+    for m in (a, b):
+        d = lcm(*[x.denominator for r in m._rows for x in r.values()])
+        ints.append(([{j: x.numerator * d // x.denominator for j, x in r.items()} for r in m._rows], d))
+    (arows, da), (brows, db) = ints
+    out = []
+    for ar, br in zip(arows, brows):
+        acc = {}
+        for k, x in ar.items():
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        for k, x in br.items():
+            for j, y in arows[k].items():
+                acc[j] = acc.get(j, 0) - x * y
+        out.append({j: Fraction(v, da * db) for j, v in acc.items() if v})
+    return _wrap(a.rows, a.cols, out)
 
 
 def trivial_algebra() -> LeibnizAlgebra:

@@ -30,6 +30,7 @@ from .linear import (
     restrict_and_project,
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, _is_int, lift_module, trivial_algebra
+from .algebra import _acts_on_pair, _commutator
 
 _ZERO = Fraction(0)
 
@@ -96,18 +97,22 @@ class Bimodule:
 
 
 def _axiom_failure(b: Bimodule) -> str | None:
+    """The first axiom to fail, in a row-major scan of the basis pairs.
+
+    (LLM) forms [L_i, L_j] only at i < j, as ``algebra._action_failure``
+    does.  (LML) reads R(c_ij) = [L_i, R_j].  Given (LML), R(c_ij) in
+    (MLL) is L_i R_j - R_j L_i, so (MLL) is exactly R_j (L_i + R_i) = 0.
+    """
     a = b.algebra
     L, R = b.left, b.right
+    both = [x + y for x, y in zip(L, R)]
     for i in range(a.dim):
         for j in range(a.dim):
-            cij = a.c[i][j]
-            lb = b.left_by(cij)
-            if lb != L[i] * L[j] - L[j] * L[i]:
+            if not _acts_on_pair(a.c, L, b.dim, i, j):
                 return f"(LLM) fails at basis pair ({i}, {j})"
-            rb = b.right_by(cij)
-            if R[j] * L[i] != L[i] * R[j] - rb:
+            if b.right_by(a.c[i][j]) != _commutator(L[i], R[j]):
                 return f"(LML) fails at basis pair ({i}, {j})"
-            if R[j] * R[i] != rb - L[i] * R[j]:
+            if not (R[j] * both[i]).is_zero():
                 return f"(MLL) fails at basis pair ({i}, {j})"
     return None
 

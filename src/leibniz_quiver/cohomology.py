@@ -218,6 +218,8 @@ def _check_budget(space: str, size: int, unit: str = "") -> None:
     COCHAIN_BUDGET, or with ``unit`` (such as "degrees") more than
     COCHAIN_BUDGET of those; ``space`` names it in the message."""
     if size > COCHAIN_BUDGET:
+        if size.bit_length() > 4096:  # too long for str(); 0.301029995 < log10 2
+            size = f"over 10^{(size.bit_length() - 1) * 301029995 // 10 ** 9}"
         amount = f"{size} {unit}" if unit else f"dimension {size}"
         raise InputError(f"{space} has {amount}, above the budget of {COCHAIN_BUDGET}")
 

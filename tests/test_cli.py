@@ -408,3 +408,18 @@ def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
         assert code == 1 and out == "" and built == []
         assert err == ("error: the cochain space CL^6 has dimension 139968, "
                        f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
+
+
+def test_cohomology_past_the_int_to_str_limit_is_one_error_line(capsys, tmp_path):
+    # CL^49998 over hemi_sl2(1) with V_1^a has 5^49998 * 2, about
+    # 2.5 * 10^34947 cochains: too many digits for str(), so the refusal
+    # names the size by a power of ten below it.
+    h = hemi_sl2(1)
+    apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
+    bpath = write_json(tmp_path, "b.json",
+                       bimodule_to_spec(antisymmetric(h, simple_module(1).underlying)))
+    code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+                         "--qmax", "49998")
+    assert (code, out) == (1, "")
+    assert err == ("error: the cochain space CL^49998 has dimension over 10^34947, "
+                   f"above the budget of {cohomology.COCHAIN_BUDGET}\n")

@@ -789,3 +789,14 @@ def test_differential_checks_its_own_target_dimension(monkeypatch):
         leibniz_differential(h, bm, 1)
     # the graded route builds blocks of 6 and 8 rows and writes into CL^1
     assert [x.dim for x in hl_module_structure(h, bm, 1)] == want
+
+
+def test_sizes_past_the_int_to_str_limit_are_refused_by_name():
+    # CL^6201 over hemi_sl2(1) with V_1^a has 5^6201 * 2 cochains, a
+    # number of 4 335 digits: past the 4 300 digits that str() converts.
+    h = hemi_sl2(1)
+    bm = antisymmetric(h, simple_module(1).underlying)
+    with pytest.raises(InputError, match="^the cochain space CL\\^6201 has dimension "
+                                         f"over 10\\^4334, above the budget of {COCHAIN_BUDGET}$"):
+        leibniz_complex(h, bm, 6200)
+    assert 10 ** 4334 < 5 ** 6201 * 2 < 10 ** 4335
