@@ -97,7 +97,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # decoding, digit limit, nesting depth
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -94,7 +94,6 @@ from .errors import ComplexError, DimensionError, InputError, StabilityError
 from .linear import (
     Mat,
     SubspaceBasis,
-    _basis,
     _column_basis,
     _kernel_and_pivots,
     _sum,
@@ -112,8 +111,8 @@ _ZERO = Fraction(0)
 
 
 # The most rows a matrix of a Leibniz pass may have (``_checked_grading``):
-# HL^5(hemi_sl2(2), V_2^a) builds blocks of at most 25 152 rows and writes
-# into CL^5 (23 328); the complex to degree 5 needs all of CL^6 (139 968).
+# HL^5(hemi_sl2(2), V_2^a) builds blocks of at most 25 152 rows and counts
+# CL^5 (23 328) whole; the complex to degree 5 needs all of CL^6 (139 968).
 COCHAIN_BUDGET = 50_000
 
 
@@ -267,11 +266,10 @@ class _Grading:
     blocks of ``need[q + 1]`` read d_q or A^(q), and ``need[top + 1]`` = {0}.
     """
 
-    __slots__ = ("alpha", "mu", "graded", "members", "pos", "sizes", "need")
+    __slots__ = ("alpha", "mu", "members", "pos", "sizes", "need")
 
     def __init__(self, alpha: Sequence, mu: Sequence, top: int):
         self.alpha, self.mu = alpha, mu
-        self.graded = any(alpha) or any(mu)
         self.members, self.pos = {}, []  # cochains of M per eigenvalue, index in block
         for j, x in enumerate(mu):
             block = self.members.setdefault(x, [])
@@ -296,19 +294,6 @@ class _Grading:
         for a in self.alpha:
             out.append(at)
             at += below[nu + a]
-        return out
-
-    def zero_coordinates(self, top: int) -> list:
-        """For q = 0..top, the coordinates in CL^q of the cochains of the
-        eigenvalue-0 block, in block order."""
-        dim_m, n = len(self.mu), len(self.alpha)
-        blocks = {nu: self.members.get(nu, []) for nu in self.need[0]}
-        out = [blocks[0]]
-        for q in range(1, top + 1):
-            width = n ** (q - 1) * dim_m
-            blocks = {nu: [t * width + c for t, a in enumerate(self.alpha)
-                           for c in blocks.get(nu + a, ())] for nu in self.need[q]}
-            out.append(blocks[0])
         return out
 
 
@@ -423,9 +408,11 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
     """The grading of a pass that builds d_0, ..., d_top, after the checks
     every Leibniz entry point makes past its sign check, before anything is
     built: the run of degrees 0..top+1, the algebra of m, then the rows of
-    every matrix against COCHAIN_BUDGET: first all of the last space held
-    whole (CL^(top+1) ungraded, CL^top graded, where ``leibniz_cohomology``
-    writes its bases), which bounds the block table, then each d_q's blocks."""
+    every matrix against COCHAIN_BUDGET: first a whole space, then each
+    d_q's blocks.  Ungraded, the whole space is CL^(top+1), the one block
+    of d_top.  Graded, it is CL^top, whose count bounds the weight-block
+    table: ``sizes[q]`` has at most dim CL^q entries, and the last, of
+    CL^(top+1), takes dim h steps per entry of ``sizes[top]``."""
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
@@ -463,41 +450,26 @@ def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex
     return _zero_block_complex(h, m, _checked_grading(h, m, qmax), qmax)
 
 
-def _in_cochains(basis: SubspaceBasis, coords: Sequence[int], dim: int) -> SubspaceBasis:
-    """``basis``, a subspace of the block whose cochains sit at ``coords``
-    of a space of dimension ``dim``, as a subspace of that space."""
-    rows = [{}] * dim
-    vectors = basis.matrix()
-    for i, c in enumerate(coords):
-        rows[c] = dict(vectors.nonzeros(i))
-    return _basis(_wrap(dim, basis.dim, rows))
-
-
 def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyResult:
     """HL^q(h, m) for q = 0..qmax, with cocycle/coboundary bases.
 
     HL^0 is ker d_0 on all of M, the right invariants.  For q >= 1 the
     groups are those of the eigenvalue-0 block C_0 of the first basis
-    element that ``_weights`` finds (module docstring), so their bases
-    are weight-0 representatives: cocycles of C_0^q and coboundaries
-    d(C_0^(q-1)), written in the coordinates of CL^q, which need not
-    span h-stable subspaces.  With no such basis element C_0 is the whole
-    complex and the bases are those of all of Z^q and B^q, which
+    element that ``_weights`` finds (module docstring), as
+    ``cohomology_of_complex`` returns them: their bases live in the
+    coordinates of C_0^q, the block's cochains in ``_Grading`` order, not
+    in CL^q.  With no such basis element C_0 is the whole complex and
+    the bases are those of all of Z^q and B^q, which
     ``cohomology_of_complex(leibniz_complex(h, m, qmax))`` gives for any
     input.  ``_checked_grading`` decides the budget.
     """
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
     g = _checked_grading(h, m, qmax, graded=True)
-    res = cohomology_of_complex(_zero_block_complex(h, m, g, qmax))
-    if not g.graded:
-        return res
-    z0 = right_invariants(m)
-    groups = [DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim))]
-    for q, coords in enumerate(g.zero_coordinates(qmax)[1:], 1):
-        dim, grp = h.dim ** q * m.dim, res[q]
-        groups.append(DegreeGroup(grp.dim, _in_cochains(grp.cocycles, coords, dim),
-                                  _in_cochains(grp.coboundaries, coords, dim)))
+    groups = cohomology_of_complex(_zero_block_complex(h, m, g, qmax)).groups
+    if g.sizes[0][0] < m.dim:  # C_0^0 misses part of M
+        z0 = right_invariants(m)
+        groups = (DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim)),) + groups[1:]
     return CohomologyResult(groups)
 
 
@@ -544,8 +516,8 @@ def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
     over the Lie quotient of h.  HL^0 is the left action restricted to
     the right invariants.  Every HL^q with q >= 1 is the zero-action
     module of its dimension: by Cartan's formula (module docstring) h
-    acts by zero there, and the weight-0 cocycles of the graded route
-    need not span an h-stable subspace to restrict an action to."""
+    acts by zero there, and the bases of the graded route live in the
+    eigenvalue-0 block C_0^q, on which h has no action to restrict."""
     lie = quotient_data(h).lie
     zero = [LeftModule(lie, g.dim, [Mat.zero(g.dim, g.dim)] * lie.dim, check=False)
             for g in cohom.groups[1:]]
@@ -626,14 +598,29 @@ def invariants_dim(g: LieAlgebra, m: LeftModule) -> int:
     return intersect_kernels(m.action).dim
 
 
+@lru_cache(maxsize=None)
+def _killing_form_nondegenerate(g: LieAlgebra) -> bool:
+    """Whether the Killing form tr(ad_i ad_j) of g is nondegenerate,
+    which by Cartan's criterion says that g is semisimple."""
+    ads = [g.left_mult(i) for i in range(g.dim)]
+    products = [[a * b for b in ads] for a in ads]
+    form = Mat(g.dim, g.dim, [[sum(p[k, k] for k in range(g.dim)) for p in row]
+                              for row in products])
+    return rank(form) == g.dim
+
+
 def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     """Cohomology dimensions via H^p(g, M) = H^p(g, K) ox M^g.
 
-    Only valid when every finite-dimensional g-module is semisimple
-    (for sl2 in characteristic zero, in particular); callers are
-    responsible for that hypothesis.  Useful as a fast cross-check
-    against the full complex.
+    The identity holds for semisimple g (Whitehead's lemmas), sl2 in
+    particular, and can fail otherwise.  So g is refused with InputError
+    unless its Killing form is nondegenerate (Cartan's criterion), a
+    check made once per algebra.  Useful as a fast cross-check against
+    the full complex.
     """
+    if not _killing_form_nondegenerate(g):
+        raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
+                         "and the Killing form is degenerate")
     trivial = LeftModule(g, 1, [Mat.zero(1, 1)] * g.dim)
     base = ce_cohomology(g, trivial, pmax).dims
     inv = invariants_dim(g, m)

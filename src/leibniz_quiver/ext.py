@@ -267,7 +267,7 @@ def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int
         E2^{pq} = H^p(h_Lie, Hom(Y, HL^q(h, X))).
 
     ``fast`` computes CE dimensions through the invariants shortcut,
-    valid when h_Lie-modules are semisimple (sl2 inputs).
+    which refuses an h_Lie that is not semisimple (sl2 passes).
     """
     return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax, fast)
 

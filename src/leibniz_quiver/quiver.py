@@ -194,6 +194,6 @@ def quiver_from_json(text: str) -> Quiver:
             raise InputError("edge src, dst and mult must be integers")
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
     return Quiver(vertices, edges)

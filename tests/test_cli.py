@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from leibniz_quiver import cli, cohomology, quiver
 from leibniz_quiver.algebra import LeftModule, algebra_to_spec
 from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec
@@ -252,6 +254,22 @@ def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"dim": 1, "bracket": [[[' + "7" * 5000 + ']]]}', id="int-digit-limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no int-to-str digit limit")),
+    pytest.param("[" * 200_000 + "]" * 200_000, id="nesting-depth"),
+])
+def test_check_malformed_json_is_one_error_line(capsys, tmp_path, text):
+    # The decoder refuses both with ValueError or RecursionError, not
+    # json.JSONDecodeError.
+    path = tmp_path / "a.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
 
 def test_cohomology_from_files(capsys, tmp_path):

@@ -203,12 +203,14 @@ def test_one_bounded_elimination_per_block_differential(monkeypatch):
     assert bounded[1][2] == diffs[1].rows  # H^1(C_0) != 0: every row is read
     assert bounded[3][2] < diffs[3].rows  # H^3(C_0) = 0: the bound is the rank
     assert res[0].cocycles == kernel_basis(full[0])
+    # Above degree 0 the bases live in C_0^q, as the block run gives them:
+    # cocycles in ker d_q of the block, coboundaries spanning im d_(q-1).
     for q in range(1, 4):
         g = res[q]
-        assert g.cocycles.ambient_dim == full[q].cols
-        assert all(not any(full[q].apply(v)) for v in g.cocycles.vectors)
-        assert image_basis(Mat.hstack([full[q - 1], g.coboundaries.matrix()])).dim \
-            == rank(full[q - 1])
+        assert g.cocycles.ambient_dim == g.coboundaries.ambient_dim == block.dims[q]
+        assert all(not any(diffs[q].apply(v)) for v in g.cocycles.vectors)
+        assert image_basis(Mat.hstack([diffs[q - 1], g.coboundaries.matrix()])).dim \
+            == rank(diffs[q - 1]) == g.coboundaries.dim
 
 
 def test_ext_where_the_bound_is_never_reached(monkeypatch):

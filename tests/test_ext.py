@@ -6,7 +6,14 @@ from itertools import product
 import pytest
 
 from leibniz_quiver import cohomology, ext, repsl2
-from leibniz_quiver.algebra import lift_module, quotient_data, trivial_algebra
+from leibniz_quiver.algebra import (
+    LieAlgebra,
+    hemi_semidirect,
+    lift_module,
+    one_dim_module,
+    quotient_data,
+    trivial_algebra,
+)
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
@@ -15,7 +22,7 @@ from leibniz_quiver.bimodule import (
     antisymmetric,
     trivial_bimodule,
 )
-from leibniz_quiver.cohomology import leibniz_cohomology
+from leibniz_quiver.cohomology import ce_cohomology, ce_dims_via_invariants, leibniz_cohomology
 from leibniz_quiver.errors import (
     CollapseNotCertifiedError,
     InputError,
@@ -424,9 +431,44 @@ def test_ext_simple_closed_degree_guard():
 
 # ------------------------------------------------------------------ fast path
 
-def test_weyl_fast_flag_gives_same_pages():
-    h, bm = hemi_anti(1, 1)
-    y = simple_module(1).underlying
-    slow = e2_first(h, y, bm, 3, 1, fast=False)
-    quick = e2_first(h, y, bm, 3, 1, fast=True)
+# The Ext rows of the benchmark's ext_rows workload over hemi_sl2(1).
+EXT_ROWS = (
+    ("trivial", 0, "antisymmetric", 1),
+    ("antisymmetric", 1, "antisymmetric", 1),
+    ("trivial", 0, "symmetric", 1),
+    ("symmetric", 1, "antisymmetric", 1),
+    ("symmetric", 2, "antisymmetric", 2),
+    ("symmetric", 1, "symmetric", 2),
+)
+
+
+@pytest.mark.parametrize("skind, sw, dkind, dw", EXT_ROWS, ids=[
+    f"{SimpleDescriptor(s, a).label()}->{SimpleDescriptor(d, b).label()}"
+    for s, a, d, b in EXT_ROWS])
+def test_weyl_fast_flag_gives_same_pages(skind, sw, dkind, dw):
+    # Symmetric sources go through e2_second, the others through e2_first.
+    h = hemi_sl2(1)
+    src, x = SimpleDescriptor(skind, sw), SimpleDescriptor(dkind, dw).realize(h)
+    slow, quick = (ext_dims(h, src, x, 3, fast=fast) for fast in (False, True))
+    assert slow.page.dims == quick.page.dims
     assert slow.dims == quick.dims
+
+
+def test_invariants_shortcut_refuses_a_lie_algebra_that_is_not_semisimple():
+    # g = <x, y> with [x, y] = y and the character chi(x) = 1, chi(y) = 0:
+    # H^*(g, chi) is [0, 1, 1] although chi^g = 0, so the shortcut would
+    # answer [0, 0, 0].  The Killing form of g is degenerate (ad y is
+    # nilpotent), and so is that of the one-dimensional algebra.
+    g = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    chi = one_dim_module(g, [1, 0])
+    assert ce_cohomology(g, chi, 2).dims == [0, 1, 1]
+    for lie, module in ((g, chi), (trivial_algebra(), one_dim_module(trivial_algebra(), [0]))):
+        with pytest.raises(InputError, match="Killing form is degenerate"):
+            ce_dims_via_invariants(lie, module, 2)
+    # Over its hemi-semidirect product the full route finds E2 nonzero,
+    # and the fast route refuses rather than print an all-zero page.
+    h = hemi_semidirect(g, chi)
+    inverse, k = one_dim_module(quotient_data(h).lie, [-1, 0]), trivial_bimodule(h)
+    assert e2_first(h, inverse, k, 2, 2).dims == ((0, 0, 0), (1, 1, 1), (1, 1, 1))
+    with pytest.raises(InputError, match="Killing form is degenerate"):
+        e2_first(h, inverse, k, 2, 2, fast=True)

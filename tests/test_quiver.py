@@ -231,3 +231,9 @@ def test_json_rejects_malformed_documents():
         quiver_from_json(one_vertex + '"edges": [{"src": Infinity, "dst": 0, "mult": 1}]}')
     with pytest.raises(InputError):
         quiver_from_json(one_vertex + '"edges": [{"src": 0, "dst": 0, "mult": NaN}]}')
+
+
+def test_json_nested_past_the_decoder_depth_is_refused():
+    # json.loads raises RecursionError, not a ValueError, on deep nesting.
+    with pytest.raises(InputError, match="malformed quiver JSON"):
+        quiver_from_json("[" * 200_000 + "]" * 200_000)
