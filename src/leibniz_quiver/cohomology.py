@@ -57,7 +57,11 @@ with sum_i alpha_(t_i) = mu_j.  The formula does not hold in degree 0
 (i_b d_0 = -R_b, not L_b), so HL^0 stays ker d_0 on all of M.  A basis
 element of the Leibniz kernel has ad(b) = 0 and L_b = 0, diagonal with
 every weight zero, and grading by it makes C_0 the whole complex;
-``leibniz_cohomology`` takes the first b with some weight nonzero.  The
+``leibniz_cohomology`` takes the first b with some weight nonzero.  It
+grades by D b, with D the lcm of the denominators of the alpha_t and
+mu_j: D b has the eigenspaces of b, each C_lambda is C_(D lambda) of D b
+with the same cochains in the same order, and every eigenvalue is an
+integer, so blocks are keyed, added and compared as ints.  The
 block of d_q at eigenvalue lambda reads, in row block a, A^(q)_a from
 lambda to lambda + alpha_a and d_(q-1) at lambda + alpha_a.  So C_0 up
 to degree qmax needs, in degree q, only the blocks at 0 and at sums of
@@ -87,7 +91,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import ComplexError, DimensionError, InputError, StabilityError
@@ -106,9 +110,6 @@ from .linear import (
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
 from .bimodule import Bimodule, right_invariants
-
-_ZERO = Fraction(0)
-
 
 # The most rows a matrix of a Leibniz pass may have (``_checked_grading``):
 # HL^5(hemi_sl2(2), V_2^a) builds blocks of at most 25 152 rows and counts
@@ -233,10 +234,11 @@ def _check_degrees(last: int) -> None:
 def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
     """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
     on the basis of M for the first basis element b with ad(b) and L_b
-    diagonal, ad(b) b = 0 and some eigenvalue nonzero; all zero when no
-    basis element qualifies.  A basis element of the Leibniz kernel has
-    ad(b) = 0 and L_b = 0, so it passes the first three tests and fails
-    the last."""
+    diagonal, ad(b) b = 0 and some eigenvalue nonzero, all times D, the
+    lcm of their denominators, as ints; all zero when no basis element
+    qualifies.  These are the eigenvalues of D b, whose eigenspaces are
+    those of b.  A basis element of the Leibniz kernel has ad(b) = 0 and
+    L_b = 0, so it passes the first three tests and fails the last."""
     for g, plane in enumerate(h.c):  # plane[t] = [b_g, b_t]
         alpha = tuple(row[t] for t, row in enumerate(plane))
         if alpha[g] or any(x for t, row in enumerate(plane)
@@ -247,15 +249,18 @@ def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
             continue
         mu = tuple(left[j, j] for j in range(m.dim))
         if any(alpha) or any(mu):
-            return alpha, mu
-    return (_ZERO,) * h.dim, (_ZERO,) * m.dim
+            d = lcm(*(x.denominator for x in alpha + mu))
+            return tuple(tuple(x.numerator * (d // x.denominator) for x in xs)
+                         for xs in (alpha, mu))
+    return (0,) * h.dim, (0,) * m.dim
 
 
 class _Grading:
     """The eigenvalue blocks of A_b on CL^0..CL^(top+1) (module
-    docstring), for the eigenvalues ``alpha`` of ad(b) on the basis of h
-    and ``mu`` of L_b on the basis of M.  All zero is the ungraded
-    complex: one block per degree, the whole space.
+    docstring), for the integer eigenvalues ``alpha`` of ad(b) on the
+    basis of h and ``mu`` of L_b on the basis of M that ``_weights``
+    gives, those of D b.  All zero is the ungraded complex: one block
+    per degree, the whole space.
 
     The basis cochain (t, j) has eigenvalue mu_j - sum_i alpha_(t_i).  A
     block lists its cochains in increasing flat order: first slot
@@ -325,18 +330,20 @@ def _lift_actions(h: LeibnizAlgebra, g: _Grading, q: int, below: dict) -> dict:
     -[b_a, b_t]_s times the identity into the run of slot s, whose block
     is the same because ad(b) is a derivation."""
     alpha, sizes = g.alpha, g.sizes[q - 1]
+    minus = [[[(s, -x) for s, x in enumerate(row) if x] for row in plane]
+             for plane in h.c]  # minus[a][t]: the terms (s, -[b_a, b_t]_s)
     out = {}
     for nu in g.need[q]:
         if not g.sizes[q][nu]:
             continue
         off = g.offsets(q, nu)
         blocks = []
-        for a, plane in enumerate(h.c):
+        for a, terms in enumerate(minus):
             rows = []
             for t, (shift, at) in enumerate(zip(off, alpha)):
                 src = below.get(nu + at)
                 run = src[a] if src else ({},) * sizes[nu + at + alpha[a]]
-                ad = [(off[s], -x) for s, x in enumerate(plane[t]) if x]
+                ad = [(off[s], x) for s, x in terms[t]]
                 for r, src_row in enumerate(run):
                     row = {j + shift: x for j, x in src_row.items()}
                     for base, x in ad:
@@ -416,7 +423,7 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
-    alpha, mu = _weights(h, m) if graded else ((_ZERO,) * h.dim, (_ZERO,) * m.dim)
+    alpha, mu = _weights(h, m) if graded else ((0,) * h.dim, (0,) * m.dim)
     whole = top if any(alpha) or any(mu) else top + 1
     _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
     g = _Grading(alpha, mu, top)
@@ -609,20 +616,27 @@ def _killing_form_nondegenerate(g: LieAlgebra) -> bool:
     return rank(form) == g.dim
 
 
+@lru_cache(maxsize=None)
+def _trivial_ce_dims(g: LieAlgebra, pmax: int) -> tuple:
+    """dim H^p(g, K) for p = 0..pmax, from the complex with trivial
+    one-dimensional coefficients, computed once per algebra and degree."""
+    trivial = LeftModule(g, 1, [Mat.zero(1, 1)] * g.dim)
+    return tuple(ce_cohomology(g, trivial, pmax).dims)
+
+
 def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     """Cohomology dimensions via H^p(g, M) = H^p(g, K) ox M^g.
 
     The identity holds for semisimple g (Whitehead's lemmas), sl2 in
     particular, and can fail otherwise.  So g is refused with InputError
     unless its Killing form is nondegenerate (Cartan's criterion), a
-    check made once per algebra.  Useful as a fast cross-check against
-    the full complex.
+    check made once per algebra, as is H^*(g, K) per algebra and pmax.
+    Useful as a fast cross-check against the full complex.
     """
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    trivial = LeftModule(g, 1, [Mat.zero(1, 1)] * g.dim)
-    base = ce_cohomology(g, trivial, pmax).dims
+    base = _trivial_ce_dims(g, pmax)
     inv = invariants_dim(g, m)
     return [b * inv for b in base]
 

@@ -2,10 +2,12 @@
 induced module structures."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,9 @@ from leibniz_quiver.linear import (Mat, SubspaceBasis, image_basis, kernel_basis
 from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2, tensor
 
 from conftest import make_trivial_bimodule
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def one_dim(kind, lam=0):
@@ -512,6 +517,58 @@ def test_grading_skips_the_leibniz_kernel():
     assert (sizes[4][0], sum(sizes[4].values())) == (160, 1250)
 
 
+def _rescaled(h, m, s):
+    """h and m in the basis s b_a: structure constants and actions are
+    multiplied by s, and so is every weight of the grading element."""
+    return _in_bases(h, m, Mat.diagonal([s] * h.dim), Mat.identity(m.dim))
+
+
+@pytest.mark.parametrize("s, denominator", [(Fraction(1, 2), 2), (Fraction(2, 3), 3), (3, 1)])
+def test_weights_are_integers_scaled_by_their_common_denominator(s, denominator):
+    # Rescaled by s, the weights are s times those of the weight basis,
+    # and _weights returns them times D, the lcm of their denominators:
+    # the grading by D b, whose blocks are those of b.
+    h, bm = _hemi1_v1a()
+    alpha, mu = cohomology._weights(h, bm)
+    alpha2, mu2 = cohomology._weights(*_rescaled(h, bm, s))
+    assert all(type(x) is int for x in alpha + mu + alpha2 + mu2)
+    assert (alpha2, mu2) == (tuple(x * s * denominator for x in alpha),
+                             tuple(x * s * denominator for x in mu))
+    sizes = cohomology._Grading(alpha, mu, 4).sizes
+    sizes2 = cohomology._Grading(alpha2, mu2, 4).sizes
+    for q in range(5):
+        assert sizes2[q][0] == sizes[q][0]
+        assert sorted(sizes2[q].values()) == sorted(sizes[q].values())
+
+
+def _golden_cases() -> dict:
+    h, v1a = _hemi1_v1a()
+    return {"V_1^a": (h, v1a),
+            "V_1^s": (h, symmetric(h, lift_module(h, simple_module(1).underlying))),
+            "V_1^a in the basis b_a / 2": _rescaled(h, v1a, Fraction(1, 2))}
+
+
+def _frozen(res) -> dict:
+    """The dims and the cocycle and coboundary bases of ``res``, with
+    every entry an exact fraction string."""
+    def vectors(basis):
+        return [[str(x) for x in v] for v in basis.vectors]
+
+    return {"HL": res.dims, "bases": [{"cocycles": vectors(g.cocycles),
+                                       "coboundaries": vectors(g.coboundaries)}
+                                      for g in res.groups]}
+
+
+def test_graded_route_is_bit_identical_to_the_frozen_bases():
+    # tests/data/leibniz_cohomology_hemi1_q3.json holds _frozen of
+    # leibniz_cohomology(h, m, 3) for _golden_cases as computed while the
+    # weights were still Fractions; the rescaled case has D = 2.
+    golden = json.loads((DATA / "leibniz_cohomology_hemi1_q3.json").read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(_golden_cases())
+    for name, (h, m) in _golden_cases().items():
+        assert _frozen(leibniz_cohomology(h, m, 3)) == golden[name], name
+
+
 def _check_graded_route(h, m, qmax):
     """leibniz_cohomology against the full complex: equal dims, and for
     q >= 1 the zero-action modules of ``hl_modules`` against the action
@@ -707,6 +764,27 @@ def test_weyl_shortcut_agrees_with_brute_force():
         fast = ce_dims_via_invariants(g, m, 3)
         brute = ce_cohomology(g, m, 3).dims
         assert fast == brute
+
+
+def test_trivial_coefficients_are_computed_once_per_algebra_and_degree(monkeypatch):
+    # Each ext_dims(..., fast=True) call reads H^*(sl2, K) for every E2
+    # column; the trivial-coefficient complex is built once per (g, pmax).
+    built = []
+    real = cohomology.ce_cohomology
+
+    def recording(g, m, pmax):
+        built.append((g, m.dim, pmax))
+        return real(g, m, pmax)
+
+    monkeypatch.setattr(cohomology, "ce_cohomology", recording)
+    cohomology._trivial_ce_dims.cache_clear()
+    h, bm = _hemi1_v1a()
+    src = SimpleDescriptor("antisymmetric", 1)
+    first = ext_dims(h, src, bm, 3, fast=True).dims
+    assert ext_dims(h, src, bm, 3, fast=True).dims == first == (1, 0, 0, 1)
+    assert built == [(sl2(), 1, 3)]
+    assert ce_dims_via_invariants(sl2(), simple_module(0).underlying, 4) == [1, 0, 0, 1, 0]
+    assert built == [(sl2(), 1, 3), (sl2(), 1, 4)]
 
 
 # ------------------------------------------------------------ resource budget
