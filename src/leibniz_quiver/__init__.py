@@ -37,7 +37,6 @@ from .bimodule import (
     bimodule_to_spec,
     check_bimodule,
     hom_module_action,
-    intertwiner_dim,
     right_invariants,
     sym_quotient,
     symmetric,

@@ -15,7 +15,8 @@ from math import lcm
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import Mat, SubspaceBasis, _wrap, as_scalar, image_basis, lincomb, pivot_extension, solve
+from .linear import (Mat, SubspaceBasis, _Frozen, _wrap, as_scalar, image_basis, lincomb,
+                     pivot_extension, solve)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,7 +33,7 @@ def _freeze_constants(dim: int, c) -> tuple:
     return table
 
 
-class LeibnizAlgebra:
+class LeibnizAlgebra(_Frozen):
     """A left Leibniz algebra given by exact structure constants."""
 
     __slots__ = ("dim", "c", "labels", "_hash")
@@ -48,9 +49,6 @@ class LeibnizAlgebra:
         object.__setattr__(self, "_hash", hash((dim, self.c)))  # algebras key lru caches
         if check and not check_left_leibniz(self):
             raise AlgebraAxiomError("structure constants violate the left Leibniz identity")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (
@@ -91,11 +89,6 @@ class LeibnizAlgebra:
         n = self.dim
         return Mat(n, n, [[self.c[i][j][k] for j in range(n)] for k in range(n)])
 
-    def right_mult(self, j: int) -> Mat:
-        """Matrix of x -> [x, b_j]."""
-        n = self.dim
-        return Mat(n, n, [[self.c[i][j][k] for i in range(n)] for k in range(n)])
-
     def basis_vector(self, i: int) -> tuple:
         return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
 
@@ -109,7 +102,9 @@ class LieAlgebra(LeibnizAlgebra):
 
     def __init__(self, dim: int, c, labels: Sequence[str] | None = None, *, check: bool = True):
         super().__init__(dim, c, labels, check=check)
-        if check and any(self.left_mult(i) != -self.right_mult(i) for i in range(dim)):
+        c = self.c  # antisymmetry: c_ij + c_ji = 0, once per pair j <= i
+        if check and any(x + y for i in range(dim) for j in range(i + 1)
+                         for x, y in zip(c[i][j], c[j][i])):
             raise AlgebraAxiomError("bracket is not antisymmetric")
 
 
@@ -179,7 +174,7 @@ def leibniz_kernel(a: LeibnizAlgebra) -> SubspaceBasis:
     return image_basis(Mat.from_cols(gens, rows=n))
 
 
-class QuotientData:
+class QuotientData(_Frozen):
     """Canonical Lie quotient of a Leibniz algebra.
 
     ``complement`` lists the basis indices of the original algebra whose
@@ -216,9 +211,6 @@ class QuotientData:
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "lie", lie)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientData is immutable")
-
 
 @lru_cache(maxsize=None)
 def quotient_data(a: LeibnizAlgebra) -> QuotientData:
@@ -231,7 +223,7 @@ def quotient_data(a: LeibnizAlgebra) -> QuotientData:
     return QuotientData(a)
 
 
-class LeftModule:
+class LeftModule(_Frozen):
     """A left module over a Leibniz (or Lie) algebra.
 
     ``action[i]`` is the matrix of b_i acting on the module, and the
@@ -256,9 +248,6 @@ class LeftModule:
             if err is not None:
                 raise ModuleAxiomError(err)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LeftModule is immutable")
-
     def act_by(self, coords: Sequence) -> Mat:
         """Action matrix of an arbitrary algebra element."""
         return lincomb(self.action, coords, self.dim)
@@ -276,10 +265,6 @@ class LeftModule:
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
-
-
-def zero_module(algebra: LeibnizAlgebra) -> LeftModule:
-    return LeftModule(algebra, 0, [Mat.zero(0, 0)] * algebra.dim, check=False)
 
 
 def one_dim_module(algebra: LeibnizAlgebra, weights: Sequence) -> LeftModule:

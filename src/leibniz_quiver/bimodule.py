@@ -20,10 +20,10 @@ from .errors import DimensionError, InputError, ModuleAxiomError
 from .linear import (
     Mat,
     SubspaceBasis,
+    _Frozen,
     as_scalar,
     image_basis,
     intersect_kernels,
-    kernel_basis,
     kron,
     lincomb,
     parse_rational,
@@ -40,7 +40,7 @@ KIND_ANTISYMMETRIC = "antisymmetric"
 _KINDS = (KIND_TRIVIAL, KIND_SYMMETRIC, KIND_ANTISYMMETRIC)
 
 
-class Bimodule:
+class Bimodule(_Frozen):
     """An exact Leibniz bimodule; the three axioms are checked on
     construction unless ``check=False``."""
 
@@ -70,9 +70,6 @@ class Bimodule:
             failure = _axiom_failure(self)
             if failure is not None:
                 raise ModuleAxiomError(failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bimodule is immutable")
 
     def __eq__(self, other):
         return (
@@ -171,19 +168,17 @@ def right_invariants(b: Bimodule) -> SubspaceBasis:
     return intersect_kernels(list(b.right))
 
 
-def m_zero_subspace(b: Bimodule) -> SubspaceBasis:
-    """ker(L + R) for the one-dimensional algebra only."""
-    if b.algebra.dim != 1:
-        raise DimensionError("m_zero_subspace needs a one-dimensional algebra")
-    return kernel_basis(b.left[0] + b.right[0])
-
-
 def hom_module_action(g: LeibnizAlgebra, u: LeftModule, v: LeftModule) -> LeftModule:
     """Hom(U, V) with the action (x . f)(a) = x . f(a) - f(x . a).
 
     The matrix-flattening basis E_ij (1 at row i, column j) is ordered
     row-major by (i, j), matching ``linear.kron``; the action matrix of
-    x is rho_v(x) ox I - I ox rho_u(x)^T.
+    x is rho_v(x) ox I - I ox rho_u(x)^T.  That is a homomorphism
+    whenever rho_u and rho_v are: with A = rho_v(x) ox I and B = I ox
+    rho_u(x)^T for x and A', B' for y, A commutes with B' and A' with B,
+    so the commutator of the two action matrices is [A, A'] + [B, B'],
+    which is rho_v([x, y]) ox I - I ox rho_u([x, y])^T.  Hom of two
+    modules is a module by construction, and is built unchecked.
     """
     if u.algebra != g or v.algebra != g:
         raise ModuleAxiomError("both modules must be over the given algebra")
@@ -193,19 +188,10 @@ def hom_module_action(g: LeibnizAlgebra, u: LeftModule, v: LeftModule) -> LeftMo
         kron(av, iu) - kron(iv, au.transpose())
         for au, av in zip(u.action, v.action)
     ]
-    return LeftModule(g, u.dim * v.dim, mats)
+    return LeftModule(g, u.dim * v.dim, mats, check=False)
 
 
-def intertwiner_dim(g: LeibnizAlgebra, u: LeftModule, v: LeftModule) -> int:
-    """Dimension of the space of module maps U -> V (the invariants of
-    the Hom module)."""
-    hom = hom_module_action(g, u, v)
-    if hom.dim == 0:
-        return 0
-    return intersect_kernels(list(hom.action)).dim
-
-
-class OneDimBimodule:
+class OneDimBimodule(_Frozen):
     """Descriptor of a simple one-dimensional bimodule over the
     one-dimensional algebra: trivial, symmetric (L, -L) or antisymmetric
     (L, 0), with the left eigenvalue ``lam``."""
@@ -222,9 +208,6 @@ class OneDimBimodule:
             raise InputError(f"a {kind} one-dimensional bimodule needs a nonzero eigenvalue")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lam", lam)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneDimBimodule is immutable")
 
     def __eq__(self, other):
         return (

@@ -98,6 +98,7 @@ from .errors import ComplexError, DimensionError, InputError, StabilityError
 from .linear import (
     Mat,
     SubspaceBasis,
+    _Frozen,
     _column_basis,
     _kernel_and_pivots,
     _sum,
@@ -117,7 +118,7 @@ from .bimodule import Bimodule, right_invariants
 COCHAIN_BUDGET = 50_000
 
 
-class CochainComplex:
+class CochainComplex(_Frozen):
     """A finite run of a cochain complex: spaces and differentials.
 
     ``dims[q]`` is the dimension of the degree-q space and
@@ -142,11 +143,8 @@ class CochainComplex:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", differentials)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CochainComplex is immutable")
 
-
-class DegreeGroup:
+class DegreeGroup(_Frozen):
     """Cohomology in one degree: dimension plus witness bases."""
 
     __slots__ = ("dim", "cocycles", "coboundaries")
@@ -156,20 +154,14 @@ class DegreeGroup:
         object.__setattr__(self, "cocycles", cocycles)
         object.__setattr__(self, "coboundaries", coboundaries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DegreeGroup is immutable")
 
-
-class CohomologyResult:
+class CohomologyResult(_Frozen):
     """Per-degree cohomology of a complex, degrees 0..qmax."""
 
     __slots__ = ("groups",)
 
     def __init__(self, groups: Sequence[DegreeGroup]):
         object.__setattr__(self, "groups", tuple(groups))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyResult is immutable")
 
     @property
     def dims(self) -> list:
@@ -598,13 +590,6 @@ def ce_cohomology(g: LieAlgebra, m: LeftModule, pmax: int) -> CohomologyResult:
     return cohomology_of_complex(ce_complex(g, m, pmax))
 
 
-def invariants_dim(g: LieAlgebra, m: LeftModule) -> int:
-    """Dimension of the g-invariant subspace of m."""
-    if m.dim == 0:
-        return 0
-    return intersect_kernels(m.action).dim
-
-
 @lru_cache(maxsize=None)
 def _killing_form_nondegenerate(g: LieAlgebra) -> bool:
     """Whether the Killing form tr(ad_i ad_j) of g is nondegenerate,
@@ -636,9 +621,8 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    base = _trivial_ce_dims(g, pmax)
-    inv = invariants_dim(g, m)
-    return [b * inv for b in base]
+    inv = intersect_kernels(m.action).dim if m.dim else 0  # dim M^g
+    return [b * inv for b in _trivial_ce_dims(g, pmax)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from .errors import (
     StabilityError,
     UnsupportedDegreeError,
 )
-from .linear import Mat, SubspaceBasis, image_basis, kernel_basis, restrict_and_project, solve
+from .linear import (Mat, SubspaceBasis, _Frozen, image_basis, kernel_basis,
+                     restrict_and_project, solve)
 from .algebra import LeftModule, LeibnizAlgebra, _is_int, quotient_data
 from .bimodule import (
     Bimodule,
@@ -43,7 +44,7 @@ from .cohomology import (_check_budget, _check_degrees, ce_cohomology, ce_dims_v
 from .repsl2 import SL2Module, WeightMultiset, decompose, hemi_sl2, sl2, simple_module
 
 
-class E2Page:
+class E2Page(_Frozen):
     """Second page of a cohomological spectral sequence, as a grid of
     dimensions only: dims[p][q] for 0 <= p <= pmax, 0 <= q <= qmax."""
 
@@ -61,9 +62,6 @@ class E2Page:
         object.__setattr__(self, "qmax", qmax)
         object.__setattr__(self, "dims", grid)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("E2Page is immutable")
-
     def entry(self, p: int, q: int) -> int:
         """dims[p][q], with positions outside the grid counting as 0."""
         if 0 <= p <= self.pmax and 0 <= q <= self.qmax:
@@ -71,7 +69,7 @@ class E2Page:
         return 0
 
 
-class CollapseCertificate:
+class CollapseCertificate(_Frozen):
     """Outcome of the zero-pattern collapse check.
 
     Certified (witness None) when no differential d_r (r >= 2) can be
@@ -84,15 +82,12 @@ class CollapseCertificate:
     def __init__(self, witness: tuple | None = None):
         object.__setattr__(self, "witness", witness)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CollapseCertificate is immutable")
-
     @property
     def certified(self) -> bool:
         return self.witness is None
 
 
-class ExtResult:
+class ExtResult(_Frozen):
     """Degreewise Ext dimensions together with the collapse certificate
     and the E2 page they were assembled from."""
 
@@ -103,16 +98,13 @@ class ExtResult:
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "page", page)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtResult is immutable")
-
 
 # ---------------------------------------------------------------------------
 # Simple-bimodule descriptors.
 # ---------------------------------------------------------------------------
 
 
-class SimpleDescriptor:
+class SimpleDescriptor(_Frozen):
     """A simple bimodule over a hemi-semidirect product, by kind and
     highest weight.  Weight 0 collapses to the trivial kind (V_0 with
     either symmetrization is the trivial bimodule)."""
@@ -132,9 +124,6 @@ class SimpleDescriptor:
             raise InputError("trivial kind carries weight 0")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weight", weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleDescriptor is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, SimpleDescriptor)

@@ -98,6 +98,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class _Frozen:
+    """Base of the package's value classes.  Their constructors set the
+    slots through ``object.__setattr__``; assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _check_shape(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
@@ -130,7 +140,7 @@ def _axpy(acc: dict, x, row: Mapping) -> None:
                 del acc[j]
 
 
-class Mat:
+class Mat(_Frozen):
     """An immutable ``rows x cols`` matrix of exact rationals."""
 
     __slots__ = ("rows", "cols", "_rows")
@@ -143,9 +153,6 @@ class Mat:
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_rows", tuple({j: x for j, x in enumerate(r) if x} for r in grid))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -506,15 +513,6 @@ def rank(m: Mat) -> int:
     return len(_forward_eliminate(_int_rows(m)[0], m.cols)[0])
 
 
-def nullity(m: Mat) -> int:
-    return m.cols - rank(m)
-
-
-def cokernel_dim(m: Mat) -> int:
-    """Dimension of the cokernel (target dimension minus rank)."""
-    return m.rows - rank(m)
-
-
 def kernel_basis(m: Mat) -> "SubspaceBasis":
     """Deterministic basis of the null space of ``m``.
 
@@ -585,7 +583,7 @@ def _basis(cols: Mat) -> "SubspaceBasis":
     return b
 
 
-class SubspaceBasis:
+class SubspaceBasis(_Frozen):
     """An ordered, linearly independent list of vectors in K^ambient.
 
     The basis is stored once, as the sparse ``ambient_dim x dim`` matrix
@@ -601,9 +599,6 @@ class SubspaceBasis:
         if m.cols and rank(m) != m.cols:
             raise ValueError("vectors are linearly dependent")
         _set(self, "_matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceBasis is immutable")
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":

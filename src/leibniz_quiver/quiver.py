@@ -16,7 +16,7 @@ import json
 from typing import Sequence
 
 from .errors import InputError, VerificationError
-from .linear import as_scalar, parse_rational
+from .linear import _Frozen, as_scalar, parse_rational
 from .algebra import _is_int
 from .bimodule import KIND_ANTISYMMETRIC, KIND_SYMMETRIC, KIND_TRIVIAL, OneDimBimodule
 from .ext import (EXT1_SOURCE_KINDS, EXT1_TARGET_KINDS, SimpleDescriptor, ext1_hemi_closed,
@@ -24,7 +24,7 @@ from .ext import (EXT1_SOURCE_KINDS, EXT1_TARGET_KINDS, SimpleDescriptor, ext1_h
 from .cohomology import _check_budget
 
 
-class Quiver:
+class Quiver(_Frozen):
     """A finite directed multigraph with multiplicity-weighted edges.
 
     Edges are stored as (source index, target index, multiplicity >= 1),
@@ -46,9 +46,6 @@ class Quiver:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges",
                            tuple((s, d, merged[(s, d)]) for s, d in sorted(merged)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.vertices == other.vertices

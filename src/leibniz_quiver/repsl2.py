@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import Mat, SubspaceBasis, kernel_basis, kron, rank, restrict_and_project
+from .linear import Mat, SubspaceBasis, _Frozen, kernel_basis, kron, rank, restrict_and_project
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
 from .cohomology import _check_budget
 
@@ -42,7 +42,7 @@ def sl2() -> LieAlgebra:
     return LieAlgebra(3, c, labels=("e", "h", "f"))
 
 
-class SL2Module:
+class SL2Module(_Frozen):
     """A finite-dimensional sl2-module (a LeftModule over sl2)."""
 
     __slots__ = ("underlying",)
@@ -51,9 +51,6 @@ class SL2Module:
         if underlying.algebra != sl2():
             raise ValueError("SL2Module requires a module over sl2")
         object.__setattr__(self, "underlying", underlying)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2Module is immutable")
 
     @property
     def dim(self) -> int:
@@ -128,7 +125,7 @@ def direct_sum(*mods: SL2Module) -> SL2Module:
     return SL2Module(LeftModule(sl2(), total, mats))
 
 
-class WeightMultiset:
+class WeightMultiset(_Frozen):
     """Multiset of highest weights, i.e. a finite multiset of simples."""
 
     __slots__ = ("mults",)
@@ -142,9 +139,6 @@ class WeightMultiset:
             if k:
                 clean[int(w)] = int(k)
         object.__setattr__(self, "mults", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightMultiset is immutable")
 
     def __eq__(self, other):
         return isinstance(other, WeightMultiset) and self.mults == other.mults
@@ -162,18 +156,12 @@ class WeightMultiset:
     def module_dim(self) -> int:
         return sum((w + 1) * k for w, k in self.mults.items())
 
-    def __add__(self, other: "WeightMultiset") -> "WeightMultiset":
-        out = dict(self.mults)
-        for w, k in other.mults.items():
-            out[w] = out.get(w, 0) + k
-        return WeightMultiset(out)
-
 
 def decompose(v: SL2Module) -> WeightMultiset:
     """Decompose into simples by the highest-weight rule.
 
     The highest-weight vectors span ker e, which h preserves; with s =
-    dim ker e summands, the multiplicity of V_m is the nullity of the
+    dim ker e summands, the multiplicity of V_m is dim ker of the
     s x s matrix of h - m on ker e.  Raises NonIntegralWeightError when
     those eigenvalues are not integers 0..dim-1 or the weights do not
     account for the module, and StabilityError when h does not preserve

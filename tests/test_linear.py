@@ -12,12 +12,10 @@ from leibniz_quiver.errors import StabilityError
 from leibniz_quiver.linear import (
     Mat,
     SubspaceBasis,
-    cokernel_dim,
     image_basis,
     intersect_kernels,
     kernel_basis,
     kron,
-    nullity,
     pivot_extension,
     rank,
     restrict_and_project,
@@ -103,8 +101,6 @@ def test_rank_frozen_examples():
     # 3x4 with one dependent row
     m = mat([[1, 0, 2, 1], [0, 1, 1, 1], [1, 1, 3, 2]])
     assert rank(m) == 2
-    assert nullity(m) == 2
-    assert cokernel_dim(m) == 1
 
 
 def test_kernel_basis_spans_null_space():
@@ -296,12 +292,6 @@ def matrices(max_dim=4):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_rank_plus_nullity_is_cols(m):
-    assert rank(m) + nullity(m) == m.cols
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices())
 def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(m.transpose())
 
@@ -310,7 +300,7 @@ def test_rank_equals_transpose_rank(m):
 @given(matrices())
 def test_kernel_vectors_annihilated(m):
     k = kernel_basis(m)
-    assert k.dim == nullity(m)
+    assert k.dim == m.cols - rank(m)
     for v in k.vectors:
         assert all(x == 0 for x in m.apply(v))
 
