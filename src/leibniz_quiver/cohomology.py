@@ -184,7 +184,11 @@ def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
     which holds because im d_(q-1) lies in ker d_q: the complex verified
     d_q . d_(q-1) = 0 exactly when it was built.  The bound is reached
     exactly when the degree-q group is zero; otherwise every row is
-    read.  The containment of the coboundaries in the cocycles is
+    read.  Below dim C^q the bound also lets the elimination defer the
+    rows that a null-vector probe finds spanned already (see the
+    ``linear`` docstring): where the bound is met, as for d_3 and d_4
+    of the sheared V_1^a over V_1 x_hs sl2, those rows are never
+    reduced.  The containment of the coboundaries in the cocycles is
     checked in every degree.
     """
     groups = []
@@ -621,7 +625,8 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    inv = intersect_kernels(m.action).dim if m.dim else 0  # dim M^g
+    # dim M^g; the zero algebra, with no action to intersect, fixes all of M
+    inv = intersect_kernels(m.action).dim if m.dim and g.dim else m.dim
     return [b * inv for b in _trivial_ce_dims(g, pmax)]
 
 

@@ -19,6 +19,7 @@ independent of the linear-algebra stack so they can serve as oracles.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -167,9 +168,11 @@ class SimpleDescriptor(_Frozen):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     """h as a module over its Lie quotient, acting by left brackets
-    (well defined because left multiplication kills the Leibniz kernel)."""
+    (well defined because left multiplication kills the Leibniz kernel),
+    built and axiom-checked once per algebra."""
     data = quotient_data(h)
     return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement])
 

@@ -40,17 +40,32 @@ matrices of ``restrict_and_project``: they are read off one solve on
 the adapted basis ``[Q | S_comp] = S [S^-1 Q | e_comp]``, which fixes
 them as the matrices in the complement basis ``[S^-1 Q | e_comp]``.
 
-Two savings rest on that argument, and neither can change an output.
+Three savings rest on that argument, and none can change an output.
 The rows are reduced sparsest first, by a stable sort on their nonzero
 counts (Markowitz's rule): a short row costs little to reduce and, once
 it is an echelon row, brings little fill into the rows reduced against
-it.  And the elimination stops as soon as its echelon has ``limit``
-rows, for any ``limit`` at least the rank: an echelon that large has as
-many independent rows as the row space has dimensions, so it spans the
-row space, every row not yet read is a combination of it, and the
+it.  The elimination stops as soon as its echelon has ``limit`` rows,
+for any ``limit`` at least the rank: an echelon that large has as many
+independent rows as the row space has dimensions, so it spans the row
+space, every row not yet read is a combination of it, and the
 leading-column set is complete.  The default limit is the column
 count; ``cohomology_of_complex`` passes the bound that the verified
-``d.d = 0`` of its complex gives.
+``d.d = 0`` of its complex gives.  And below the column count, where a
+limit can be met with rows still unread, the elimination defers the
+rows that would most likely cancel.  It keeps a probe, an integer
+vector that its echelon annihilated when the probe was drawn, and sets
+aside every row ``a`` with ``a . probe = 0`` (a null-vector test in the
+sense of Schwartz, J. ACM 27, 1980) instead of reducing it.  The
+deferred rows are reduced after the scan, unless the echelon has met
+the limit by then, in which case the limit certifies that they are
+spanned.  So the echelon always spans every row: a row with ``a . probe
+!= 0`` lies outside the span the probe was drawn for, a row is left
+unread only once the limit certifies the span, and a probe that is
+unlucky, orthogonal to a row that is not spanned, costs time and never
+an output.  A probe is one back-substitution with fixed pseudo-random
+values on the free columns, drawn only once the rows that cancelled
+since the last draw have read more echelon entries than it costs: the
+column count plus the echelon's nonzeros.
 
 Zero-row and zero-column matrices are first class throughout: a 0 x n
 matrix is the unique linear map onto the zero space and an n x 0 matrix
@@ -433,41 +448,75 @@ def _forward_eliminate(rows: list, ncols: int, limit: int | None = None) -> tupl
     pivots)`` with ``echelon`` the map from pivot column to its echelon
     row and ``pivots`` its sorted keys.  The elimination stops once the
     echelon has ``limit`` rows (default ``ncols``), which must be at
-    least the rank of the rows."""
+    least the rank of the rows.
+
+    A ``limit`` below ``ncols`` also defers, as the module docstring
+    argues, every row that a probe from ``_null_vector`` finds spanned;
+    those rows are reduced after the scan unless the limit is met first.
+    """
     if limit is None:
         limit = ncols
     rows.sort(key=len)
     echelon = {}
-    for row in rows:
-        if len(echelon) == limit:
-            break
-        while row:
-            c = min(row)
-            prow = echelon.get(c)
-            if prow is None:
-                _reduce_row(row)
-                echelon[c] = row
+    deferred = []
+    probe = None
+    scanning = limit < ncols
+    wasted = nnz = 0  # entries read by cancelled rows; echelon nonzeros
+    for pending in (rows, deferred):
+        for row in pending:
+            if len(echelon) == limit:
                 break
-            p, q = prow[c], row[c]
-            g = gcd(p, q)
-            p //= g
-            q //= g
-            if p != 1:
-                row = {j: p * v for j, v in row.items()}
-            for j, v in prow.items():
-                t = row.get(j)
-                if t is None:
-                    row[j] = -q * v
-                else:
-                    t -= q * v
-                    if t:
-                        row[j] = t
+            if probe is not None and not sum(v * probe.get(j, 0) for j, v in row.items()):
+                deferred.append(row)
+                continue
+            read = 0
+            while row:
+                c = min(row)
+                prow = echelon.get(c)
+                if prow is None:
+                    _reduce_row(row)
+                    echelon[c] = row
+                    nnz += len(row)
+                    break
+                read += len(prow)
+                p, q = prow[c], row[c]
+                g = gcd(p, q)
+                p //= g
+                q //= g
+                if p != 1:
+                    row = {j: p * v for j, v in row.items()}
+                for j, v in prow.items():
+                    t = row.get(j)
+                    if t is None:
+                        row[j] = -q * v
                     else:
-                        del row[j]
-            if row and (max(row.values()) > _REDUCE_BOUND
-                        or min(row.values()) < -_REDUCE_BOUND):
-                _reduce_row(row)
+                        t -= q * v
+                        if t:
+                            row[j] = t
+                        else:
+                            del row[j]
+                if row and (max(row.values()) > _REDUCE_BOUND
+                            or min(row.values()) < -_REDUCE_BOUND):
+                    _reduce_row(row)
+            else:  # the row cancelled: its reading was wasted
+                wasted += read
+                if scanning and wasted > ncols + nnz:
+                    probe = _null_vector(echelon, ncols)
+                    wasted = 0
+        probe = None
+        scanning = False
     return echelon, sorted(echelon)
+
+
+def _null_vector(echelon: dict, ncols: int) -> dict:
+    """An integer vector that every echelon row annihilates: fixed
+    pseudo-random values on the free columns, the outputs of the Lehmer
+    generator 16807^(c+1) mod 2^31 - 1, and the pivot columns solved by
+    back-substitution, all times the solution's common denominator."""
+    free = {c: {0: pow(16807, c + 1, 2147483647)} for c in range(ncols) if c not in echelon}
+    x = _integer_back_substitute(echelon, sorted(echelon), free)
+    den = lcm(*[d for _, d in x.values()])
+    return {c: num[0] * (den // d) for c, (num, d) in x.items()}
 
 
 def _back_substitute(echelon: dict, pivots: list, fixed: dict) -> dict:
@@ -478,9 +527,17 @@ def _back_substitute(echelon: dict, pivots: list, fixed: dict) -> dict:
     sparse ``{k: value}`` over the right-hand sides k; an absent column
     is 0 in every right-hand side.  Returns the values of the pivot
     columns that make each echelon row vanish, as sparse ``{k:
-    Fraction}`` without zeros.  The work stays in integers: each solved
-    column is kept as numerators over one common denominator.
+    Fraction}`` without zeros.
     """
+    x = _integer_back_substitute(echelon, pivots, fixed)
+    return {pc: {k: Fraction(v, x[pc][1]) for k, v in x[pc][0].items()}
+            for pc in pivots if pc in x}
+
+
+def _integer_back_substitute(echelon: dict, pivots: list, fixed: dict) -> dict:
+    """``_back_substitute`` in integers: every column of ``fixed`` and
+    every pivot column with a nonzero value maps to its numerators over
+    one common denominator, ``({k: numerator}, denominator)``."""
     x = {j: (values, 1) for j, values in fixed.items()}
     for pc in reversed(pivots):
         terms = [(a, x[j]) for j, a in echelon[pc].items() if j in x]
@@ -500,8 +557,7 @@ def _back_substitute(echelon: dict, pivots: list, fixed: dict) -> dict:
             if den < 0:
                 g = -g
             x[pc] = ({k: v // g for k, v in acc.items()}, den // g)
-    return {pc: {k: Fraction(v, x[pc][1]) for k, v in x[pc][0].items()}
-            for pc in pivots if pc in x}
+    return x
 
 
 def rank(m: Mat) -> int:

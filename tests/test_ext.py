@@ -7,6 +7,8 @@ import pytest
 
 from leibniz_quiver import cohomology, ext, repsl2
 from leibniz_quiver.algebra import (
+    LeftModule,
+    LeibnizAlgebra,
     LieAlgebra,
     hemi_semidirect,
     lift_module,
@@ -45,6 +47,7 @@ from leibniz_quiver.ext import (
     nhat,
 )
 from leibniz_quiver.linear import rank
+from leibniz_quiver.quiver import quiver_hemi
 from leibniz_quiver.repsl2 import (
     SL2Module,
     clebsch_gordan,
@@ -294,6 +297,24 @@ def test_ext1_closed_equals_nhat_oracle_window():
                 assert ext1_hemi_closed(n, p, m) == oracle.multiplicity(p)
 
 
+def test_nhat_builds_h_as_a_lie_module_once_per_algebra(monkeypatch):
+    # quiver_hemi(3, 12, verify=True) computes N-hat for 13 target
+    # weights; every Hom(h, N) is taken from one module h.
+    seen = []
+    real = ext.hom_module_action
+
+    def recording(lie, hmod, n):
+        seen.append(hmod)
+        return real(lie, hmod, n)
+
+    monkeypatch.setattr(ext, "hom_module_action", recording)
+    ext.h_as_lie_module.cache_clear()
+    quiver_hemi(3, 12, verify=True)
+    assert len(seen) == 13
+    assert all(m is seen[0] for m in seen)
+    assert ext.h_as_lie_module.cache_info().misses == 1
+
+
 def test_nhat_is_the_degree_one_base_change_cokernel():
     # Two constructions of Coker(f: V_m -> Hom(h, V_m)): nhat builds f
     # from the action, ext_base_sym from the degree-0 cocycles of V_m^a.
@@ -452,6 +473,21 @@ def test_weyl_fast_flag_gives_same_pages(skind, sw, dkind, dw):
     slow, quick = (ext_dims(h, src, x, 3, fast=fast) for fast in (False, True))
     assert slow.page.dims == quick.page.dims
     assert slow.dims == quick.dims
+
+
+def test_fast_route_over_the_zero_algebra_takes_all_of_m_as_invariants():
+    # Over the zero Lie algebra every vector is invariant, so the
+    # shortcut answers H^*(0, K) ox M = [dim M, 0, ...], as the full
+    # complex does; the Killing form of the zero algebra is (vacuously)
+    # nondegenerate.
+    h = LeibnizAlgebra(0, [])
+    k = trivial_bimodule(h)
+    slow = ext_dims(h, SimpleDescriptor("trivial"), k, 2, fast=False).dims
+    assert ext_dims(h, SimpleDescriptor("trivial"), k, 2, fast=True).dims == slow == (1, 0, 0)
+    g = LieAlgebra(0, [])
+    for dim in (0, 2):
+        m = LeftModule(g, dim, [])
+        assert ce_dims_via_invariants(g, m, 1) == ce_cohomology(g, m, 1).dims == [dim, 0]
 
 
 def test_invariants_shortcut_refuses_a_lie_algebra_that_is_not_semisimple():

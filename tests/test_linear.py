@@ -516,6 +516,52 @@ def test_outputs_do_not_depend_on_row_order(m, data):
     assert comp == [c - m.cols for c in piv if c >= m.cols]
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """B C for integer B of shape rows x r and C of shape r x cols, with
+    r < cols and about three times as many rows as columns, so that most
+    rows cancel and a bounded elimination draws probes."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.integers(r + 1, 7))
+    b = draw(st.lists(st.lists(small_entries, min_size=r, max_size=r),
+                      min_size=2 * cols, max_size=4 * cols))
+    c = draw(st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
+                      min_size=r, max_size=r))
+    return mat(b) * mat(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_rank_matrices())
+def test_bounded_elimination_matches_the_unbounded_one(m):
+    # A limit below the column count defers the rows a probe says are
+    # spanned; at the rank or above it, nothing may change.
+    _, pivots = _rref(m.row_lists(), m.cols)
+    for limit in range(len(pivots), m.cols):
+        assert linear._kernel_and_pivots(m, limit) == (kernel_basis(m), pivots)
+
+
+def test_a_deferred_independent_row_is_still_reduced(monkeypatch):
+    # The copies of e_0 after the first cancel, reading one echelon entry
+    # each; the sixth makes 6 > 4 columns + 1 echelon nonzero, so a probe
+    # is drawn for the echelon {e_0}.  Row a is independent of e_0 but
+    # orthogonal to that probe, so the scan defers it and ends with one
+    # echelon row, below the limit 3: a must be reduced after the scan.
+    probe = linear._null_vector({0: {0: 1}}, 4)
+    a = {1: probe[2], 2: -probe[1]}
+    assert probe[1] and probe[2] and not sum(v * probe.get(j, 0) for j, v in a.items())
+    m = Mat.from_sparse(8, 4, [{0: 1}] * 7 + [a])
+    drawn = []
+    real = linear._null_vector
+
+    def recording(echelon, ncols):
+        drawn.append({c: dict(row) for c, row in echelon.items()})
+        return real(echelon, ncols)
+
+    monkeypatch.setattr(linear, "_null_vector", recording)
+    assert linear._kernel_and_pivots(m, 3) == (kernel_basis(m), [0, 1])
+    assert drawn == [{0: {0: 1}}]
+
+
 def test_restrict_and_project_matches_reference_complement():
     # The complement is the one a textbook rref of [S^-1 Q | I] picks,
     # and G is the induced map on the classes of B = S e_comp.  A random
