@@ -100,7 +100,10 @@ from .linear import (
     SubspaceBasis,
     _Frozen,
     _column_basis,
+    _common_int_rows,
+    _int_product,
     _kernel_and_pivots,
+    _kernel_spans,
     _sum,
     _wrap,
     intersect_kernels,
@@ -124,6 +127,16 @@ class CochainComplex(_Frozen):
     ``dims[q]`` is the dimension of the degree-q space and
     ``differentials[q]`` maps degree q to degree q+1; shapes must chain
     and all compositions must vanish (ComplexError otherwise).
+
+    The compositions are checked in integers.  Each differential is
+    converted once, to its rows times one common denominator, the lcm
+    of all its denominators, and serves as the left factor of one
+    product and the right factor of the next.  The rows of a right
+    factor are added together, so they need the common denominator: one
+    scale per row would change the matrix ([1/2; -1/3] times [1 1] is
+    1/6, but the rows scaled to [1; -1] give 0).  A factor scaled by a
+    nonzero constant scales the product, so each product is zero exactly
+    when its integer version is.
     """
 
     __slots__ = ("dims", "differentials")
@@ -137,9 +150,13 @@ class CochainComplex(_Frozen):
             if d.cols != dims[q] or d.rows != dims[q + 1]:
                 raise ComplexError(f"differential {q} has shape {d.rows}x{d.cols}, "
                                    f"expected {dims[q + 1]}x{dims[q]}")
-        for q in range(len(differentials) - 1):
-            if not (differentials[q + 1] * differentials[q]).is_zero():
-                raise ComplexError(f"d({q + 1}) . d({q}) is nonzero")
+        if len(differentials) > 1:
+            right = _common_int_rows(differentials[0])[0]
+            for q, d in enumerate(differentials[1:]):
+                left = _common_int_rows(d)[0]
+                if any(any(row.values()) for row in _int_product(left, right)):
+                    raise ComplexError(f"d({q + 1}) . d({q}) is nonzero")
+                right = left
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", differentials)
 
@@ -188,15 +205,23 @@ def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
     rows that a null-vector probe finds spanned already (see the
     ``linear`` docstring): where the bound is met, as for d_3 and d_4
     of the sheared V_1^a over V_1 x_hs sl2, those rows are never
-    reduced.  The containment of the coboundaries in the cocycles is
-    checked in every degree.
+    reduced.
+
+    Every degree checks that its coboundaries B lie in its cocycles Z,
+    without a second elimination.  Z is the kernel basis of
+    ``_kernel_and_pivots``, the identity at the free columns of d_q, so
+    the coordinates of B in Z can only be B's own rows there, and B lies
+    in the span of Z exactly when Z B[free] = B: one integer product
+    (``_kernel_spans``).  A pass is a proof, since the product writes
+    each coboundary as a combination of the cocycles returned; a wrong
+    cocycle basis can only fail it.
     """
     groups = []
     coboundaries = SubspaceBasis.empty(cx.dims[0])
     last = len(cx.differentials) - 1
     for q, d in enumerate(cx.differentials):
         cocycles, pivots = _kernel_and_pivots(d, cx.dims[q] - coboundaries.dim)
-        if not cocycles.contains_all(coboundaries):
+        if not _kernel_spans(cocycles, pivots, coboundaries):
             raise ComplexError(f"coboundaries escape cocycles in degree {q}")
         groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
         if q < last:

@@ -347,16 +347,9 @@ class Mat(_Frozen):
         # Integer accumulation: row i of self is a_i / da_i and other is
         # b / db, so row i of the product is (a_i * b) / (da_i * db).
         arows, adens = _int_rows(self)
-        brows, bdens = _int_rows(other)
-        db = lcm(*bdens)
-        brows = [{j: v * (db // d) for j, v in r.items()} if d != db else r
-                 for r, d in zip(brows, bdens)]
+        brows, db = _common_int_rows(other)
         out = []
-        for arow, da in zip(arows, adens):
-            acc = {}
-            for k, a in arow.items():
-                for j, v in brows[k].items():
-                    acc[j] = acc.get(j, 0) + a * v
+        for acc, da in zip(_int_product(arows, brows), adens):
             den = da * db
             out.append({j: Fraction(v, den) for j, v in acc.items() if v})
         return _wrap(self.rows, other.cols, out)
@@ -433,6 +426,29 @@ def _int_rows(m: Mat) -> tuple:
             out.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
         dens.append(den)
     return out, dens
+
+
+def _common_int_rows(m: Mat) -> tuple:
+    """Fresh ``{column: int}`` rows, every row of ``m`` times one common
+    denominator, the lcm of all its denominators, and that lcm.  Unlike
+    ``_int_rows`` it scales all rows alike, so the rows can be combined
+    with each other, as those of a right factor of a product are."""
+    rows, dens = _int_rows(m)
+    den = lcm(*dens)
+    return [{j: v * (den // d) for j, v in r.items()} if d != den else r
+            for r, d in zip(rows, dens)], den
+
+
+def _int_product(arows: Sequence[Mapping], brows: Sequence[Mapping]):
+    """The rows of the product of two integer matrices given by their
+    sparse rows, one fresh ``{column: int}`` at a time; an entry that
+    cancels stays in its row as a stored 0."""
+    for arow in arows:
+        acc = {}
+        for k, a in arow.items():
+            for j, v in brows[k].items():
+                acc[j] = acc.get(j, 0) + a * v
+        yield acc
 
 
 def _reduce_row(row: dict) -> None:
@@ -594,6 +610,33 @@ def _kernel_and_pivots(m: Mat, limit: int) -> tuple:
     return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n)))), pivots
 
 
+def _kernel_spans(kernel: "SubspaceBasis", pivots: Sequence[int], sub: "SubspaceBasis") -> bool:
+    """Whether every vector of ``sub`` lies in the span of ``kernel``,
+    for ``(kernel, pivots)`` as ``_kernel_and_pivots`` returns them.
+
+    That basis Z is the identity at the free columns, those that are not
+    pivots, so the coordinates of a vector v in Z can only be v's own
+    entries there, and v lies in the span exactly when Z v[free] = v.
+    The test is that one product, in integers, with no elimination.  It
+    reads the Z it is given, so True proves the containment whatever Z
+    is, and a Z of any other form can only fail it.
+    """
+    z, v = kernel.matrix(), sub.matrix()
+    pivots = set(pivots)
+    free = [c for c in range(z.rows) if c not in pivots]
+    if z.cols != len(free) or v.rows != z.rows:
+        return False
+    vrows, _ = _common_int_rows(v)
+    zrows, zdens = _int_rows(z)
+    # Row i reads Z_i / dz_i . v[free] = v_i, both sides times dz_i and
+    # the common denominator of v.
+    for acc, dz, vrow in zip(_int_product(zrows, [vrows[c] for c in free]), zdens, vrows):
+        if {j: x for j, x in acc.items() if x} != (
+                vrow if dz == 1 else {j: dz * x for j, x in vrow.items()}):
+            return False
+    return True
+
+
 def solve(a: Mat, b: Mat) -> Mat | None:
     """Exact solution X of ``a * X = b`` with free variables set to zero.
 
@@ -704,15 +747,6 @@ class SubspaceBasis(_Frozen):
 
     def contains(self, vector: Sequence) -> bool:
         return self.coords(vector) is not None
-
-    def contains_all(self, other: "SubspaceBasis") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            return False
-        if not other.dim:
-            return True
-        if not self.dim:
-            return other._matrix.is_zero()
-        return solve(self._matrix, other._matrix) is not None
 
 
 def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:

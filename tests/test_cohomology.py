@@ -88,6 +88,42 @@ def test_cohomology_of_complex_known_value():
     assert res[1].coboundaries.dim == 1
 
 
+def test_cochain_complex_checks_compositions_over_a_common_denominator():
+    # [1 1] . [1/2; -1/3] = 1/6.  Scaled one row at a time, the right
+    # factor would read [1; -1] and the product 0.
+    b = Mat.from_rows([[Fraction(1, 2)], [Fraction(-1, 3)]])
+    with pytest.raises(ComplexError, match=r"^d\(1\) \. d\(0\) is nonzero$"):
+        CochainComplex([1, 2, 1], [b, Mat.from_rows([[1, 1]])])
+    good = CochainComplex([1, 2, 1], [b, Mat.from_rows([[2, 3]])])
+    assert cohomology_of_complex(good).dims == [0, 0]
+
+
+@pytest.mark.parametrize("drop", [True, False], ids=["dropped", "moved"])
+def test_a_cocycle_basis_missing_a_coboundary_is_refused(monkeypatch, drop):
+    # K --[1; 1]--> K^2 --[1 -1]--> K: the coboundary (1, 1) spans the
+    # cocycles, whose basis from the elimination is (1, 1) itself.
+    cx = CochainComplex([1, 2, 1], [Mat.from_rows([[1], [1]]), Mat.from_rows([[1, -1]])])
+    assert cohomology_of_complex(cx).dims == [0, 0]
+    real = cohomology._kernel_and_pivots
+
+    def wrong(m, limit):
+        """In degree 1, the cocycle basis with its vector dropped, or
+        moved off the coboundary by a unit at a pivot row."""
+        z, pivots = real(m, limit)
+        if m.cols != 2:
+            return z, pivots
+        cols = [list(v) for v in z.vectors]
+        if drop:
+            cols = cols[1:]
+        else:
+            cols[0][pivots[0]] += 1
+        return linear._basis(Mat.from_cols(cols, rows=m.cols)), pivots
+
+    monkeypatch.setattr(cohomology, "_kernel_and_pivots", wrong)
+    with pytest.raises(ComplexError, match="^coboundaries escape cocycles in degree 1$"):
+        cohomology_of_complex(cx)
+
+
 class _CountedRows(list):
     """A row list that counts the rows an elimination reads from it."""
 
@@ -154,11 +190,10 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
     monkeypatch.undo()
     diffs = leibniz_complex(h, bm, 3).differentials
     assert res.dims == [2, 1, 0, 0]
-    # One elimination per differential, then one solve per containment
-    # check that has vectors on both sides.
-    checks = sum(1 for g in res.groups if g.cocycles.dim and g.coboundaries.dim)
-    assert len(calls) == len(diffs) + checks
-    bounded = [(shape, read) for shape, limit, read in calls if limit is not None]
+    # One elimination per differential and none else: the containment
+    # checks are products, not solves.
+    assert all(limit is not None for _, limit, _ in calls)
+    bounded = [(shape, read) for shape, limit, read in calls]
     assert [shape for shape, _ in bounded] == [(d.rows, d.cols) for d in diffs]
     for q, (d, (_, read)) in enumerate(zip(diffs, bounded)):
         if res.dims[q]:
@@ -197,15 +232,12 @@ def test_one_bounded_elimination_per_block_differential(monkeypatch):
     assert block.dims == (0, 2, 8, 36, 160)
     diffs = block.differentials
     # One elimination per block differential, one for HL^0 = ker d_0 on
-    # all of M, then one solve per containment check of the block run
-    # that has vectors on both sides.
-    checks = sum(1 for g in res.groups[1:] if g.cocycles.dim and g.coboundaries.dim)
-    assert len(calls) == len(diffs) + 1 + checks
-    bounded = [(shape, limit, read) for shape, limit, read in calls if limit is not None]
-    assert [shape for shape, _, _ in bounded] == (
+    # all of M, and none else: the containment checks are products.
+    assert all(limit is not None for _, limit, _ in calls)
+    assert [shape for shape, _, _ in calls] == (
         [(d.rows, d.cols) for d in diffs] + [(full[0].rows, full[0].cols)])
-    assert bounded[1][2] == diffs[1].rows  # H^1(C_0) != 0: every row is read
-    assert bounded[3][2] < diffs[3].rows  # H^3(C_0) = 0: the bound is the rank
+    assert calls[1][2] == diffs[1].rows  # H^1(C_0) != 0: every row is read
+    assert calls[3][2] < diffs[3].rows  # H^3(C_0) = 0: the bound is the rank
     assert res[0].cocycles == kernel_basis(full[0])
     # Above degree 0 the bases live in C_0^q, as the block run gives them:
     # cocycles in ker d_q of the block, coboundaries spanning im d_(q-1).

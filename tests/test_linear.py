@@ -153,13 +153,15 @@ def test_subspace_coords_roundtrip():
     assert not s.contains([1, 0, 0])
 
 
-def test_subspace_full_empty_contains_all():
-    full = SubspaceBasis.full(3)
-    empty = SubspaceBasis.empty(3)
-    s = SubspaceBasis(3, [[1, 2, 3]])
-    assert full.contains_all(s)
-    assert s.contains_all(empty)
-    assert not s.contains_all(full)
+def test_solve_against_full_and_empty_bases():
+    full = SubspaceBasis.full(3).matrix()
+    empty = SubspaceBasis.empty(3).matrix()
+    s = SubspaceBasis(3, [[1, 2, 3]]).matrix()
+    assert solve(full, s) == s
+    assert solve(s, empty) == Mat.zero(1, 0)
+    assert solve(empty, empty) == Mat.zero(0, 0)
+    assert solve(s, full) is None
+    assert solve(empty, s) is None
 
 
 def test_subspace_constructor_validates_and_keeps_one_matrix():
