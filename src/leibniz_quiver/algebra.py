@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import (Mat, SubspaceBasis, _Frozen, _wrap, as_scalar, image_basis, lincomb,
-                     pivot_extension, solve)
+from .linear import (Mat, SubspaceBasis, _Frozen, _common_int_rows, _int_product, _wrap,
+                     as_scalar, image_basis, lincomb, pivot_extension, solve)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,6 +49,8 @@ class LeibnizAlgebra(_Frozen):
         if check and not check_left_leibniz(self):
             raise AlgebraAxiomError("structure constants violate the left Leibniz identity")
 
+    # Its own pair, not ``_fields``: a LieAlgebra equals a LeibnizAlgebra
+    # with the same table, and the hash is precomputed for lru cache keys.
     def __eq__(self, other):
         return (
             isinstance(other, LeibnizAlgebra)
@@ -138,21 +139,13 @@ def _acts_on_pair(c, rho: Sequence[Mat], dim: int, i: int, j: int) -> bool:
 
 def _commutator(a: Mat, b: Mat) -> Mat:
     """a b - b a as (A B - B A) / (d_a d_b) for the integer A = d_a a, B = d_b b."""
-    ints = []
-    for m in (a, b):
-        d = lcm(*[x.denominator for r in m._rows for x in r.values()])
-        ints.append(([{j: x.numerator * d // x.denominator for j, x in r.items()} for r in m._rows], d))
-    (arows, da), (brows, db) = ints
+    (arows, da), (brows, db) = _common_int_rows(a), _common_int_rows(b)
+    den = da * db
     out = []
-    for ar, br in zip(arows, brows):
-        acc = {}
-        for k, x in ar.items():
-            for j, y in brows[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        for k, x in br.items():
-            for j, y in arows[k].items():
-                acc[j] = acc.get(j, 0) - x * y
-        out.append({j: Fraction(v, da * db) for j, v in acc.items() if v})
+    for ab, ba in zip(_int_product(arows, brows), _int_product(brows, arows)):
+        for j, v in ba.items():
+            ab[j] = ab.get(j, 0) - v
+        out.append({j: Fraction(v, den) for j, v in ab.items() if v})
     return _wrap(a.rows, a.cols, out)
 
 
@@ -232,6 +225,7 @@ class LeftModule(_Frozen):
     """
 
     __slots__ = ("algebra", "dim", "action")
+    _fields = __slots__
 
     def __init__(self, algebra: LeibnizAlgebra, dim: int, action: Sequence[Mat], *, check: bool = True):
         action = tuple(action)
@@ -251,17 +245,6 @@ class LeftModule(_Frozen):
     def act_by(self, coords: Sequence) -> Mat:
         """Action matrix of an arbitrary algebra element."""
         return lincomb(self.action, coords, self.dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeftModule)
-            and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.action == other.action
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.dim, self.action))
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"

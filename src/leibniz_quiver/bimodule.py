@@ -45,6 +45,7 @@ class Bimodule(_Frozen):
     construction unless ``check=False``."""
 
     __slots__ = ("algebra", "dim", "left", "right")
+    _fields = __slots__
 
     def __init__(
         self,
@@ -70,18 +71,6 @@ class Bimodule(_Frozen):
             failure = _axiom_failure(self)
             if failure is not None:
                 raise ModuleAxiomError(failure)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bimodule)
-            and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.dim, self.left, self.right))
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -165,7 +154,7 @@ def sym_quotient(b: Bimodule) -> Bimodule:
 
 def right_invariants(b: Bimodule) -> SubspaceBasis:
     """The common kernel of the right actions (degree-0 cohomology)."""
-    return intersect_kernels(list(b.right))
+    return intersect_kernels(b.right, b.dim)
 
 
 def hom_module_action(g: LeibnizAlgebra, u: LeftModule, v: LeftModule) -> LeftModule:
@@ -197,6 +186,7 @@ class OneDimBimodule(_Frozen):
     (L, 0), with the left eigenvalue ``lam``."""
 
     __slots__ = ("kind", "lam")
+    _fields = __slots__
 
     def __init__(self, kind: str, lam=0):
         lam = as_scalar(lam)
@@ -208,16 +198,6 @@ class OneDimBimodule(_Frozen):
             raise InputError(f"a {kind} one-dimensional bimodule needs a nonzero eigenvalue")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lam", lam)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneDimBimodule)
-            and self.kind == other.kind
-            and self.lam == other.lam
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.lam))
 
     def __repr__(self):
         if self.kind == KIND_TRIVIAL:

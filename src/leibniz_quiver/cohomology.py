@@ -521,17 +521,16 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     return [_wrap(size, size, rows) for rows in actions.get(0, [[]] * h.dim)]
 
 
-def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat],
-                   sub: SubspaceBasis, quot: SubspaceBasis) -> LeftModule:
-    """Left module over the Lie quotient of h induced on
-    span(sub)/span(quot) by one action matrix per h basis element.
+def induced_module(h: LeibnizAlgebra, actions: Sequence[Mat], sub: SubspaceBasis) -> LeftModule:
+    """Left module over the Lie quotient of h induced on span(sub) by
+    one action matrix per h basis element.
 
-    Failure to preserve either space raises StabilityError, as does a
-    Leibniz-kernel element acting nonzero on the quotient.
+    Failure to preserve span(sub) raises StabilityError, as does a
+    Leibniz-kernel element acting nonzero on it.
     """
     data = quotient_data(h)
-    induced = restrict_and_project(actions, sub, quot)
-    dim = sub.dim - quot.dim
+    induced = restrict_and_project(actions, sub, SubspaceBasis.empty(sub.ambient_dim))
+    dim = sub.dim
     kernel = data.kernel.matrix()
     for j in range(kernel.cols):
         if not lincomb(induced, kernel.col(j), dim).is_zero():
@@ -549,7 +548,7 @@ def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
     lie = quotient_data(h).lie
     zero = [LeftModule(lie, g.dim, [Mat.zero(g.dim, g.dim)] * lie.dim, check=False)
             for g in cohom.groups[1:]]
-    return [induced_module(h, m.left, cohom[0].cocycles, cohom[0].coboundaries)] + zero
+    return [induced_module(h, m.left, cohom[0].cocycles)] + zero
 
 
 def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
@@ -650,8 +649,7 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    # dim M^g; the zero algebra, with no action to intersect, fixes all of M
-    inv = intersect_kernels(m.action).dim if m.dim and g.dim else m.dim
+    inv = intersect_kernels(m.action, m.dim).dim  # dim M^g
     return [b * inv for b in _trivial_ce_dims(g, pmax)]
 
 

@@ -29,8 +29,8 @@ from .errors import (
     StabilityError,
     UnsupportedDegreeError,
 )
-from .linear import (Mat, SubspaceBasis, _Frozen, image_basis, kernel_basis,
-                     restrict_and_project, solve)
+from .linear import (Mat, SubspaceBasis, _Frozen, _column_basis, _kernel_and_pivots,
+                     image_basis, restrict_and_project, solve)
 from .algebra import LeftModule, LeibnizAlgebra, _is_int, quotient_data
 from .bimodule import (
     Bimodule,
@@ -111,6 +111,7 @@ class SimpleDescriptor(_Frozen):
     either symmetrization is the trivial bimodule)."""
 
     __slots__ = ("kind", "weight")
+    _fields = __slots__
 
     def __init__(self, kind: str, weight: int = 0):
         if kind not in (KIND_TRIVIAL, KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
@@ -125,13 +126,6 @@ class SimpleDescriptor(_Frozen):
             raise InputError("trivial kind carries weight 0")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weight", weight)
-
-    def __eq__(self, other):
-        return (isinstance(other, SimpleDescriptor)
-                and self.kind == other.kind and self.weight == other.weight)
-
-    def __hash__(self):
-        return hash((self.kind, self.weight))
 
     def __repr__(self):
         return f"SimpleDescriptor({self.kind!r}, {self.weight})"
@@ -177,10 +171,9 @@ def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement])
 
 
-def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
-    """hom / im(f) with the induced action; im(f) must be a submodule
-    (StabilityError otherwise)."""
-    imf = image_basis(f)
+def _cokernel_module(hom: LeftModule, imf: SubspaceBasis) -> LeftModule:
+    """hom / span(imf) with the induced action; ``imf``, the image basis
+    of a map into hom, must span a submodule (StabilityError otherwise)."""
     induced = restrict_and_project(hom.action, SubspaceBasis.full(hom.dim), imf)
     return LeftModule(hom.algebra, hom.dim - imf.dim, induced)
 
@@ -228,12 +221,13 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
         raise DimensionError("degree must be nonnegative")
     cohom = leibniz_cohomology(h, x, max(qmax - 1, 0))
     f = base_change_map(h, x, cohom[0].cocycles)
-    ker = induced_module(h, x.left, kernel_basis(f), SubspaceBasis.empty(x.dim))
+    kerf, pivots = _kernel_and_pivots(f, f.cols)
+    ker = induced_module(h, x.left, kerf)
     if qmax == 0:
         return [ker]
     hmod = h_as_lie_module(h)
     homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_modules(h, x, cohom)]
-    return [ker, _cokernel_module(homs[0], f)] + homs[1:]
+    return [ker, _cokernel_module(homs[0], _column_basis(f, pivots))] + homs[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +329,7 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     hom = hom_module_action(data.lie, h_as_lie_module(h), n)
     acts = [n.act_by(data.projection.col(j)) for j in range(h.dim)]
     f = _into_hom(Mat.hstack([Mat.zero(n.dim, 0), *acts]), h.dim, n.dim)
-    return _cokernel_module(hom, f)
+    return _cokernel_module(hom, image_basis(f))
 
 
 # Degree-1 Ext between simples over V_n x_hs sl2 can be nonzero only

@@ -115,12 +115,28 @@ def parse_rational(text: str) -> Fraction:
 
 class _Frozen:
     """Base of the package's value classes.  Their constructors set the
-    slots through ``object.__setattr__``; assignment afterwards raises."""
+    slots through ``object.__setattr__``; assignment afterwards raises.
+
+    A class that names its defining slots in ``_fields`` compares by
+    value: an instance equals one of the same class whose fields are
+    equal, and hashes its field tuple.  With ``_fields`` empty, the
+    default, an instance equals only itself and hashes by identity.
+    """
 
     __slots__ = ()
+    _fields = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields) if self._fields else id(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -289,6 +305,7 @@ class Mat(_Frozen):
 
     # -- structure ----------------------------------------------------
 
+    # Its own pair, not ``_fields``: the rows are dicts, hashed as frozensets.
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -433,10 +450,11 @@ def _common_int_rows(m: Mat) -> tuple:
     denominator, the lcm of all its denominators, and that lcm.  Unlike
     ``_int_rows`` it scales all rows alike, so the rows can be combined
     with each other, as those of a right factor of a product are."""
-    rows, dens = _int_rows(m)
-    den = lcm(*dens)
-    return [{j: v * (den // d) for j, v in r.items()} if d != den else r
-            for r, d in zip(rows, dens)], den
+    den = lcm(*[x.denominator for r in m._rows for x in r.values()])
+    if den == 1:  # an integer matrix, as most differentials are: no scaling
+        return [{j: x.numerator for j, x in r.items()} for r in m._rows], den
+    return [{j: x.numerator * (den // x.denominator) for j, x in r.items()}
+            for r in m._rows], den
 
 
 def _int_product(arows: Sequence[Mapping], brows: Sequence[Mapping]):
@@ -692,6 +710,7 @@ class SubspaceBasis(_Frozen):
     """
 
     __slots__ = ("_matrix",)
+    _fields = __slots__
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         m = Mat.from_cols(list(vectors), rows=ambient_dim)
@@ -723,12 +742,6 @@ class SubspaceBasis(_Frozen):
 
     def __len__(self) -> int:
         return self.dim
-
-    def __eq__(self, other):
-        return isinstance(other, SubspaceBasis) and self._matrix == other._matrix
-
-    def __hash__(self):
-        return hash(self._matrix)
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in K^{self.ambient_dim})"
@@ -775,12 +788,10 @@ def _sum(mats: Sequence[Mat]) -> Mat:
     return _wrap(first.rows, first.cols, out)
 
 
-def intersect_kernels(mats: Sequence[Mat]) -> SubspaceBasis:
-    """Basis of the common null space of a family of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    return kernel_basis(Mat.vstack(mats))
+def intersect_kernels(mats: Sequence[Mat], n: int) -> SubspaceBasis:
+    """Basis of the common null space in K^n of a family of matrices
+    with n columns; all of K^n for an empty family."""
+    return kernel_basis(Mat.vstack([Mat.zero(0, n), *mats]))
 
 
 def pivot_extension(q: Mat, pool: Mat) -> tuple:

@@ -32,6 +32,7 @@ class Quiver(_Frozen):
     """
 
     __slots__ = ("vertices", "edges")
+    _fields = __slots__
 
     def __init__(self, vertices: Sequence, edges: Sequence[tuple]):
         vertices = tuple(vertices)
@@ -46,13 +47,6 @@ class Quiver(_Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges",
                            tuple((s, d, merged[(s, d)]) for s, d in sorted(merged)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Quiver) and self.vertices == other.vertices
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def edge_multiplicity(self, src: int, dst: int) -> int:
         for s, d, k in self.edges:

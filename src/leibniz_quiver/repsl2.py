@@ -46,6 +46,7 @@ class SL2Module(_Frozen):
     """A finite-dimensional sl2-module (a LeftModule over sl2)."""
 
     __slots__ = ("underlying",)
+    _fields = __slots__
 
     def __init__(self, underlying: LeftModule):
         if underlying.algebra != sl2():
@@ -67,12 +68,6 @@ class SL2Module(_Frozen):
     @property
     def f(self) -> Mat:
         return self.underlying.action[2]
-
-    def __eq__(self, other):
-        return isinstance(other, SL2Module) and self.underlying == other.underlying
-
-    def __hash__(self):
-        return hash(self.underlying)
 
     def __repr__(self):
         return f"SL2Module(dim={self.dim})"
@@ -140,6 +135,7 @@ class WeightMultiset(_Frozen):
                 clean[int(w)] = int(k)
         object.__setattr__(self, "mults", clean)
 
+    # Its own pair, not ``_fields``: its field is a dict.
     def __eq__(self, other):
         return isinstance(other, WeightMultiset) and self.mults == other.mults
 

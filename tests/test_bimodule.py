@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_quiver.algebra import lift_module, trivial_algebra
+from leibniz_quiver.algebra import LeibnizAlgebra, lift_module, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
@@ -24,7 +24,8 @@ from leibniz_quiver.bimodule import (
     trivial_bimodule,
 )
 from leibniz_quiver.errors import InputError, ModuleAxiomError
-from leibniz_quiver.linear import Mat, image_basis, intersect_kernels
+from leibniz_quiver.cohomology import leibniz_cohomology
+from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, intersect_kernels
 from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2
 
 from conftest import make_trivial_bimodule
@@ -117,6 +118,16 @@ def test_right_invariants():
     assert right_invariants(trivial_bimodule(h)).dim == 1
 
 
+def test_right_invariants_over_the_zero_algebra_are_the_whole_space():
+    # No right action to intersect, so every vector is invariant, as
+    # HL^0 of the same bimodule says.
+    h = LeibnizAlgebra(0, [])
+    b = Bimodule(h, 2, [], [])
+    assert right_invariants(b) == SubspaceBasis.full(2)
+    assert leibniz_cohomology(h, b, 0).dims == [2]
+    assert right_invariants(Bimodule(h, 0, [], [])).dim == 0
+
+
 # ------------------------------------------------------------ Hom module
 
 def test_hom_module_action_decomposes_correctly():
@@ -137,7 +148,7 @@ def test_intertwiner_dim_is_schur():
             u = simple_module(m).underlying
             v = simple_module(n).underlying
             hom = hom_module_action(g, u, v)
-            assert intersect_kernels(hom.action).dim == (1 if m == n else 0)
+            assert intersect_kernels(hom.action, hom.dim).dim == (1 if m == n else 0)
 
 
 def test_hom_flattening_convention():

@@ -117,6 +117,17 @@ def test_ext_hemi_json_document(capsys):
     ]}}
 
 
+def test_ext_hemi_outside_the_degree_one_kinds_is_zero_by_both_methods(capsys):
+    # V_1^a -> V_1^a is not a pair the oracle computes; both routes say 0.
+    argv = ("ext", "hemi", "--n", "1", "--src", "V1^a", "--dst", "V1^a", "--method", "both")
+    assert run(capsys, *argv) == (0, "0\n0\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ext": {"pairs": [
+        {"src": "V_1^a", "dst": "V_1^a", "dims": [0], "certified": None}
+    ]}}
+
+
 def test_ext_hemi_oracle_divergence_is_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ext_simple_closed", lambda n, s, d, deg: 7)
     for fmt, expected_out in (("text", "7\n1\n"), ("json", "")):

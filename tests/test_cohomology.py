@@ -205,6 +205,26 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
                                   else SubspaceBasis.empty(diffs[0].cols))
 
 
+def test_content_reduction_changes_no_cohomology_basis(monkeypatch):
+    # The sheared problems of the hl_dense benchmark, whose coefficients
+    # grow: with _REDUCE_BOUND at 16 every basis must stay bit for bit.
+    h, v1a = _hemi1_v1a()
+    v1s = symmetric(h, lift_module(h, simple_module(1).underlying))
+    problems = [_sheared(h, v1a), _sheared(h, v1s)]
+    calls = []
+    real = linear._reduce_row
+    monkeypatch.setattr(linear, "_reduce_row", lambda row: calls.append(1) or real(row))
+    expected = [leibniz_cohomology(hs, b, 3).groups for hs, b in problems]
+    unpatched = len(calls)
+    monkeypatch.setattr(linear, "_REDUCE_BOUND", 1 << 4)
+    calls.clear()
+    for (hs, b), groups in zip(problems, expected):
+        got = leibniz_cohomology(hs, b, 3).groups
+        assert [(g.cocycles, g.coboundaries) for g in got] == [
+            (g.cocycles, g.coboundaries) for g in groups]
+    assert len(calls) > 2 * unpatched
+
+
 def _spy_complexes(monkeypatch) -> list:
     """Record every complex that ``cohomology_of_complex`` is given."""
     seen = []

@@ -22,6 +22,7 @@ from leibniz_quiver.bimodule import (
     KIND_TRIVIAL,
     OneDimBimodule,
     antisymmetric,
+    symmetric,
     trivial_bimodule,
 )
 from leibniz_quiver.cohomology import ce_cohomology, ce_dims_via_invariants, leibniz_cohomology
@@ -143,6 +144,17 @@ def test_base_change_rank_nullity():
         assert f.cols == x.dim
         assert f.rows == h.dim * z0.dim
         assert [m.dim for m in ext_base_sym(h, x, 1)] == [f.cols - rank(f), f.rows - rank(f)]
+
+
+def test_degree_zero_stops_after_the_kernel_of_f():
+    # nmax 0 asks ext_base_sym for Ker f alone; by Schur's lemma
+    # Ext^0(V_1^s, N) is 1 for N = V_1^s and 0 for N = V_1^a.
+    h = hemi_sl2(1)
+    v1 = lift_module(h, simple_module(1).underlying)
+    for x, want in ((antisymmetric(h, v1), 0), (symmetric(h, v1), 1)):
+        [ker] = ext_base_sym(h, x, 0)
+        assert ker == ext_base_sym(h, x, 1)[0]
+        assert ext_dims(h, SimpleDescriptor(KIND_SYMMETRIC, 1), x, 0).dims == (want,)
 
 
 def test_ext_base_sym_carries_lie_action():

@@ -183,7 +183,7 @@ def test_subspace_constructor_validates_and_keeps_one_matrix():
 def test_intersect_kernels_matches_stacked_kernel():
     a = mat([[1, 0, 0]])
     b = mat([[0, 1, -1]])
-    both = intersect_kernels([a, b])
+    both = intersect_kernels([a, b], 3)
     assert both.dim == 1
     v = both.vectors[0]
     assert a.apply(v) == (F(0),) and b.apply(v) == (F(0),)
@@ -562,6 +562,39 @@ def test_a_deferred_independent_row_is_still_reduced(monkeypatch):
     monkeypatch.setattr(linear, "_null_vector", recording)
     assert linear._kernel_and_pivots(m, 3) == (kernel_basis(m), [0, 1])
     assert drawn == [{0: {0: 1}}]
+
+
+def _growth_cases():
+    """Integer matrices B C of rank at most r, each with a right-hand
+    side in its column span and a random one."""
+    rng = random.Random(5)
+    for _ in range(25):
+        rows, cols, r = rng.randint(2, 9), rng.randint(2, 9), rng.randint(1, 5)
+        b = mat([[rng.randint(-9, 9) for _ in range(r)] for _ in range(rows)])
+        m = b * mat([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(r)])
+        x = mat([[rng.randint(-9, 9)] for _ in range(cols)])
+        yield m, m * x, mat([[rng.randint(-9, 9)] for _ in range(rows)])
+
+
+def _growth_results(cases):
+    return [(rank(m), kernel_basis(m), image_basis(m), solve(m, b), solve(m, c))
+            for m, b, c in cases]
+
+
+def test_content_reduction_changes_no_result(monkeypatch):
+    # Rows whose entries pass _REDUCE_BOUND are divided by their content,
+    # which is growth control only.  A bound of 16 makes it fire in most
+    # reduction steps; every result must stay bit for bit the same.
+    cases = list(_growth_cases())
+    calls = []
+    real = linear._reduce_row
+    monkeypatch.setattr(linear, "_reduce_row", lambda row: calls.append(1) or real(row))
+    expected = _growth_results(cases)
+    unpatched = len(calls)
+    monkeypatch.setattr(linear, "_REDUCE_BOUND", 1 << 4)
+    calls.clear()
+    assert _growth_results(cases) == expected
+    assert len(calls) > 2 * unpatched
 
 
 def test_restrict_and_project_matches_reference_complement():

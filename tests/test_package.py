@@ -1,4 +1,5 @@
-"""Package-wide checks: immutable value classes, imports that are read,
+"""Package-wide checks: immutable value classes and their equality,
+imports that are read, matrix storage read only inside ``linear.py``,
 and the library names the benchmark in ``bench/`` calls or wraps."""
 
 import ast
@@ -9,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import leibniz_quiver
-from leibniz_quiver.algebra import quotient_data, trivial_algebra
-from leibniz_quiver.bimodule import OneDimBimodule, trivial_bimodule
+from leibniz_quiver.algebra import LeftModule, quotient_data, trivial_algebra
+from leibniz_quiver.bimodule import Bimodule, OneDimBimodule, trivial_bimodule
 from leibniz_quiver.cohomology import CochainComplex, CohomologyResult, DegreeGroup
 from leibniz_quiver.ext import CollapseCertificate, E2Page, ExtResult, SimpleDescriptor
 from leibniz_quiver.linear import Mat, SubspaceBasis
 from leibniz_quiver.quiver import Quiver
-from leibniz_quiver.repsl2 import WeightMultiset, simple_module, sl2
+from leibniz_quiver.repsl2 import SL2Module, WeightMultiset, simple_module, sl2
 
 PACKAGE = Path(leibniz_quiver.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -40,6 +41,52 @@ def test_value_objects_refuse_assignment_by_their_class_name(obj):
     assert str(info.value) == f"{type(obj).__name__} is immutable"
 
 
+def _v1():
+    return LeftModule(sl2(), 2, simple_module(1).underlying.action)
+
+
+# (an instance, an equal one built separately, one with a field changed)
+VALUE_CLASSES = {
+    "LeftModule": lambda: (simple_module(1).underlying, _v1(),
+                           LeftModule(sl2(), 2, [Mat.zero(2, 2)] * 3)),
+    "Bimodule": lambda: (trivial_bimodule(trivial_algebra()), trivial_bimodule(trivial_algebra()),
+                         Bimodule(trivial_algebra(), 1, [Mat.identity(1)], [Mat.zero(1, 1)])),
+    "OneDimBimodule": lambda: (OneDimBimodule("symmetric", 1), OneDimBimodule("symmetric", 1),
+                               OneDimBimodule("symmetric", 2)),
+    "SimpleDescriptor": lambda: (SimpleDescriptor("symmetric", 1),
+                                 SimpleDescriptor("symmetric", 1),
+                                 SimpleDescriptor("antisymmetric", 1)),
+    "SL2Module": lambda: (simple_module(1), SL2Module(_v1()), simple_module(2)),
+    "Quiver": lambda: (Quiver("ab", [(0, 1, 1)]), Quiver(["a", "b"], [(0, 1, 1)]),
+                       Quiver("ab", [(0, 1, 2)])),
+    "SubspaceBasis": lambda: (SubspaceBasis(2, [[1, 0]]), SubspaceBasis(2, [(1, 0)]),
+                              SubspaceBasis(2, [[0, 1]])),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_classes_compare_by_their_fields(name):
+    obj, same, changed = VALUE_CLASSES[name]()
+    assert type(obj).__name__ == name and obj is not same
+    assert obj == same and hash(obj) == hash(same)
+    assert obj != changed and type(changed) is type(obj)
+    assert len({obj, same, changed}) == 2
+
+
+def test_equal_fields_of_different_classes_are_unequal():
+    # Both trivial descriptors have the fields ("trivial", 0).
+    s, o = SimpleDescriptor("trivial"), OneDimBimodule("trivial")
+    assert s != o and o != s and len({s, o}) == 2
+
+
+def test_classes_without_fields_compare_by_identity():
+    page = E2Page(0, 0, [[0]])
+    for make in (lambda: CochainComplex([0], []), lambda: E2Page(0, 0, [[0]]),
+                 lambda: ExtResult([0], CollapseCertificate(), page)):
+        a, b = make(), make()
+        assert a == a and hash(a) == hash(a) and a != b
+
+
 def unread_imports(source: str) -> list:
     """The names a module imports and never reads, in import order."""
     tree = ast.parse(source)
@@ -61,6 +108,14 @@ def test_unread_imports_are_found():
 def test_every_import_is_read(path):
     # __init__.py is left out: it imports to re-export.
     assert unread_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linear.py"))
+def test_only_linear_reads_matrix_storage(path):
+    # Mat keeps its rows in the private _rows; every other module goes
+    # through linear.py, so the storage format can change in one place.
+    tree = ast.parse((PACKAGE / path).read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_rows"] == []
 
 
 def test_benchmark_names_resolve_and_its_first_jobs_pass(monkeypatch):

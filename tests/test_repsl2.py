@@ -38,6 +38,11 @@ def test_decompose_simples():
         assert decompose(simple_module(m)).mults == {m: 1}
 
 
+def test_decompose_zero_module():
+    zero = SL2Module(LeftModule(sl2(), 0, [Mat.zero(0, 0)] * 3))
+    assert decompose(zero) == WeightMultiset({})
+
+
 def test_weight_multiset_api():
     w = WeightMultiset({2: 1, 0: 2})
     assert w.multiplicity(0) == 2
