@@ -195,7 +195,9 @@ class OneDimBimodule(_Frozen):
         if kind == KIND_TRIVIAL and lam != 0:
             raise InputError("the trivial bimodule has eigenvalue 0")
         if kind != KIND_TRIVIAL and lam == 0:
-            raise InputError(f"a {kind} one-dimensional bimodule needs a nonzero eigenvalue")
+            article = "an" if kind == KIND_ANTISYMMETRIC else "a"
+            raise InputError(
+                f"{article} {kind} one-dimensional bimodule needs a nonzero eigenvalue")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lam", lam)
 

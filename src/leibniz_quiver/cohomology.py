@@ -440,12 +440,14 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
     d_q's blocks.  Ungraded, the whole space is CL^(top+1), the one block
     of d_top.  Graded, it is CL^top, whose count bounds the weight-block
     table: ``sizes[q]`` has at most dim CL^q entries, and the last, of
-    CL^(top+1), takes dim h steps per entry of ``sizes[top]``."""
+    CL^(top+1), takes dim h steps per entry of ``sizes[top]``.  Over the
+    zero algebra every CL^q above q = 0 is zero, and the whole space is
+    CL^0 = M."""
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
     alpha, mu = _weights(h, m) if graded else ((0,) * h.dim, (0,) * m.dim)
-    whole = top if any(alpha) or any(mu) else top + 1
+    whole = (top if any(alpha) or any(mu) else top + 1) if h.dim else 0
     _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
     g = _Grading(alpha, mu, top)
     for q in range(top + 1):

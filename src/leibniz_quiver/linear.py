@@ -10,19 +10,20 @@ views (``row``, ``col``, ``m[i, j]``, ``row_lists``) remain available,
 and ``nonzeros(i)`` yields the (column, value) pairs of one row.
 
 Ranks, kernels, solutions and quotients all go through one elimination
-core.  Each row is scaled to integers by the lcm of its denominators,
-which changes neither the row space nor the null space.  The rows are
-then reduced one at a time, fraction-free, against a map from pivot
-column to echelon row: while the row's leading column already has an
-echelon row with leading entry p, and the row has entry q there, the
-row becomes (p/g) * row - (q/g) * echelon row with g = gcd(p, q); a row
-whose leading column is new is divided by the gcd of its entries and
-becomes that column's echelon row, and a row that cancels to nothing is
-dropped.  No rational division happens until back-substitution, which
-solves all right-hand sides at once in integers (one common denominator
-per solved coordinate) and walks only the nonzeros of each echelon row.
-Fill-in stays where the nonzeros are: a cochain differential in a weight
-basis never mixes h-weights, so neither does its elimination.
+core.  The matrix is scaled to integers by the lcm of all its
+denominators, which changes neither the row space nor the null space.
+The rows are then reduced one at a time, fraction-free, against a map
+from pivot column to echelon row: while the row's leading column
+already has an echelon row with leading entry p, and the row has entry
+q there, the row becomes (p/g) * row - (q/g) * echelon row with
+g = gcd(p, q); a row whose leading column is new is divided by the gcd
+of its entries and becomes that column's echelon row, and a row that
+cancels to nothing is dropped.  No rational division happens until
+back-substitution, which solves all right-hand sides at once in
+integers (one common denominator per solved coordinate) and walks only
+the nonzeros of each echelon row.  Fill-in stays where the nonzeros
+are: a cochain differential in a weight basis never mixes h-weights, so
+neither does its elimination.
 
 Why the results do not depend on the order of elimination: column j
 is the leading column of some row of an echelon basis exactly when
@@ -221,21 +222,11 @@ class Mat(_Frozen):
 
     @classmethod
     def from_cols(cls, cols_data: Sequence[Sequence], rows: int | None = None) -> "Mat":
-        ncols = len(cols_data)
         if rows is None:
-            if not ncols:
+            if not cols_data:
                 raise ValueError("row count required for a matrix with no columns")
             rows = len(cols_data[0])
-        _check_shape(rows, ncols)
-        out = [{} for _ in range(rows)]
-        for j, col in enumerate(cols_data):
-            if len(col) != rows:
-                raise ValueError(f"data does not have shape {rows} x {ncols}")
-            for i, x in enumerate(col):
-                x = as_scalar(x)
-                if x:
-                    out[i][j] = x
-        return _wrap(rows, ncols, out)
+        return cls(len(cols_data), rows, cols_data).transpose()
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
@@ -361,15 +352,14 @@ class Mat(_Frozen):
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # Integer accumulation: row i of self is a_i / da_i and other is
-        # b / db, so row i of the product is (a_i * b) / (da_i * db).
-        arows, adens = _int_rows(self)
+        # Integer accumulation: self is a / da and other is b / db, so the
+        # product is (a * b) / (da * db).
+        arows, da = _common_int_rows(self)
         brows, db = _common_int_rows(other)
-        out = []
-        for acc, da in zip(_int_product(arows, brows), adens):
-            den = da * db
-            out.append({j: Fraction(v, den) for j, v in acc.items() if v})
-        return _wrap(self.rows, other.cols, out)
+        den = da * db
+        return _wrap(self.rows, other.cols,
+                     [{j: Fraction(v, den) for j, v in acc.items() if v}
+                      for acc in _int_product(arows, brows)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -430,26 +420,10 @@ def kron(a: Mat, b: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(m: Mat) -> tuple:
-    """Fresh ``{column: int}`` rows, each row of ``m`` times the lcm of
-    its denominators, and the list of those lcms."""
-    out = []
-    dens = []
-    for row in m._rows:
-        den = lcm(*[x.denominator for x in row.values()])
-        if den == 1:
-            out.append({j: x.numerator for j, x in row.items()})
-        else:
-            out.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
-        dens.append(den)
-    return out, dens
-
-
 def _common_int_rows(m: Mat) -> tuple:
     """Fresh ``{column: int}`` rows, every row of ``m`` times one common
-    denominator, the lcm of all its denominators, and that lcm.  Unlike
-    ``_int_rows`` it scales all rows alike, so the rows can be combined
-    with each other, as those of a right factor of a product are."""
+    denominator, the lcm of all its denominators, and that lcm: the one
+    integer scaling of the package, for eliminations and products alike."""
     den = lcm(*[x.denominator for r in m._rows for x in r.values()])
     if den == 1:  # an integer matrix, as most differentials are: no scaling
         return [{j: x.numerator for j, x in r.items()} for r in m._rows], den
@@ -600,7 +574,7 @@ def rank(m: Mat) -> int:
     >>> rank(Mat.from_rows([[1, 2], [2, 4]]))
     1
     """
-    return len(_forward_eliminate(_int_rows(m)[0], m.cols)[0])
+    return len(_forward_eliminate(_common_int_rows(m)[0], m.cols)[0])
 
 
 def kernel_basis(m: Mat) -> "SubspaceBasis":
@@ -621,7 +595,7 @@ def _kernel_and_pivots(m: Mat, limit: int) -> tuple:
     elimination that stops once its echelon has ``limit`` rows; ``limit``
     must be at least the rank of ``m``."""
     n = m.cols
-    echelon, pivots = _forward_eliminate(_int_rows(m)[0], n, limit)
+    echelon, pivots = _forward_eliminate(_common_int_rows(m)[0], n, limit)
     free = [c for c in range(n) if c not in echelon]
     x = _back_substitute(echelon, pivots, {c: {k: 1} for k, c in enumerate(free)})
     x.update((c, {k: _ONE}) for k, c in enumerate(free))
@@ -645,10 +619,10 @@ def _kernel_spans(kernel: "SubspaceBasis", pivots: Sequence[int], sub: "Subspace
     if z.cols != len(free) or v.rows != z.rows:
         return False
     vrows, _ = _common_int_rows(v)
-    zrows, zdens = _int_rows(z)
-    # Row i reads Z_i / dz_i . v[free] = v_i, both sides times dz_i and
-    # the common denominator of v.
-    for acc, dz, vrow in zip(_int_product(zrows, [vrows[c] for c in free]), zdens, vrows):
+    zrows, dz = _common_int_rows(z)
+    # Z / dz . v[free] = v, both sides times dz and the common
+    # denominator of v.
+    for acc, vrow in zip(_int_product(zrows, [vrows[c] for c in free]), vrows):
         if {j: x for j, x in acc.items() if x} != (
                 vrow if dz == 1 else {j: dz * x for j, x in vrow.items()}):
             return False
@@ -665,7 +639,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
     n = a.cols
-    echelon, pivots = _forward_eliminate(_int_rows(Mat.hstack([a, b]))[0], n + b.cols)
+    echelon, pivots = _forward_eliminate(_common_int_rows(Mat.hstack([a, b]))[0], n + b.cols)
     if pivots and pivots[-1] >= n:
         return None  # a pivot landed in the right-hand block: inconsistent
     # Column n + k carries right-hand side k with coefficient -1, so each
@@ -676,7 +650,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 def image_basis(m: Mat) -> "SubspaceBasis":
     """Basis of the column span: the pivot columns of ``m`` themselves."""
-    return _column_basis(m, _forward_eliminate(_int_rows(m)[0], m.cols)[1])
+    return _column_basis(m, _forward_eliminate(_common_int_rows(m)[0], m.cols)[1])
 
 
 def _column_basis(m: Mat, pivots: Sequence[int]) -> "SubspaceBasis":
@@ -806,7 +780,7 @@ def pivot_extension(q: Mat, pool: Mat) -> tuple:
     = S [S^-1 q | e_comp]`` is the basis of span S adapted to span q.
     """
     t = q.cols
-    _, pivots = _forward_eliminate(_int_rows(Mat.hstack([q, pool]))[0], t + pool.cols)
+    _, pivots = _forward_eliminate(_common_int_rows(Mat.hstack([q, pool]))[0], t + pool.cols)
     comp = [p - t for p in pivots if p >= t]
     return comp, Mat.hstack([q, _columns(pool, comp)])
 

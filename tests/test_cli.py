@@ -75,6 +75,13 @@ def test_ext_trivial_bad_descriptor(capsys):
     assert "descriptor" in err
 
 
+def test_one_dim_bimodule_without_an_eigenvalue_is_refused(capsys):
+    for kind, article in (("a", "an antisymmetric"), ("s", "a symmetric")):
+        assert run(capsys, "ext", "trivial", "--src", f"M^{kind}:0", "--dst", "K",
+                   "--nmax", "1") == (
+            1, "", f"error: {article} one-dimensional bimodule needs a nonzero eigenvalue\n")
+
+
 def test_ext_trivial_method_divergence_is_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ext_trivial_closed", lambda mk, nk, nmax: [9] * (nmax + 1))
     for fmt, expected_out in (("text", "9 9\n1 2\n"), ("json", "")):
@@ -437,6 +444,19 @@ def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
         assert code == 1 and out == "" and built == []
         assert err == ("error: the cochain space CL^6 has dimension 139968, "
                        f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
+
+
+def test_cohomology_over_the_zero_algebra_counts_cl0(capsys, tmp_path):
+    # CL^0 is the bimodule itself; with or without --bases it is refused
+    # before any matrix is built.
+    apath = write_json(tmp_path, "a.json", {"dim": 0, "bracket": []})
+    size = cohomology.COCHAIN_BUDGET + 1
+    bpath = write_json(tmp_path, "b.json", {"dim": size, "left": [], "right": []})
+    for bases in ([], ["--bases"]):
+        assert run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+                   "--qmax", "1", *bases) == (
+            1, "", f"error: the cochain space CL^0 has dimension {size}, "
+                   f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
 
 
 def test_cohomology_past_the_int_to_str_limit_is_one_error_line(capsys, tmp_path):

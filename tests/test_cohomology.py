@@ -891,6 +891,25 @@ def test_inputs_beyond_the_full_space_budget_are_answered():
         == [3, 1, 0, 0, 0]
 
 
+def test_cl0_over_the_zero_algebra_counts_against_the_budget(monkeypatch):
+    # Over the zero algebra CL^0 = M and every higher CL^q is zero, so the
+    # whole space a pass builds on is the bimodule itself.
+    h = LeibnizAlgebra(0, [])
+    big = Bimodule(h, COCHAIN_BUDGET + 1, [], [])
+    built = []
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
+    monkeypatch.setattr(cohomology, "_Grading", lambda *args: built.append(args))
+    for refused in (lambda: leibniz_cohomology(h, big, 1), lambda: leibniz_complex(h, big, 1),
+                    lambda: leibniz_differential(h, big, 0)):
+        with pytest.raises(InputError, match="^the cochain space CL\\^0 has dimension "
+                                             f"{COCHAIN_BUDGET + 1}, above the budget of "
+                                             f"{COCHAIN_BUDGET}$"):
+            refused()
+    assert built == []
+    monkeypatch.undo()
+    assert leibniz_cohomology(h, Bimodule(h, 7, [], []), 2).dims == [7, 0, 0]
+
+
 def test_degree_ranges_count_against_the_budget(monkeypatch):
     # Every space below has dimension at most 3; only the number of
     # degrees, 9 against a budget of 8, is too large.

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leibniz_quiver import linear, repsl2
 from leibniz_quiver.errors import StabilityError
@@ -660,6 +660,66 @@ def test_sparse_constructor_validates_like_dense():
     m = Mat.from_sparse(2, 3, [{1: F(1, 2), 2: 0}, {}])
     assert m == mat([[0, F(1, 2), 0], [0, 0, 0]])
     assert sorted(m.nonzeros(0)) == [(1, F(1, 2))] and not list(m.nonzeros(1))
+
+
+# ------------------------------------------- integer scaling of products
+
+@st.composite
+def rational_factors(draw):
+    """A product a * b of rational matrices, 0 rows and 0 columns included,
+    whose rows usually have different denominators."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    grid = lambda n, m: [draw(st.lists(fractions_or_zero, min_size=m, max_size=m))
+                         for _ in range(n)]
+    return Mat(r, k, grid(r, k)), Mat(k, c, grid(k, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_factors())
+@example((mat([[F(1, 2), 0], [0, F(1, 3)]]), mat([[2, F(1, 5)], [3, 1]])))
+def test_product_matches_the_textbook_sum(factors):
+    a, b = factors
+    want = [[sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+    assert a * b == Mat(a.rows, b.cols, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(contract_matrices(), st.data())
+def test_kernel_spans_exactly_the_kernel(m, data):
+    kernel, pivots = linear._kernel_and_pivots(m, m.cols)
+    coeffs = Mat(kernel.dim, 3, [data.draw(st.lists(fractions_or_zero, min_size=3, max_size=3))
+                                 for _ in range(kernel.dim)])
+    inside = kernel.matrix() * coeffs
+    assert linear._kernel_spans(kernel, pivots, linear._basis(inside))
+    outside = [j for j in range(m.cols) if any(m.col(j))]
+    if outside:  # a standard vector at a nonzero column of m
+        e = Mat.from_cols([[int(i == outside[0]) for i in range(m.cols)]], rows=m.cols)
+        assert not linear._kernel_spans(kernel, pivots, linear._basis(Mat.hstack([inside, e])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_from_cols_is_the_transposed_grid(r, c, data):
+    cols = [data.draw(st.lists(fractions_or_zero, min_size=r, max_size=r)) for _ in range(c)]
+    want = Mat(r, c, [[cols[j][i] for j in range(c)] for i in range(r)])
+    assert Mat.from_cols(cols, rows=r) == want
+    if c:
+        assert Mat.from_cols(cols) == want
+
+
+def test_from_cols_edge_shapes_and_refusals():
+    assert Mat.from_cols([], rows=0) == Mat.zero(0, 0)
+    assert Mat.from_cols([], rows=3) == Mat.zero(3, 0)
+    assert Mat.from_cols([[], []], rows=0) == Mat.zero(0, 2)
+    with pytest.raises(ValueError, match="row count required"):
+        Mat.from_cols([])
+    with pytest.raises(ValueError):
+        Mat.from_cols([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat.from_cols([[1]], rows=-1)
+    with pytest.raises(TypeError):
+        Mat.from_cols([[0.5]])
 
 
 # ------------------------------------------------------------------ doctests
