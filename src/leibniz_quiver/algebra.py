@@ -219,9 +219,11 @@ def quotient_data(a: LeibnizAlgebra) -> QuotientData:
 class LeftModule(_Frozen):
     """A left module over a Leibniz (or Lie) algebra.
 
-    ``action[i]`` is the matrix of b_i acting on the module, and the
-    compatibility ``rho([b_i, b_j]) = [rho(b_i), rho(b_j)]`` is verified
-    on construction.
+    ``action[i]`` is the matrix of b_i acting on the module.  The axiom
+    ``rho([b_i, b_j]) = [rho(b_i), rho(b_j)]`` is checked when the matrices
+    come from outside the library.  A module that the library derives from
+    modules and algebras it holds is built with ``check=False`` by a
+    construction whose docstring carries the proof.
     """
 
     __slots__ = ("algebra", "dim", "action")
@@ -257,26 +259,24 @@ def one_dim_module(algebra: LeibnizAlgebra, weights: Sequence) -> LeftModule:
 
 
 def adjoint_module(g: LieAlgebra) -> LeftModule:
-    """A Lie algebra acting on itself by left multiplication."""
-    return LeftModule(g, g.dim, [g.left_mult(i) for i in range(g.dim)])
+    """A Lie algebra acting on itself by left multiplication, unchecked: the
+    left Leibniz identity ``g`` was checked with is its module axiom."""
+    return LeftModule(g, g.dim, [g.left_mult(i) for i in range(g.dim)], check=False)
 
 
 def lift_module(h: LeibnizAlgebra, m: LeftModule) -> LeftModule:
     """Present ``m`` as a module over ``h`` itself.
 
     Accepts a module over ``h`` (returned unchanged) or over the
-    canonical Lie quotient of ``h`` (lifted along the projection).
+    canonical Lie quotient of ``h`` (lifted, unchecked, along the
+    projection: an algebra homomorphism, so the lift is a module).
     """
     if m.algebra == h:
         return m
     data = quotient_data(h)
     if m.algebra == data.lie:
-        proj = data.projection
-        mats = []
-        for i in range(h.dim):
-            col = proj.col(i)
-            mats.append(m.act_by(col))
-        return LeftModule(h, m.dim, mats)
+        mats = [m.act_by(data.projection.col(i)) for i in range(h.dim)]
+        return LeftModule(h, m.dim, mats, check=False)
     raise ModuleAxiomError("module is over neither the algebra nor its Lie quotient")
 
 
@@ -346,6 +346,8 @@ def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
         for row in bracket
     ):
         raise InputError("bracket table must be dim x dim")
+    from .cohomology import _check_budget  # cohomology imports this module
+    _check_budget("the bracket table of the algebra", dim ** 3, "entries")
     c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):

@@ -131,6 +131,13 @@ def trivial_bimodule(h: LeibnizAlgebra) -> Bimodule:
     return Bimodule(h, 1, [zero] * h.dim, [zero] * h.dim)
 
 
+def _simple_bimodule(h: LeibnizAlgebra, kind: str, m: LeftModule) -> Bimodule:
+    """The bimodule of ``kind`` on ``m``; the trivial kind ignores ``m``."""
+    if kind == KIND_TRIVIAL:
+        return trivial_bimodule(h)
+    return (symmetric if kind == KIND_SYMMETRIC else antisymmetric)(h, m)
+
+
 def antisymmetric_kernel(b: Bimodule) -> SubspaceBasis:
     """Span of all (L_i + R_i) v: the largest subbimodule on which the
     quotient becomes symmetric."""
@@ -218,9 +225,7 @@ class OneDimBimodule(_Frozen):
             h = trivial_algebra()
         if h.dim != 1:
             raise DimensionError("one-dimensional bimodules live over a 1-dim algebra")
-        L = Mat(1, 1, [[self.lam]])
-        R = Mat(1, 1, [[-self.lam]]) if self.kind == KIND_SYMMETRIC else Mat.zero(1, 1)
-        return Bimodule(h, 1, [L], [R])
+        return _simple_bimodule(h, self.kind, self.underlying_module(h))
 
     def underlying_module(self, glie: LieAlgebra) -> LeftModule:
         """The underlying 1-dim module over the (1-dim) Lie quotient."""

@@ -31,13 +31,14 @@ from .errors import (
 )
 from .linear import (Mat, SubspaceBasis, _Frozen, _column_basis, _kernel_and_pivots,
                      image_basis, restrict_and_project, solve)
-from .algebra import LeftModule, LeibnizAlgebra, _is_int, quotient_data
+from .algebra import LeftModule, LeibnizAlgebra, _is_int, lift_module, quotient_data
 from .bimodule import (
     Bimodule,
     OneDimBimodule,
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
     KIND_TRIVIAL,
+    _simple_bimodule,
     hom_module_action,
 )
 from .cohomology import (_check_budget, _check_degrees, ce_cohomology, ce_dims_via_invariants,
@@ -147,14 +148,7 @@ class SimpleDescriptor(_Frozen):
 
     def realize(self, h: LeibnizAlgebra) -> Bimodule:
         """The bimodule over h this descriptor names."""
-        from .bimodule import antisymmetric, symmetric, trivial_bimodule
-
-        if self.kind == KIND_TRIVIAL:
-            return trivial_bimodule(h)
-        v = simple_module(self.weight).underlying
-        if self.kind == KIND_SYMMETRIC:
-            return symmetric(h, v)
-        return antisymmetric(h, v)
+        return _simple_bimodule(h, self.kind, simple_module(self.weight).underlying)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +158,19 @@ class SimpleDescriptor(_Frozen):
 
 @lru_cache(maxsize=None)
 def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
-    """h as a module over its Lie quotient, acting by left brackets
-    (well defined because left multiplication kills the Leibniz kernel),
-    built and axiom-checked once per algebra."""
+    """h as a module over its Lie quotient by left brackets, built once per
+    algebra and unchecked: the left Leibniz identity h was checked with is
+    the axiom for left multiplication, which kills the Leibniz kernel."""
     data = quotient_data(h)
-    return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement])
+    return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement], check=False)
 
 
 def _cokernel_module(hom: LeftModule, imf: SubspaceBasis) -> LeftModule:
     """hom / span(imf) with the induced action; ``imf``, the image basis
-    of a map into hom, must span a submodule (StabilityError otherwise)."""
+    of a map into hom, must span a submodule (StabilityError otherwise),
+    so the induced maps form a representation, built unchecked."""
     induced = restrict_and_project(hom.action, SubspaceBasis.full(hom.dim), imf)
-    return LeftModule(hom.algebra, hom.dim - imf.dim, induced)
+    return LeftModule(hom.algebra, hom.dim - imf.dim, induced, check=False)
 
 
 def _into_hom(stacked: Mat, k: int, dx: int) -> Mat:
@@ -222,7 +217,7 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
     cohom = leibniz_cohomology(h, x, max(qmax - 1, 0))
     f = base_change_map(h, x, cohom[0].cocycles)
     kerf, pivots = _kernel_and_pivots(f, f.cols)
-    ker = induced_module(h, x.left, kerf)
+    ker = induced_module(x, kerf)
     if qmax == 0:
         return [ker]
     hmod = h_as_lie_module(h)
@@ -327,7 +322,7 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     if n.algebra != data.lie:
         raise DimensionError("module is not over the Lie quotient")
     hom = hom_module_action(data.lie, h_as_lie_module(h), n)
-    acts = [n.act_by(data.projection.col(j)) for j in range(h.dim)]
+    acts = lift_module(h, n).action
     f = _into_hom(Mat.hstack([Mat.zero(n.dim, 0), *acts]), h.dim, n.dim)
     return _cokernel_module(hom, image_basis(f))
 

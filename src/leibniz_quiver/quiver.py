@@ -125,9 +125,11 @@ def quiver_hemi(n: int, max_weight: int, verify: bool = False) -> Quiver:
 
 def to_dot(q: Quiver) -> str:
     """DOT text: one node statement per vertex, one edge statement per
-    unit of multiplicity, edges sorted by (src, dst)."""
+    unit of multiplicity, edges sorted by (src, dst); InputError, before
+    any line is built, when those exceed ``cohomology.COCHAIN_BUDGET``."""
     if not q.vertices and not q.edges:
         return "digraph G { }\n"
+    _check_budget("the DOT text of the quiver", sum(k for _, _, k in q.edges), "edge statements")
     lines = ["digraph G {"]
     for v in q.vertices:
         lines.append(f'  "{v.label()}";')

@@ -19,8 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import Mat, SubspaceBasis, _Frozen, kernel_basis, kron, rank, restrict_and_project
+from .linear import Mat, SubspaceBasis, _Frozen, kernel_basis, rank, restrict_and_project
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
+from .bimodule import hom_module_action
 from .cohomology import _check_budget
 
 _ZERO = Fraction(0)
@@ -89,24 +90,21 @@ def simple_module(m: int) -> SL2Module:
 
 def tensor(u: SL2Module, v: SL2Module) -> SL2Module:
     """Tensor product with the diagonal action x (u ox v) =
-    (x u) ox v + u ox (x v)."""
-    du, dv = u.dim, v.dim
-    iu, iv = Mat.identity(du), Mat.identity(dv)
-    mats = [
-        kron(au, iv) + kron(iu, av)
-        for au, av in zip(u.underlying.action, v.underlying.action)
-    ]
-    return SL2Module(LeftModule(sl2(), du * dv, mats))
+    (x u) ox v + u ox (x v), built as the Hom module Hom(V*, U): its
+    action rho_U(x) ox I - I ox (-rho_V(x)^T)^T is rho_U(x) ox I + I ox
+    rho_V(x), in the same row-major order."""
+    return SL2Module(hom_module_action(sl2(), dual(v).underlying, u.underlying))
 
 
 def dual(v: SL2Module) -> SL2Module:
-    """Dual module, x acting by minus the transpose."""
-    mats = [(-a).transpose() for a in v.underlying.action]
-    return SL2Module(LeftModule(sl2(), v.dim, mats))
+    """Dual module, x acting by minus the transpose: the Hom module
+    Hom(V, V_0), whose action is 0 ox I - I ox rho_V(x)^T."""
+    return SL2Module(hom_module_action(sl2(), v.underlying, simple_module(0).underlying))
 
 
 def direct_sum(*mods: SL2Module) -> SL2Module:
-    """Block-diagonal direct sum of sl2-modules."""
+    """Block-diagonal direct sum of sl2-modules, unchecked: block-diagonal
+    matrices multiply blockwise, so a sum of representations is one."""
     total = sum(m.dim for m in mods)
     mats = []
     for idx in range(3):
@@ -117,7 +115,7 @@ def direct_sum(*mods: SL2Module) -> SL2Module:
             rows.extend({off + j: x for j, x in a.nonzeros(i)} for i in range(m.dim))
             off += m.dim
         mats.append(Mat.from_sparse(total, total, rows))
-    return SL2Module(LeftModule(sl2(), total, mats))
+    return SL2Module(LeftModule(sl2(), total, mats, check=False))
 
 
 class WeightMultiset(_Frozen):

@@ -260,3 +260,16 @@ def test_hemi_of_simple_module_satisfies_identity(m, n):
     h = hemi_semidirect(sl2(), simple_module(m).underlying)
     assert check_left_leibniz(h)
     assert leibniz_kernel(h).dim == (m + 1 if m >= 1 else 0)
+
+
+def test_spec_bracket_table_counts_against_the_budget():
+    # The input holds dim^2 cells but the table has dim^3 slots, refused
+    # before any is allocated: 37^3 = 50 653, 36^3 = 46 656.
+    def empty(dim):
+        return {"dim": dim, "bracket": [[[] for _ in range(dim)] for _ in range(dim)]}
+
+    with pytest.raises(InputError) as exc:
+        algebra_from_spec(empty(37))
+    assert str(exc.value) == (
+        "the bracket table of the algebra has 50653 entries, above the budget of 50000")
+    assert algebra_from_spec(empty(36), check=False).dim == 36

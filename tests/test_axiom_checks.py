@@ -11,7 +11,7 @@ of them.
 import random
 from fractions import Fraction
 
-from leibniz_quiver.algebra import _action_failure, _commutator, lift_module
+from leibniz_quiver.algebra import _action_failure, _commutator, adjoint_module, lift_module
 from leibniz_quiver.bimodule import (
     Bimodule,
     _axiom_failure,
@@ -19,9 +19,10 @@ from leibniz_quiver.bimodule import (
     hom_module_action,
     symmetric,
 )
-from leibniz_quiver.ext import nhat
+from leibniz_quiver.cohomology import hl_module_structure
+from leibniz_quiver.ext import SimpleDescriptor, ext_base_sym, h_as_lie_module, nhat
 from leibniz_quiver.linear import Mat, lincomb
-from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2, tensor
+from leibniz_quiver.repsl2 import direct_sum, dual, hemi_sl2, simple_module, sl2, tensor
 
 from conftest import make_trivial_bimodule
 
@@ -68,6 +69,8 @@ def corrupt(rng, mats):
 
 
 def sl2_modules():
+    """Modules over sl2 or over the Lie quotient of hemi_sl2(n), which the
+    library builds checked or, by construction, unchecked."""
     g = sl2()
     simples = [simple_module(m) for m in range(5)]
     yield from (v.underlying for v in simples)
@@ -76,6 +79,17 @@ def sl2_modules():
     yield from (hom_module_action(g, simples[m].underlying, simples[n].underlying)
                 for m in range(3) for n in range(3))
     yield from (nhat(hemi_sl2(n), simples[m].underlying) for n in (1, 2) for m in range(4))
+    yield from (dual(v).underlying for v in simples)
+    yield direct_sum(simples[2], simples[0], simples[3]).underlying
+    yield adjoint_module(g)
+    for n in (1, 2):
+        h = hemi_sl2(n)
+        yield h_as_lie_module(h)
+        for kind, m in [("trivial", 0)] + [(k, m) for k in ("symmetric", "antisymmetric")
+                                           for m in (1, 2)]:
+            x = SimpleDescriptor(kind, m).realize(h)
+            yield hl_module_structure(h, x, 0)[0]  # HL^0, an induced module
+            yield from ext_base_sym(h, x, 1)  # Ker f (induced) and Coker f
 
 
 def non_lie_actions():

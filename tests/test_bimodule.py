@@ -211,3 +211,12 @@ def test_random_bimodules_satisfy_inclusions():
             assert all(x == 0 for x in both.apply(v))
         for v in m0_img.vectors:
             assert all(x == 0 for x in right.apply(v))
+
+
+def test_one_dim_realize_is_the_explicit_bimodule():
+    h = trivial_algebra()
+    for kind, lam, right in ((KIND_TRIVIAL, 0, 0), (KIND_SYMMETRIC, 3, -3),
+                             (KIND_ANTISYMMETRIC, Fraction(-1, 2), 0)):
+        want = Bimodule(h, 1, [Mat(1, 1, [[lam]])], [Mat(1, 1, [[right]])])
+        assert OneDimBimodule(kind, lam).realize() == want
+        assert OneDimBimodule(kind, lam).realize(h) == want

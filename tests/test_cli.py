@@ -472,3 +472,14 @@ def test_cohomology_past_the_int_to_str_limit_is_one_error_line(capsys, tmp_path
     assert (code, out) == (1, "")
     assert err == ("error: the cochain space CL^49998 has dimension over 10^34947, "
                    f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
+
+
+def test_algebra_spec_beyond_budget_is_exit_one(capsys, tmp_path):
+    # 37 x 37 empty cells ask for a table of 37^3 = 50 653 slots
+    dim = 37
+    apath = write_json(tmp_path, "a.json", {"dim": dim, "bracket": [[[]] * dim] * dim})
+    bpath = write_json(tmp_path, "b.json", ANTI_BIMODULE)
+    err = "error: the bracket table of the algebra has 50653 entries, above the budget of 50000\n"
+    assert run(capsys, "check", apath) == (1, "", err)
+    assert run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
+               "--qmax", "1") == (1, "", err)

@@ -237,3 +237,22 @@ def test_json_nested_past_the_decoder_depth_is_refused():
     # json.loads raises RecursionError, not a ValueError, on deep nesting.
     with pytest.raises(InputError, match="malformed quiver JSON"):
         quiver_from_json("[" * 200_000 + "]" * 200_000)
+
+
+def test_to_dot_counts_edge_statements_against_the_budget():
+    # one loop of multiplicity 10^10 parses, and to_json writes it as it
+    # came; to_dot, one statement per unit, refuses before any line
+    text = ('{"vertices": [{"label": "V_0", "kind": "trivial", "weight": 0}], '
+            '"edges": [{"src": 0, "dst": 0, "mult": 10000000000}]}')
+    q = quiver_from_json(text)
+    assert to_json(q) == text
+    with pytest.raises(InputError) as exc:
+        to_dot(q)
+    assert str(exc.value) == ("the DOT text of the quiver has 10000000000 edge statements, "
+                              "above the budget of 50000")
+    # the multiplicities are summed over edges
+    v = SimpleDescriptor(KIND_TRIVIAL)
+    w = SimpleDescriptor(KIND_SYMMETRIC, 2)
+    with pytest.raises(InputError, match="has 50001 edge statements"):
+        to_dot(Quiver([v, w], [(0, 1, 25000), (1, 0, 25001)]))
+    assert to_dot(Quiver([v, w], [(0, 1, 25000), (1, 0, 25000)])).count("->") == 50000

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from leibniz_quiver.algebra import LeftModule
 from leibniz_quiver import cohomology
 from leibniz_quiver.errors import InputError, NonIntegralWeightError
-from leibniz_quiver.linear import Mat
+from leibniz_quiver.linear import Mat, kron
 from leibniz_quiver.repsl2 import (
     SL2Module,
     WeightMultiset,
@@ -145,3 +145,17 @@ def test_hom_dim_symmetric_for_self_dual_inputs(m, n):
     a = clebsch_gordan(m, n)
     b = clebsch_gordan(n, m)
     assert hom_dim(a, b) == hom_dim(b, a)
+
+
+def test_tensor_and_dual_are_the_kronecker_and_transpose_actions():
+    # tensor is built as Hom(V*, U) and dual as Hom(V, V_0); both must
+    # give the matrices of the textbook formulas, entry for entry
+    for m in range(5):
+        a = simple_module(m).underlying.action
+        assert dual(simple_module(m)).underlying.action == tuple((-x).transpose() for x in a)
+        for n in range(5):
+            b = simple_module(n).underlying.action
+            want = tuple(kron(x, Mat.identity(n + 1)) + kron(Mat.identity(m + 1), y)
+                         for x, y in zip(a, b))
+            got = tensor(simple_module(m), simple_module(n)).underlying
+            assert (got.dim, got.action) == ((m + 1) * (n + 1), want)
