@@ -32,10 +32,12 @@ On a cocycle z it leaves the coboundary d_(q-1)(i_a z): h acts by zero
 on HL^q for every q >= 1, and only HL^0, the right invariants of M,
 keeps a nonzero (left) action.
 
-Cartan's formula also cuts the complex down above degree 0.  Let
-b = b_g have diagonal ad(b) and L_b, [b, b_t] = alpha_t b_t and
-b . m_j = mu_j m_j, with alpha_g = 0 (that is, ad(b) b = 0).  By the
-recursion A_b = A^(q)_g is diagonal on CL^q, with eigenvalue
+Cartan's formula also cuts the complex down above degree 0.  The
+argument needs no particular basis, only an element b of h with
+[b, b] = 0 whose ad(b) and L_b are diagonalizable over Q.  Write h in
+an eigenbasis of ad(b) that contains b = b_g and M in an eigenbasis of
+L_b: [b, b_t] = alpha_t b_t and b . m_j = mu_j m_j, with alpha_g = 0.
+By the recursion A_b = A^(q)_g is diagonal on CL^q, with eigenvalue
 mu_j - sum_i alpha_(t_i) at the basis cochain (t, j); call its
 eigenspaces C_lambda.
 
@@ -54,18 +56,52 @@ eigenspaces C_lambda.
 
 Hence HL^q = H^q(C_0) for q >= 1, where C_0 spans the cochains (t, j)
 with sum_i alpha_(t_i) = mu_j.  The formula does not hold in degree 0
-(i_b d_0 = -R_b, not L_b), so HL^0 stays ker d_0 on all of M.  A basis
+(i_b d_0 = -R_b, not L_b), so HL^0 stays ker d_0 on all of M.  An
 element of the Leibniz kernel has ad(b) = 0 and L_b = 0, diagonal with
-every weight zero, and grading by it makes C_0 the whole complex;
-``leibniz_cohomology`` takes the first b with some weight nonzero.  It
-grades by D b, with D the lcm of the denominators of the alpha_t and
-mu_j: D b has the eigenspaces of b, each C_lambda is C_(D lambda) of D b
-with the same cochains in the same order, and every eigenvalue is an
-integer, so blocks are keyed, added and compared as ints.  The
-block of d_q at eigenvalue lambda reads, in row block a, A^(q)_a from
-lambda to lambda + alpha_a and d_(q-1) at lambda + alpha_a.  So C_0 up
-to degree qmax needs, in degree q, only the blocks at 0 and at sums of
-at most qmax - q of the alphas, and the complex is built upward once.
+every weight zero, and grading by it makes C_0 the whole complex; so
+some weight must be nonzero.  ``leibniz_cohomology`` takes the first
+basis element that qualifies (``_weights``).  It grades by D b, with D
+the lcm of the denominators of the alpha_t and mu_j: D b has the
+eigenspaces of b, each C_lambda is C_(D lambda) of D b with the same
+cochains in the same order, and every eigenvalue is an integer, so
+blocks are keyed, added and compared as ints.  The block of d_q at
+eigenvalue lambda reads, in row block a, A^(q)_a from lambda to
+lambda + alpha_a and d_(q-1) at lambda + alpha_a.  So C_0 up to degree
+qmax needs, in degree q, only the blocks at 0 and at sums of at most
+qmax - q of the alphas, and the complex is built upward once.
+
+With no basis element that qualifies, ``toral.split_toral`` looks for a
+split toral element x, exactly (de Graaf, Lie Algebras: Theory and
+Algorithms, 2000; Jacobson, Lie Algebras, 1962).  The Leibniz kernel
+Leib(h), spanned by the squares, acts by zero from the left: by the
+left Leibniz identity [[y, y], z] = 0, and by (LLM) L_([y, y]) = 0.  So
+ad and L of an element depend only on its class xbar in the Lie
+quotient h / Leib(h) of ``quotient_data``.
+
+  * Candidates are the integer vectors xbar of ``toral._candidates`` in
+    the quotient's coordinates, a fixed list of at most 49.
+  * A necessary test first: when ad(xbar) and L_xbar are diagonalizable
+    over Q with some eigenvalue nonzero, tr(ad(xbar)^2) + tr(L_xbar^2),
+    the sum of the squares of their eigenvalues, is positive.  It is a
+    quadratic form in xbar, with its Gram matrix built once per call.
+    Over so(3) x_hs so(3) it is negative definite, and every candidate
+    stops here.
+  * Then the eigenspaces (``toral._eigenspaces``): a candidate passes only
+    when those of ad(xbar) span h and those of L_xbar span M.
+  * The lift: x is the eigenvalue-0 component of the lift y of xbar at
+    the quotient's basis indices.  The projection pi onto the quotient
+    is an algebra map, so pi ad(y) = ad(xbar) pi, and pi takes the
+    lambda-component of y to the lambda-component of pi(y) = xbar, which
+    is 0 for lambda != 0 since [xbar, xbar] = 0.  So every other
+    component lies in Leib(h), where ad and L vanish: ad(x) = ad(y),
+    L_x = L_y, and [x, x] = ad(y) x = 0 as x has eigenvalue 0.
+  * h and M are then carried into the eigenbases, x first
+    (``toral._transport``), and ``_basis_weights`` must accept b_0 = x
+    there.
+
+With no candidate left, or if that last check failed, the pass is
+ungraded, which is exact: the search changes how fast an answer comes,
+never the answer.
 
 The Chevalley-Eilenberg complex of a Lie algebra g with coefficients in
 a left module (M, rho) has C^p = Hom(Lambda^p g, M), flattened in the
@@ -252,27 +288,35 @@ def _check_degrees(last: int) -> None:
 
 
 def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
-    """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
-    on the basis of M for the first basis element b with ad(b) and L_b
-    diagonal, ad(b) b = 0 and some eigenvalue nonzero, all times D, the
-    lcm of their denominators, as ints; all zero when no basis element
-    qualifies.  These are the eigenvalues of D b, whose eigenspaces are
-    those of b.  A basis element of the Leibniz kernel has ad(b) = 0 and
-    L_b = 0, so it passes the first three tests and fails the last."""
-    for g, plane in enumerate(h.c):  # plane[t] = [b_g, b_t]
-        alpha = tuple(row[t] for t, row in enumerate(plane))
-        if alpha[g] or any(x for t, row in enumerate(plane)
-                           for s, x in enumerate(row) if s != t):
-            continue
-        left = m.left[g]
-        if any(k != j for j in range(m.dim) for k, _ in left.nonzeros(j)):
-            continue
-        mu = tuple(left[j, j] for j in range(m.dim))
-        if any(alpha) or any(mu):
-            d = lcm(*(x.denominator for x in alpha + mu))
-            return tuple(tuple(x.numerator * (d // x.denominator) for x in xs)
-                         for xs in (alpha, mu))
+    """(alpha, mu) of the first basis element that ``_basis_weights``
+    accepts; all zero when no basis element qualifies."""
+    for g in range(h.dim):
+        found = _basis_weights(h, m, g)
+        if found:
+            return found
     return (0,) * h.dim, (0,) * m.dim
+
+
+def _basis_weights(h: LeibnizAlgebra, m: Bimodule, g: int) -> tuple | None:
+    """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
+    on the basis of M for b = b_g, when ad(b) and L_b are diagonal,
+    ad(b) b = 0 and some eigenvalue is nonzero, all times D, the lcm of
+    their denominators, as ints; None otherwise.  These are the
+    eigenvalues of D b, whose eigenspaces are those of b.  A basis
+    element of the Leibniz kernel has ad(b) = 0 and L_b = 0, so it
+    passes the first three tests and fails the last."""
+    plane = h.c[g]  # plane[t] = [b_g, b_t]
+    alpha = tuple(row[t] for t, row in enumerate(plane))
+    if alpha[g] or any(x for t, row in enumerate(plane) for s, x in enumerate(row) if s != t):
+        return None
+    left = m.left[g]
+    if any(k != j for j in range(m.dim) for k, _ in left.nonzeros(j)):
+        return None
+    mu = tuple(left[j, j] for j in range(m.dim))
+    if not (any(alpha) or any(mu)):
+        return None
+    d = lcm(*(x.denominator for x in alpha + mu))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in xs) for xs in (alpha, mu))
 
 
 class _Grading:
@@ -431,35 +475,50 @@ def _block_differentials(h: LeibnizAlgebra, m: Bimodule, g: _Grading, top: int):
 
 
 def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
-                     graded: bool = False) -> _Grading:
-    """The grading of a pass that builds d_0, ..., d_top, after the checks
-    every Leibniz entry point makes past its sign check, before anything is
-    built: the run of degrees 0..top+1, the algebra of m, then the rows of
-    every matrix against COCHAIN_BUDGET: first a whole space, then each
-    d_q's blocks.  Ungraded, the whole space is CL^(top+1), the one block
-    of d_top.  Graded, it is CL^top, whose count bounds the weight-block
-    table: ``sizes[q]`` has at most dim CL^q entries, and the last, of
-    CL^(top+1), takes dim h steps per entry of ``sizes[top]``.  Over the
-    zero algebra every CL^q above q = 0 is zero, and the whole space is
-    CL^0 = M."""
+                     graded: bool = False) -> tuple:
+    """(h, m, g): the grading g of a pass that builds d_0, ..., d_top, and
+    the algebra and bimodule it grades, after the checks every Leibniz
+    entry point makes past its sign check, before anything is built: the
+    run of degrees 0..top+1, the algebra of m, then the rows of every
+    matrix against COCHAIN_BUDGET: first a whole space, then each d_q's
+    blocks.
+
+    Graded, the pass is graded by the first basis element that
+    ``_weights`` finds or, with none, by the split toral element that
+    ``toral.split_toral`` finds, and then h and m are returned in its
+    eigenbasis; with neither, and whenever ``graded`` is False, the pass
+    is ungraded.  Graded, the whole space is CL^top, whose count bounds
+    the weight-block table: ``sizes[q]`` has at most dim CL^q entries,
+    and the last, of CL^(top+1), takes dim h steps per entry of
+    ``sizes[top]``.  It is counted before the search, so the search
+    never reads a bimodule above the budget.  Ungraded, the whole space is
+    CL^(top+1), the one block of d_top.  Over the zero algebra every CL^q
+    above q = 0 is zero, and the whole space is CL^0 = M."""
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
-    alpha, mu = _weights(h, m) if graded else ((0,) * h.dim, (0,) * m.dim)
-    whole = (top if any(alpha) or any(mu) else top + 1) if h.dim else 0
-    _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
+    alpha, mu = (0,) * h.dim, (0,) * m.dim
+    if graded and h.dim:
+        _check_budget(f"the cochain space CL^{top}", h.dim ** top * m.dim)
+        alpha, mu = _weights(h, m)
+        if not (any(alpha) or any(mu)):
+            from .toral import split_toral  # compiled only where a search runs
+            h, m, alpha, mu = split_toral(h, m) or (h, m, alpha, mu)
+    if not (any(alpha) or any(mu)):
+        whole = top + 1 if h.dim else 0
+        _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
     g = _Grading(alpha, mu, top)
     for q in range(top + 1):
         _check_budget(f"the block differential d_{q}",
                       sum(g.sizes[q + 1][nu] for nu in g.need[q]), "rows")
-    return g
+    return h, m, g
 
 
 def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
     """Matrix of d: CL^n -> CL^(n+1), refused as ``leibniz_complex(h, m, n)`` is."""
     if n < 0:
         raise DimensionError(f"cochain degree {n} is negative")
-    for blocks in _block_differentials(h, m, _checked_grading(h, m, n), n):
+    for blocks in _block_differentials(h, m, _checked_grading(h, m, n)[2], n):
         pass
     return blocks[0]
 
@@ -476,27 +535,32 @@ def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex
     and refused, before anything is built, as ``_checked_grading`` says."""
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
-    return _zero_block_complex(h, m, _checked_grading(h, m, qmax), qmax)
+    return _zero_block_complex(h, m, _checked_grading(h, m, qmax)[2], qmax)
 
 
 def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyResult:
     """HL^q(h, m) for q = 0..qmax, with cocycle/coboundary bases.
 
-    HL^0 is ker d_0 on all of M, the right invariants.  For q >= 1 the
-    groups are those of the eigenvalue-0 block C_0 of the first basis
-    element that ``_weights`` finds (module docstring), as
+    HL^0 is ker d_0 on all of M, the right invariants, in the
+    coordinates of m.  For q >= 1 the groups are those of the
+    eigenvalue-0 block C_0 of the grading element (module docstring), as
     ``cohomology_of_complex`` returns them: their bases live in the
     coordinates of C_0^q, the block's cochains in ``_Grading`` order, not
-    in CL^q.  With no such basis element C_0 is the whole complex and
-    the bases are those of all of Z^q and B^q, which
-    ``cohomology_of_complex(leibniz_complex(h, m, qmax))`` gives for any
-    input.  ``_checked_grading`` decides the budget.
+    in CL^q.  The grading element is the first basis element that
+    ``_weights`` finds, and C_0 is a block of the cochains of the bases
+    of h and m.  With none, it is the split toral element of
+    ``toral.split_toral``, and C_0 is a block of the cochains of its
+    eigenbases, those of the transported algebra and bimodule.  With
+    neither, C_0 is the whole complex and the bases are those of all of
+    Z^q and B^q, which ``cohomology_of_complex(leibniz_complex(h, m,
+    qmax))`` gives for any input.  ``_checked_grading`` decides the
+    budget.
     """
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
-    g = _checked_grading(h, m, qmax, graded=True)
-    groups = cohomology_of_complex(_zero_block_complex(h, m, g, qmax)).groups
-    if g.sizes[0][0] < m.dim:  # C_0^0 misses part of M
+    graded_h, graded_m, g = _checked_grading(h, m, qmax, graded=True)
+    groups = cohomology_of_complex(_zero_block_complex(graded_h, graded_m, g, qmax)).groups
+    if graded_m is not m or g.sizes[0][0] < m.dim:  # another basis, or C_0^0 misses part of M
         z0 = right_invariants(m)
         groups = (DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim)),) + groups[1:]
     return CohomologyResult(groups)
@@ -514,7 +578,7 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     """
     if q < 0:
         raise DimensionError(f"cochain degree {q} is negative")
-    g = _checked_grading(h, m, q - 1)
+    g = _checked_grading(h, m, q - 1)[2]
     actions = {0: _degree_zero(g, m.left, 0, False)}
     for p in range(1, q + 1):
         actions = _lift_actions(h, g, p, actions)

@@ -799,7 +799,9 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     (s - t columns exactly when Q lies in span S), and one solve gives
     every X_k = C^-1 F_k C (None when some F_k leaves span S).  F_k keeps
     span Q iff the lower-left t-column block of X_k is zero, and the
-    lower-right block is the induced matrix.
+    lower-right block is the induced matrix.  With quot_of empty, C is S
+    itself and the solve is the one elimination: the columns of a basis
+    are independent, so each is a pivot of [Q | S].
     """
     n = sub.ambient_dim
     if any(f.rows != n or f.cols != n for f in maps):
@@ -809,7 +811,10 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     if not maps:
         return []
     s, t = sub.dim, quot_of.dim
-    comp, c = pivot_extension(quot_of.matrix(), sub.matrix())
+    if t:
+        comp, c = pivot_extension(quot_of.matrix(), sub.matrix())
+    else:
+        comp, c = range(s), sub.matrix()
     if len(comp) != s - t:
         raise StabilityError("quotient space is not inside the subspace")
     fc = (Mat.vstack(maps) * c)._rows  # every F_k C from one product

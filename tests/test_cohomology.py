@@ -16,6 +16,7 @@ from leibniz_quiver.algebra import (
     LeftModule,
     LieAlgebra,
     adjoint_module,
+    hemi_semidirect,
     lift_module,
     one_dim_module,
     trivial_algebra,
@@ -30,7 +31,7 @@ from leibniz_quiver.bimodule import (
     symmetric,
     trivial_bimodule,
 )
-from leibniz_quiver import cohomology, linear
+from leibniz_quiver import cohomology, linear, toral
 from leibniz_quiver.cohomology import (
     COCHAIN_BUDGET,
     CochainComplex,
@@ -182,11 +183,10 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
     if sheared:
         h, bm = _sheared(h, bm)
     calls = _spy_eliminations(monkeypatch)
-    # The sheared problem has no diagonal basis element, so
-    # leibniz_cohomology takes the full complex; in the weight basis it
-    # takes the eigenvalue-0 block, which the next test covers.
-    res = (leibniz_cohomology(h, bm, 3) if sheared
-           else cohomology_of_complex(leibniz_complex(h, bm, 3)))
+    # The full complex, the ungraded core, in both bases: leibniz_cohomology
+    # would take an eigenvalue-0 block in both, of h in the weight basis
+    # (the next test) and of a split toral element in the sheared one.
+    res = cohomology_of_complex(leibniz_complex(h, bm, 3))
     monkeypatch.undo()
     diffs = leibniz_complex(h, bm, 3).differentials
     assert res.dims == [2, 1, 0, 0]
@@ -206,20 +206,21 @@ def test_one_elimination_per_differential_stopping_at_the_bound(monkeypatch, she
 
 
 def test_content_reduction_changes_no_cohomology_basis(monkeypatch):
-    # The sheared problems of the hl_dense benchmark, whose coefficients
-    # grow: with _REDUCE_BOUND at 16 every basis must stay bit for bit.
+    # The full complexes of the sheared problems of the hl_dense
+    # benchmark, whose coefficients grow: with _REDUCE_BOUND at 16 every
+    # basis must stay bit for bit.
     h, v1a = _hemi1_v1a()
     v1s = symmetric(h, lift_module(h, simple_module(1).underlying))
     problems = [_sheared(h, v1a), _sheared(h, v1s)]
     calls = []
     real = linear._reduce_row
     monkeypatch.setattr(linear, "_reduce_row", lambda row: calls.append(1) or real(row))
-    expected = [leibniz_cohomology(hs, b, 3).groups for hs, b in problems]
+    expected = [cohomology_of_complex(leibniz_complex(hs, b, 3)).groups for hs, b in problems]
     unpatched = len(calls)
     monkeypatch.setattr(linear, "_REDUCE_BOUND", 1 << 4)
     calls.clear()
     for (hs, b), groups in zip(problems, expected):
-        got = leibniz_cohomology(hs, b, 3).groups
+        got = cohomology_of_complex(leibniz_complex(hs, b, 3)).groups
         assert [(g.cocycles, g.coboundaries) for g in got] == [
             (g.cocycles, g.coboundaries) for g in groups]
     assert len(calls) > 2 * unpatched
@@ -678,19 +679,141 @@ def _spy_block_builds(monkeypatch) -> list:
 
 
 def test_one_dim_algebra_to_degree_one_hundred(monkeypatch):
-    # The seeded inputs are conjugated, so most take the ungraded route;
-    # {"left": [[[2]]], "right": [[[0]]]} is graded with an empty C_0.
+    # The seeded inputs are conjugated, so the basis element grades only
+    # the one-dimensional one, and the split toral search two more; the
+    # first takes the ungraded route.  {"left": [[[2]]], "right": [[[0]]]}
+    # is graded with an empty C_0.
     rng = random.Random(100)
     cases = [make_trivial_bimodule(rng, max_dim=4) for _ in range(4)]
     cases.append(Bimodule(trivial_algebra(), 1, [Mat.from_rows([[2]])], [Mat.zero(1, 1)]))
     graded = [any(cohomology._weights(trivial_algebra(), b)[1]) for b in cases]
     assert graded == [False, True, False, False, True]
+    searched = [toral.split_toral(trivial_algebra(), b) is not None for b in cases]
+    assert searched == [False, True, True, True, True]
     for b in cases:
         built = _spy_block_builds(monkeypatch)
         assert leibniz_cohomology(trivial_algebra(), b, 100).dims == \
             trivial_algebra_closed_form(b, 100)
         assert built == list(range(101))  # each degree's blocks once
         monkeypatch.undo()
+
+
+# ------------------------------------------------------ the split toral search
+
+def _spy_searches(monkeypatch) -> list:
+    """Record what every call of ``toral.split_toral`` returns."""
+    found = []
+    real = toral.split_toral
+
+    def recording(h, m):
+        found.append(real(h, m))
+        return found[-1]
+
+    monkeypatch.setattr(toral, "split_toral", recording)
+    return found
+
+
+def test_weight_basis_inputs_never_reach_the_search(monkeypatch):
+    found = _spy_searches(monkeypatch)
+    for n in (1, 2):
+        h = hemi_sl2(n)
+        for make in (antisymmetric, symmetric):
+            leibniz_cohomology(h, make(h, simple_module(n).underlying), 2)
+    assert found == []
+
+
+def test_sheared_inputs_are_graded_by_a_split_toral_element(monkeypatch):
+    # No basis element of a sheared problem has diagonal ad and L, so the
+    # search grades it; HL^0..3 must be those of the weight basis, and the
+    # HL^0 basis that of ker d_0 on the caller's bimodule.
+    for n in (1, 2, 3):
+        h = hemi_sl2(n)
+        for m in range(4):
+            for make in (antisymmetric, symmetric):
+                bm = make(h, simple_module(m).underlying)
+                hs, ms = _sheared(h, bm)
+                assert not any(cohomology._weights(hs, ms)[0])
+                found = _spy_searches(monkeypatch)
+                res = leibniz_cohomology(hs, ms, 3)
+                monkeypatch.undo()
+                assert found[0] is not None
+                assert res.dims == leibniz_cohomology(h, bm, 3).dims, (n, m, make)
+                assert res[0].cocycles == kernel_basis(leibniz_differential(hs, ms, 0))
+
+
+def _so3():
+    """so(3, Q), the cross-product algebra: [e_i, e_(i+1)] = e_(i+2)."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        c[i][j][k], c[j][i][k] = 1, -1
+    return LieAlgebra(3, c)
+
+
+def test_no_split_toral_element_over_so3(monkeypatch):
+    # tr(ad(x)^2) + tr(L_x^2) is negative definite over so(3) x_hs so(3),
+    # so every candidate fails the form test before any eigenspace is
+    # computed, and the answer is the full complex's.
+    so3 = _so3()
+    h = hemi_semidirect(so3, adjoint_module(so3))
+    real = toral._candidates
+    for bm in (antisymmetric(h, adjoint_module(so3)), symmetric(h, adjoint_module(so3)),
+               trivial_bimodule(h)):
+        tried, eigen = [], []
+        monkeypatch.setattr(toral, "_candidates",
+                            lambda k: (tried.append(v) or v for v in real(k)))
+        monkeypatch.setattr(toral, "_eigenspaces", lambda a: eigen.append(a))
+        found = _spy_searches(monkeypatch)
+        res = leibniz_cohomology(h, bm, 2)
+        monkeypatch.undo()
+        assert found == [None]
+        assert len(tried) == toral._CANDIDATES and eigen == []
+        assert res.dims == cohomology_of_complex(leibniz_complex(h, bm, 2)).dims
+
+
+def test_one_dim_algebra_with_a_diagonalizable_left_action(monkeypatch):
+    # L is not diagonal but has the eigenbasis (1, 0), (1, 1) with
+    # eigenvalues 1, 2 on the first block, (3, 1), (1, -1) with 3, -1 on
+    # the second (R = -L there), and 0 on the third.
+    left = Mat.from_rows([[1, 1, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 0, 3, 0],
+                          [0, 0, 1, 2, 0], [0, 0, 0, 0, 0]])
+    right = Mat.from_rows([[0] * 5, [0] * 5, [0, 0, 0, -3, 0], [0, 0, -1, -2, 0], [0] * 5])
+    h = trivial_algebra()
+    bm = Bimodule(h, 5, [left], [right])
+    assert not any(cohomology._weights(h, bm)[1])
+    found = _spy_searches(monkeypatch)
+    res = leibniz_cohomology(h, bm, 6)
+    assert found[0] is not None
+    assert res.dims == trivial_algebra_closed_form(bm, 6) == [3, 1, 1, 1, 1, 1, 1]
+    assert res[0].cocycles == kernel_basis(leibniz_differential(h, bm, 0))
+
+
+def test_huge_eigenvalues_leave_the_search_at_once():
+    # A Jordan block at 10^50: the trace bound alone would try about
+    # 10^50 eigenvalues, the cap |k| <= 2n = 4 stops the search after
+    # nine, and the input is answered on the ungraded route.
+    big = 10 ** 50
+    h = trivial_algebra()
+    bm = Bimodule(h, 2, [Mat.from_rows([[big, 1], [0, big]])], [Mat.zero(2, 2)])
+    start = time.perf_counter()
+    assert toral.split_toral(h, bm) is None
+    assert leibniz_cohomology(h, bm, 3).dims == trivial_algebra_closed_form(bm, 3)
+    assert time.perf_counter() - start < 1
+
+
+def test_fast_ext_over_a_sheared_hemi_sl2(monkeypatch):
+    # A weight descriptor needs sl2 in its own basis, so the source is K.
+    h = hemi_sl2(1)
+    src = SimpleDescriptor("trivial")
+    for m in (0, 1, 2):
+        bm = antisymmetric(h, simple_module(m).underlying)
+        want = ext_dims(h, src, bm, 4, fast=True)
+        hs, ms = _sheared(h, bm)
+        found = _spy_searches(monkeypatch)
+        got = ext_dims(hs, src, ms, 4, fast=True)
+        monkeypatch.undo()
+        assert found and None not in found
+        assert got.dims == want.dims and got.certificate.certified
 
 
 # --------------------------------------------------------------- CE cohomology

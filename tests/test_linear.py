@@ -276,6 +276,41 @@ def test_restrict_and_project_eliminates_twice(monkeypatch):
             assert len(calls) <= 2
 
 
+def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
+    # The columns of a basis are independent, so with nothing divided out
+    # the adapted basis is the subspace's own, and each induced map is
+    # the X with S X = F S.  decompose and induced_module restrict that
+    # way, and their outputs must not change.
+    from leibniz_quiver.algebra import quotient_data
+    from leibniz_quiver.bimodule import antisymmetric
+    from leibniz_quiver.cohomology import induced_module, leibniz_cohomology
+
+    calls = []
+    extend = linear.pivot_extension
+    monkeypatch.setattr(linear, "pivot_extension", lambda *a: calls.append(1) or extend(*a))
+    for seed in range(3):
+        maps, sub, quot, _ = _flag_family(seed, 3)
+        s = sub.matrix()
+        assert restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
+            solve(s, f * s) for f in maps]
+    for m in range(1, 4):
+        for n in range(m, 5):
+            want = repsl2.clebsch_gordan(m, n)
+            assert repsl2.decompose(repsl2.tensor(repsl2.simple_module(m),
+                                                  repsl2.simple_module(n))) == want
+    h = repsl2.hemi_sl2(1)
+    for w in (1, 2):
+        bm = antisymmetric(h, repsl2.simple_module(w).underlying)
+        z0 = leibniz_cohomology(h, bm, 0)[0].cocycles
+        module = induced_module(bm, z0)
+        s = z0.matrix()
+        assert module.action == tuple(solve(s, bm.left[i] * s)
+                                      for i in quotient_data(h).complement)
+    assert calls == []
+    restrict_and_project(maps, sub, quot)
+    assert calls == [1]
+
+
 # ------------------------------------------------------------- property tests
 
 small_entries = st.integers(min_value=-9, max_value=9)
