@@ -150,10 +150,15 @@ from .linear import (
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
 from .bimodule import Bimodule, right_invariants
 
-# The most rows a matrix of a Leibniz pass may have (``_checked_grading``):
-# HL^5(hemi_sl2(2), V_2^a) builds blocks of at most 25 152 rows and counts
-# CL^5 (23 328) whole; the complex to degree 5 needs all of CL^6 (139 968).
+# The most rows a matrix of a Leibniz pass may have, and the most entries
+# of its weight table (``_checked_grading``): HL^5(hemi_sl2(2), V_2^a)
+# builds blocks of at most 25 152 rows; the ungraded complex to degree 5
+# maps into all of CL^6 (139 968).
 COCHAIN_BUDGET = 50_000
+
+# ``_check_budget`` writes a count from here up only as over a power of
+# ten, and ``_Grading`` stores no larger block size.
+_SIZE_CAP = 1 << 4096
 
 
 class CochainComplex(_Frozen):
@@ -274,7 +279,7 @@ def _check_budget(space: str, size: int, unit: str = "") -> None:
     COCHAIN_BUDGET, or with ``unit`` (such as "degrees") more than
     COCHAIN_BUDGET of those; ``space`` names it in the message."""
     if size > COCHAIN_BUDGET:
-        if size.bit_length() > 4096:  # too long for str(); 0.301029995 < log10 2
+        if size >= _SIZE_CAP:  # too long for str(); 0.301029995 < log10 2
             size = f"over 10^{(size.bit_length() - 1) * 301029995 // 10 ** 9}"
         amount = f"{size} {unit}" if unit else f"dimension {size}"
         raise InputError(f"{space} has {amount}, above the budget of {COCHAIN_BUDGET}")
@@ -329,28 +334,69 @@ class _Grading:
     The basis cochain (t, j) has eigenvalue mu_j - sum_i alpha_(t_i).  A
     block lists its cochains in increasing flat order: first slot
     t_1 = 0, 1, ... in turn, each followed by the block of eigenvalue
-    nu + alpha_(t_1) one degree below.  ``sizes[q]`` maps the eigenvalues
-    of CL^q to the sizes of their blocks.  ``need[q]``, for q <= top,
-    holds 0 and every eigenvalue nu + alpha_a at which the nonempty
-    blocks of ``need[q + 1]`` read d_q or A^(q), and ``need[top + 1]`` = {0}.
+    nu + alpha_(t_1) one degree below.  ``members`` and ``pos`` list the
+    cochains of M per eigenvalue and their places in its block, for every
+    eigenvalue.  ``need[q]``, for q <= top, holds 0 and every eigenvalue
+    nu + alpha_a at which the nonempty blocks of ``need[q + 1]`` read d_q
+    or A^(q), and ``need[top + 1]`` = {0}.
+
+    ``sizes[q]`` maps eigenvalues of CL^q to the sizes of their blocks,
+    but only in the window |nu| <= (top + 1 - q) reach, with reach the
+    largest |alpha_a| (0 with no alpha).  It drops only entries that no
+    code reads:
+
+      * ``need[q]`` holds sums of at most top - q alphas;
+      * beside ``need[q]``, ``offsets``, ``_differential_blocks``,
+        ``_lift_actions`` and the block count of ``_checked_grading``
+        read ``sizes[q + 1]`` at ``need[q]`` itself, ``sizes[q]`` at most
+        one alpha away and ``sizes[q - 1]`` at most two: in ``sizes[p]``
+        at sums of at most top + 1 - p alphas, inside its window
+        (``cochain_action`` lifts to degree top + 1 only on the ungraded
+        pass, where reach is 0);
+      * a kept size of CL^q is a sum of sizes of CL^(q-1) one alpha
+        away, all inside the wider window of degree q - 1 and so kept.
+
+    Over the one-dimensional algebra every alpha is 0 ([b, b] lies in
+    Leib(h), where ad vanishes), and the table holds at most one entry
+    per degree however many weights M has.  The table counts its own
+    entries against COCHAIN_BUDGET after each degree, and degree q takes
+    dim h steps per entry of degree q - 1, so it costs at most dim h
+    times the budget before a refusal.
+
+    A size is stored only up to _SIZE_CAP = 2^4096, so each entry has at
+    most 4097 bits.  Every count compared with the budget is then exact
+    or at least the cap, and every comparison goes as it would uncapped.
+    A built block reads only exact sizes: its columns, and the runs it
+    is cut into, are at most its rows (alpha_g = 0, so block nu of CL^q
+    is the run of first slot g in block nu of CL^(q+1)), which the
+    budget bounds.  A count at least the cap is written by
+    ``_check_budget`` as over a power of ten that the true count exceeds
+    too.
     """
 
     __slots__ = ("alpha", "mu", "members", "pos", "sizes", "need")
 
     def __init__(self, alpha: Sequence, mu: Sequence, top: int):
         self.alpha, self.mu = alpha, mu
-        self.members, self.pos = {}, []  # cochains of M per eigenvalue, index in block
+        self.members, self.pos = {}, []
         for j, x in enumerate(mu):
             block = self.members.setdefault(x, [])
             self.pos.append(len(block))
             block.append(j)
-        self.sizes = [Counter({x: len(js) for x, js in self.members.items()})]
-        for _ in range(top + 1):
+        reach = max(map(abs, alpha), default=0)
+        window = (top + 1) * reach
+        self.sizes = [Counter({x: len(js) for x, js in self.members.items() if abs(x) <= window})]
+        entries = len(self.sizes[0])
+        for q in range(1, top + 2):
+            window -= reach
             here = Counter()
             for a in alpha:
                 for nu, s in self.sizes[-1].items():
-                    here[nu - a] += s
-            self.sizes.append(here)
+                    if abs(nu - a) <= window:
+                        here[nu - a] += s
+            self.sizes.append(Counter({nu: min(s, _SIZE_CAP) for nu, s in here.items()}))
+            entries += len(here)
+            _check_budget(f"the weight table of CL^0..CL^{q}", entries, "entries")
         need = [{0}]
         for q in range(top, 0, -1):  # below[nu + a] > 0 makes block nu of CL^q nonempty
             below = self.sizes[q - 1]
@@ -478,35 +524,30 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
                      graded: bool = False) -> tuple:
     """(h, m, g): the grading g of a pass that builds d_0, ..., d_top, and
     the algebra and bimodule it grades, after the checks every Leibniz
-    entry point makes past its sign check, before anything is built: the
-    run of degrees 0..top+1, the algebra of m, then the rows of every
-    matrix against COCHAIN_BUDGET: first a whole space, then each d_q's
-    blocks.
+    entry point makes past its sign check, before any matrix is built.
+    The rule is the same on every route, and it counts only what the
+    pass builds: the run of degrees 0..top+1 and the algebra of m first,
+    then against COCHAIN_BUDGET the bimodule M (CL^0, which the search,
+    ``_degree_zero`` and ``right_invariants`` read whole), the entries of
+    the weight table (counted by ``_Grading`` as it builds them) and the
+    rows of each d_q's blocks.  Ungraded, the one block of d_q is all of
+    CL^(q+1).
 
     Graded, the pass is graded by the first basis element that
     ``_weights`` finds or, with none, by the split toral element that
     ``toral.split_toral`` finds, and then h and m are returned in its
     eigenbasis; with neither, and whenever ``graded`` is False, the pass
-    is ungraded.  Graded, the whole space is CL^top, whose count bounds
-    the weight-block table: ``sizes[q]`` has at most dim CL^q entries,
-    and the last, of CL^(top+1), takes dim h steps per entry of
-    ``sizes[top]``.  It is counted before the search, so the search
-    never reads a bimodule above the budget.  Ungraded, the whole space is
-    CL^(top+1), the one block of d_top.  Over the zero algebra every CL^q
-    above q = 0 is zero, and the whole space is CL^0 = M."""
+    is ungraded."""
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
+    _check_budget("the cochain space CL^0", m.dim)
     alpha, mu = (0,) * h.dim, (0,) * m.dim
     if graded and h.dim:
-        _check_budget(f"the cochain space CL^{top}", h.dim ** top * m.dim)
         alpha, mu = _weights(h, m)
         if not (any(alpha) or any(mu)):
             from .toral import split_toral  # compiled only where a search runs
             h, m, alpha, mu = split_toral(h, m) or (h, m, alpha, mu)
-    if not (any(alpha) or any(mu)):
-        whole = top + 1 if h.dim else 0
-        _check_budget(f"the cochain space CL^{whole}", h.dim ** whole * m.dim)
     g = _Grading(alpha, mu, top)
     for q in range(top + 1):
         _check_budget(f"the block differential d_{q}",
@@ -677,15 +718,17 @@ def ce_cohomology(g: LieAlgebra, m: LeftModule, pmax: int) -> CohomologyResult:
     return cohomology_of_complex(ce_complex(g, m, pmax))
 
 
+def _trace_form(mats: Sequence[Mat]) -> list:
+    """The Gram matrix tr(A_i A_j) of a family of square matrices."""
+    flat = [{(i, j): x for i in range(a.rows) for j, x in a.nonzeros(i)} for a in mats]
+    return [[sum(x * b.get((j, i), 0) for (i, j), x in a.items()) for b in flat] for a in flat]
+
+
 @lru_cache(maxsize=None)
 def _killing_form_nondegenerate(g: LieAlgebra) -> bool:
     """Whether the Killing form tr(ad_i ad_j) of g is nondegenerate,
     which by Cartan's criterion says that g is semisimple."""
-    ads = [g.left_mult(i) for i in range(g.dim)]
-    products = [[a * b for b in ads] for a in ads]
-    form = Mat(g.dim, g.dim, [[sum(p[k, k] for k in range(g.dim)) for p in row]
-                              for row in products])
-    return rank(form) == g.dim
+    return rank(Mat.from_rows(_trace_form([g.left_mult(i) for i in range(g.dim)]))) == g.dim
 
 
 @lru_cache(maxsize=None)
@@ -703,12 +746,14 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     particular, and can fail otherwise.  So g is refused with InputError
     unless its Killing form is nondegenerate (Cartan's criterion), a
     check made once per algebra, as is H^*(g, K) per algebra and pmax.
-    Useful as a fast cross-check against the full complex.
+    A zero-dimensional M has M^g = 0 without an elimination; H^*(g, K)
+    is still read, so its degree range is still checked.  Useful as a
+    fast cross-check against the full complex.
     """
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    inv = intersect_kernels(m.action, m.dim).dim  # dim M^g
+    inv = intersect_kernels(m.action, m.dim).dim if m.dim else 0  # dim M^g
     return [b * inv for b in _trivial_ce_dims(g, pmax)]
 
 

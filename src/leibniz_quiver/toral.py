@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
-from .cohomology import _basis_weights
+from .cohomology import _basis_weights, _trace_form
 from .linear import Mat, kernel_basis, lincomb, pivot_extension, solve
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
@@ -35,12 +34,6 @@ def _candidates(k: int):
                         and next(x for x in v if x) > 0:
                     yield v
     return itertools.islice(runs(), _CANDIDATES)
-
-
-def _trace_form(mats: Sequence[Mat]) -> list:
-    """The Gram matrix tr(A_i A_j) of a family of square matrices."""
-    flat = [{(i, j): x for i in range(a.rows) for j, x in a.nonzeros(i)} for a in mats]
-    return [[sum(x * b.get((j, i), 0) for (i, j), x in a.items()) for b in flat] for a in flat]
 
 
 def _eigenspaces(a: Mat) -> list | None:

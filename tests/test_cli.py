@@ -430,19 +430,20 @@ def test_degree_ranges_beyond_budget_are_exit_one(capsys, tmp_path, monkeypatch)
 
 
 def test_cohomology_beyond_budget_is_exit_one(capsys, tmp_path, monkeypatch):
-    # --bases reads the full complex, whose CL^6 has 139 968 cochains at
-    # qmax 5; without it, qmax 6 writes the bases of HL^6 into that CL^6.
+    # --bases reads the full complex, whose d_5 maps into all 139 968
+    # cochains of CL^6 at qmax 5; without it, qmax 6 builds blocks of
+    # 70 848 rows for d_5.
     h = hemi_sl2(2)
     apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
     bpath = write_json(tmp_path, "b.json",
                        bimodule_to_spec(antisymmetric(h, simple_module(2).underlying)))
     built = []
     monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
-    for qmax, bases in (("5", ["--bases"]), ("6", [])):
+    for qmax, bases, rows in (("5", ["--bases"], 139968), ("6", [], 70848)):
         code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
                              "--qmax", qmax, *bases)
         assert code == 1 and out == "" and built == []
-        assert err == ("error: the cochain space CL^6 has dimension 139968, "
+        assert err == (f"error: the block differential d_5 has {rows} rows, "
                        f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
 
 
@@ -461,8 +462,9 @@ def test_cohomology_over_the_zero_algebra_counts_cl0(capsys, tmp_path):
 
 def test_cohomology_past_the_int_to_str_limit_is_one_error_line(capsys, tmp_path):
     # CL^49998 over hemi_sl2(1) with V_1^a has 5^49998 * 2, about
-    # 2.5 * 10^34947 cochains: too many digits for str(), so the refusal
-    # names the size by a power of ten below it.
+    # 2.5 * 10^34947 cochains, too many digits for str(); the pass counts
+    # only what it builds, and its weight table, 4q + 3 eigenvalues in
+    # degree q >= 1 and 2 in degree 0, passes the budget at CL^157.
     h = hemi_sl2(1)
     apath = write_json(tmp_path, "a.json", algebra_to_spec(h))
     bpath = write_json(tmp_path, "b.json",
@@ -470,7 +472,7 @@ def test_cohomology_past_the_int_to_str_limit_is_one_error_line(capsys, tmp_path
     code, out, err = run(capsys, "cohomology", "--algebra", apath, "--bimodule", bpath,
                          "--qmax", "49998")
     assert (code, out) == (1, "")
-    assert err == ("error: the cochain space CL^49998 has dimension over 10^34947, "
+    assert err == ("error: the weight table of CL^0..CL^157 has 50085 entries, "
                    f"above the budget of {cohomology.COCHAIN_BUDGET}\n")
 
 

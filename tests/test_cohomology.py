@@ -442,12 +442,13 @@ def test_huge_differential_degree_is_refused_at_once():
 
 
 def test_cochain_action_is_refused_before_any_action(monkeypatch):
-    # CL^2 of V_1^a over hemi_sl2(1) has 5^2 * 2 = 50 cochains
+    # CL^2 of V_1^a over hemi_sl2(1) has 5^2 * 2 = 50 cochains, the one
+    # block of the ungraded d_1
     h, bm = _hemi1_v1a()
     monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 49)
     lifted = []
     monkeypatch.setattr(cohomology, "_lift_actions", lambda *args: lifted.append(args))
-    with pytest.raises(InputError, match="^the cochain space CL\\^2 has dimension 50, "):
+    with pytest.raises(InputError, match="^the block differential d_1 has 50 rows, "):
         cochain_action(h, bm, 2)
     assert lifted == []
     monkeypatch.undo()
@@ -566,7 +567,7 @@ def test_grading_skips_the_leibniz_kernel():
     alpha, mu = cohomology._weights(h, bm)
     assert (alpha, mu) == ((1, -1, 2, 0, -2), (1, -1))
     sizes = cohomology._Grading(alpha, mu, 3).sizes
-    assert (sizes[4][0], sum(sizes[4].values())) == (160, 1250)
+    assert (sizes[4][0], h.dim ** 4 * bm.dim) == (160, 1250)
 
 
 def _rescaled(h, m, s):
@@ -965,30 +966,29 @@ def test_trivial_coefficients_are_computed_once_per_algebra_and_degree(monkeypat
 # ------------------------------------------------------------ resource budget
 
 def test_cochain_budget_sits_between_the_largest_target_and_qmax_five():
-    # HL^5(hemi_sl2(2), V_2^a) builds weight blocks of at most 25 152 rows
-    # and writes its bases into CL^5, 6^5 * 3 = 23 328 cochains, so it is
-    # allowed; the ungraded complex to qmax 5 and HL^6 on the same pair
-    # need all of CL^6, 6^6 * 3 = 139 968 rows.
-    assert 6 ** 5 * 3 <= COCHAIN_BUDGET < 6 ** 6 * 3
+    # HL^5(hemi_sl2(2), V_2^a) builds weight blocks of at most 25 152 rows,
+    # so it is allowed; the ungraded complex to qmax 5 on the same pair
+    # maps into all of CL^6, 6^6 * 3 = 139 968 rows.
+    assert 25_152 <= COCHAIN_BUDGET < 6 ** 6 * 3
 
 
 def test_oversized_complex_is_refused_before_any_differential(monkeypatch):
-    # HL^6 would build blocks of 141 696 rows and write bases into CL^6.
+    # HL^6 would build blocks of 70 848 rows for d_5 and 141 696 for d_6;
+    # the ungraded complex to qmax 5 has one block of 139 968 rows for d_5.
     h = hemi_sl2(2)
     bm = antisymmetric(h, simple_module(2).underlying)
     built = []
     monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
-    monkeypatch.setattr(cohomology, "_Grading", lambda *args: built.append(args))
-    for refused in (lambda: leibniz_cohomology(h, bm, 6), lambda: leibniz_complex(h, bm, 5)):
-        with pytest.raises(InputError, match="the cochain space CL\\^6 has dimension 139968"):
+    for refused, rows in ((lambda: leibniz_cohomology(h, bm, 6), 70848),
+                          (lambda: leibniz_complex(h, bm, 5), 139968)):
+        with pytest.raises(InputError, match=f"^the block differential d_5 has {rows} rows, "):
             refused()
     assert built == []
 
 
 def test_graded_route_counts_the_blocks_it_builds(monkeypatch):
     # Over hemi_sl2(2) with V_2^a to qmax 1 the blocks of d_0 and d_1 have
-    # 14 and 28 rows, and CL^1, where the bases of HL^1 go, has 18; the
-    # ungraded complex maps into all 108 cochains of CL^2.
+    # 14 and 28 rows; the ungraded d_1 maps into all 108 cochains of CL^2.
     h = hemi_sl2(2)
     bm = antisymmetric(h, simple_module(2).underlying)
     want = leibniz_cohomology(h, bm, 1).dims
@@ -1002,7 +1002,7 @@ def test_graded_route_counts_the_blocks_it_builds(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 28)
     assert leibniz_cohomology(h, bm, 1).dims == want
-    with pytest.raises(InputError, match="^the cochain space CL\\^2 has dimension 108, "):
+    with pytest.raises(InputError, match="^the block differential d_1 has 108 rows, "):
         leibniz_complex(h, bm, 1)
 
 
@@ -1014,9 +1014,55 @@ def test_inputs_beyond_the_full_space_budget_are_answered():
         == [3, 1, 0, 0, 0]
 
 
+def test_empty_blocks_answer_past_the_full_space_budget():
+    # Every weight of V_1^a over hemi_sl2(2) is odd and every alpha even,
+    # so the eigenvalue-0 blocks are empty above degree 0, while CL^12
+    # has 6^12 * 2 cochains.
+    h = hemi_sl2(2)
+    assert leibniz_cohomology(h, antisymmetric(h, simple_module(1).underlying), 12).dims \
+        == [2] + [0] * 12
+
+
+def test_many_weights_over_the_one_dimensional_algebra_keep_one_table_entry():
+    # Over the one-dimensional algebra every alpha is 0, so the weight
+    # table keeps only eigenvalue 0, however many weights M has.
+    h = trivial_algebra()
+    weights = range(-150, 150)
+    bm = Bimodule(h, len(weights), [Mat.diagonal(weights)],
+                  [Mat.diagonal([-w for w in weights])])
+    assert leibniz_cohomology(h, bm, 4000).dims == trivial_algebra_closed_form(bm, 4000)
+    g = cohomology._checked_grading(h, bm, 4000, graded=True)[2]
+    assert len(g.sizes) == 4002 and all(len(sizes) <= 1 for sizes in g.sizes)
+
+
+def test_weight_table_is_refused_before_any_differential(monkeypatch):
+    # 49 999 degrees pass the degree range; the weight table of V_1^a over
+    # hemi_sl2(1) has 2 eigenvalues in degree 0 and 4q + 3 in degree q.
+    h = hemi_sl2(1)
+    bm = antisymmetric(h, simple_module(1).underlying)
+    built = []
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
+    with pytest.raises(InputError, match="^the weight table of CL\\^0..CL\\^157 has 50085 "
+                                         f"entries, above the budget of {COCHAIN_BUDGET}$"):
+        leibniz_cohomology(h, bm, 49998)
+    assert built == []
+    assert 2 + sum(4 * q + 3 for q in range(1, 158)) == 50085
+
+
+def test_weight_table_stores_sizes_up_to_the_cap():
+    # Ungraded over a two-dimensional algebra, CL^q has 2^q cochains; the
+    # table stores them up to 2^4096, and a refusal names the first block
+    # over the budget, d_15 into CL^16, exactly.
+    g = cohomology._Grading((0, 0), (0,), 5000)
+    assert [g.sizes[q][0] for q in (4095, 4096, 5001)] == [1 << 4095] + [1 << 4096] * 2
+    h = LeibnizAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(InputError, match="^the block differential d_15 has 65536 rows, "):
+        leibniz_complex(h, Bimodule(h, 1, [Mat.zero(1, 1)] * 2, [Mat.zero(1, 1)] * 2), 5000)
+
+
 def test_cl0_over_the_zero_algebra_counts_against_the_budget(monkeypatch):
-    # Over the zero algebra CL^0 = M and every higher CL^q is zero, so the
-    # whole space a pass builds on is the bimodule itself.
+    # Over the zero algebra CL^0 = M and every higher CL^q is zero; every
+    # pass reads all of M, so M is counted first on every route.
     h = LeibnizAlgebra(0, [])
     big = Bimodule(h, COCHAIN_BUDGET + 1, [], [])
     built = []
@@ -1059,18 +1105,16 @@ def test_differential_checks_its_own_target_dimension(monkeypatch):
     want = [x.dim for x in hl_module_structure(h, bm, 1)]
     monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 5 * 2)
     assert leibniz_differential(h, bm, 0).rows == 10
-    with pytest.raises(InputError, match="CL\\^2 has dimension 50"):
+    with pytest.raises(InputError, match="^the block differential d_1 has 50 rows"):
         leibniz_differential(h, bm, 1)
-    # the graded route builds blocks of 6 and 8 rows and writes into CL^1
+    # the graded route builds blocks of 6 and 8 rows
     assert [x.dim for x in hl_module_structure(h, bm, 1)] == want
 
 
 def test_sizes_past_the_int_to_str_limit_are_refused_by_name():
-    # CL^6201 over hemi_sl2(1) with V_1^a has 5^6201 * 2 cochains, a
-    # number of 4 335 digits: past the 4 300 digits that str() converts.
-    h = hemi_sl2(1)
-    bm = antisymmetric(h, simple_module(1).underlying)
-    with pytest.raises(InputError, match="^the cochain space CL\\^6201 has dimension "
-                                         f"over 10\\^4334, above the budget of {COCHAIN_BUDGET}$"):
-        leibniz_complex(h, bm, 6200)
-    assert 10 ** 4334 < 5 ** 6201 * 2 < 10 ** 4335
+    # A bimodule of dimension 10^5000, a number of 5 001 digits: past the
+    # 4 300 digits that str() converts.
+    big = Bimodule(LeibnizAlgebra(0, []), 10 ** 5000, [], [])
+    with pytest.raises(InputError, match="^the cochain space CL\\^0 has dimension "
+                                         f"over 10\\^4999, above the budget of {COCHAIN_BUDGET}$"):
+        leibniz_complex(big.algebra, big, 1)

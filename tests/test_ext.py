@@ -502,6 +502,23 @@ def test_fast_route_over_the_zero_algebra_takes_all_of_m_as_invariants():
         assert ce_dims_via_invariants(g, m, 1) == ce_cohomology(g, m, 1).dims == [dim, 0]
 
 
+def test_fast_route_reads_no_invariants_of_a_zero_dimensional_carrier(monkeypatch):
+    # Most Hom carriers of this row are zero-dimensional; their M^g is 0
+    # by dimension, with no elimination.
+    h = hemi_sl2(1)
+    v1a = SimpleDescriptor(KIND_ANTISYMMETRIC, 1)
+    sizes = []
+    real = cohomology.intersect_kernels
+
+    def spy(mats, n):
+        sizes.append(n)
+        return real(mats, n)
+
+    monkeypatch.setattr(cohomology, "intersect_kernels", spy)
+    assert ext_dims(h, v1a, v1a.realize(h), 3, fast=True).dims == (1, 0, 0, 1)
+    assert sizes and 0 not in sizes
+
+
 def test_invariants_shortcut_refuses_a_lie_algebra_that_is_not_semisimple():
     # g = <x, y> with [x, y] = y and the character chi(x) = 1, chi(y) = 0:
     # H^*(g, chi) is [0, 1, 1] although chi^g = 0, so the shortcut would
