@@ -321,7 +321,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
+def algebra_from_spec(spec: dict) -> LeibnizAlgebra:
     """Build an algebra from its JSON form.
 
     Expected shape::
@@ -366,7 +366,7 @@ def algebra_from_spec(spec: dict, *, check: bool = True) -> LeibnizAlgebra:
         not isinstance(labels, list) or len(labels) != dim
     ):
         raise InputError("labels must list one name per basis element")
-    return LeibnizAlgebra(dim, c, labels=labels, check=check)
+    return LeibnizAlgebra(dim, c, labels=labels)
 
 
 def algebra_to_spec(a: LeibnizAlgebra) -> dict:

@@ -117,7 +117,9 @@ T - a drops a from T.  The bracket terms apply rho to no value of f, so
 they are delta_p on the g-slots and I_M on M; the module term at T with
 a = t_i is (-1)^i rho(b_a) f(T - a), and (-1)^i is eps_a at (T, T - a).
 
-Both complexes verify d.d = 0 on construction.
+Both complexes are read in one pass per complex (``CochainComplex``): each
+differential is scaled to integers once, checked against the coboundaries
+and eliminated, so d.d = 0 is verified on construction.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ from .linear import (
     _Frozen,
     _column_basis,
     _common_int_rows,
+    _int_kernel_and_pivots,
     _int_product,
-    _kernel_and_pivots,
     _kernel_spans,
     _sum,
     _wrap,
@@ -162,24 +164,68 @@ _SIZE_CAP = 1 << 4096
 
 
 class CochainComplex(_Frozen):
-    """A finite run of a cochain complex: spaces and differentials.
+    """A finite run of a cochain complex: spaces and differentials, and
+    its cohomology, computed in one pass over the differentials.
 
     ``dims[q]`` is the dimension of the degree-q space and
     ``differentials[q]`` maps degree q to degree q+1; shapes must chain
-    and all compositions must vanish (ComplexError otherwise).
+    and all compositions must vanish (ComplexError otherwise).  So every
+    complex that exists has been verified, and ``cohomology_of_complex``
+    returns the groups that the pass stored.
 
-    The compositions are checked in integers.  Each differential is
-    converted once, to its rows times one common denominator, the lcm
-    of all its denominators, and serves as the left factor of one
-    product and the right factor of the next.  The rows of a right
-    factor are added together, so they need the common denominator: one
-    scale per row would change the matrix ([1/2; -1/3] times [1 1] is
-    1/6, but the rows scaled to [1; -1] give 0).  A factor scaled by a
-    nonzero constant scales the product, so each product is zero exactly
-    when its integer version is.
+    The pass handles each degree q once, with B_(q-1), the coboundary
+    basis of degree q, from the degree before (empty in degree 0):
+
+      1. it scales d_q to integers once, its rows times one common
+         denominator, the lcm of all its denominators;
+      2. it checks d_q . B_(q-1) = 0 in integers, with B scaled the same
+         way: the rows of a right factor are added together, so they
+         need the common denominator, and one scale per row would change
+         the matrix ([1/2; -1/3] scales to [3; -2], but to [1; -1] one
+         row at a time, and [1 1] times the latter is 0).  A factor
+         scaled by a nonzero constant scales the product, so it is zero
+         exactly when its integer version is;
+      3. it eliminates d_q from the same integer rows, for its cocycles
+         Z_q and its pivot columns, under the bound
+
+             rank d_q <= dim C^q - rank d_(q-1);
+
+      4. it certifies B_(q-1) in Z_q (below) and stores the group;
+      5. the pivot columns of d_q are B_q, for the next degree.
+
+    Why d_q . B_(q-1) = 0 is all of d_q . d_(q-1) = 0: B_(q-1) is the
+    pivot columns of d_(q-1), and they span im d_(q-1) once the
+    elimination of d_(q-1) has found every pivot, that is, once its
+    bound is at least rank d_(q-1).  By induction it is: d_0 is
+    eliminated with the bound dim C^0, its column count, and d_(q-1)
+    under dim C^(q-1) - rank d_(q-2), which is at least rank d_(q-1)
+    because im d_(q-2) lies in ker d_(q-1), as d_(q-1) . B_(q-2) = 0 was
+    checked before that elimination.  So the product has rank d_(q-1)
+    columns rather than dim C^(q-1), and it rests on the same
+    elimination core as every basis the pass reports.
+
+    The bound is reached exactly when the degree-q group is zero;
+    otherwise every row is read.  Below dim C^q the bound also lets the
+    elimination defer the rows that a null-vector probe finds spanned
+    already (see the ``linear`` docstring): where the bound is met, as
+    for d_3 and d_4 of the sheared V_1^a over V_1 x_hs sl2, those rows
+    are never reduced.
+
+    Every degree checks that its coboundaries B lie in its cocycles Z,
+    without a second elimination.  Z is the kernel basis of
+    ``_int_kernel_and_pivots``, the identity at the free columns of d_q, so
+    the coordinates of B in Z can only be B's own rows there, and B lies
+    in the span of Z exactly when Z B[free] = B: one integer product
+    (``_kernel_spans``).  A pass is a proof, since the product writes
+    each coboundary as a combination of the cocycles returned; a wrong
+    cocycle basis can only fail it.
+
+    The elimination consumes the integer rows of d_q, and those of B
+    live only for the product, so no integer rows outlive the degree
+    they are made in.
     """
 
-    __slots__ = ("dims", "differentials")
+    __slots__ = ("dims", "differentials", "_groups")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[Mat]):
         dims = tuple(dims)
@@ -190,15 +236,23 @@ class CochainComplex(_Frozen):
             if d.cols != dims[q] or d.rows != dims[q + 1]:
                 raise ComplexError(f"differential {q} has shape {d.rows}x{d.cols}, "
                                    f"expected {dims[q + 1]}x{dims[q]}")
-        if len(differentials) > 1:
-            right = _common_int_rows(differentials[0])[0]
-            for q, d in enumerate(differentials[1:]):
-                left = _common_int_rows(d)[0]
-                if any(any(row.values()) for row in _int_product(left, right)):
-                    raise ComplexError(f"d({q + 1}) . d({q}) is nonzero")
-                right = left
+        groups = []
+        coboundaries = SubspaceBasis.empty(dims[0])
+        last = len(differentials) - 1
+        for q, d in enumerate(differentials):
+            rows = _common_int_rows(d)[0]
+            if coboundaries.dim and any(any(row.values()) for row in _int_product(
+                    rows, _common_int_rows(coboundaries.matrix())[0])):
+                raise ComplexError(f"d({q}) . d({q - 1}) is nonzero")
+            cocycles, pivots = _int_kernel_and_pivots(rows, dims[q], dims[q] - coboundaries.dim)
+            if not _kernel_spans(cocycles, pivots, coboundaries):
+                raise ComplexError(f"coboundaries escape cocycles in degree {q}")
+            groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
+            if q < last:
+                coboundaries = _column_basis(d, pivots)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", differentials)
+        object.__setattr__(self, "_groups", tuple(groups))
 
 
 class DegreeGroup(_Frozen):
@@ -230,43 +284,10 @@ class CohomologyResult(_Frozen):
 
 def cohomology_of_complex(cx: CochainComplex) -> CohomologyResult:
     """Kernels modulo images of a verified complex, through degree
-    len(differentials) - 1.
-
-    Each differential d_q is eliminated once, for its cocycles and for
-    its pivot columns, which give the coboundaries im d_q of degree
-    q + 1.  The elimination stops at the bound
-
-        rank d_q <= dim C^q - rank d_(q-1)
-
-    which holds because im d_(q-1) lies in ker d_q: the complex verified
-    d_q . d_(q-1) = 0 exactly when it was built.  The bound is reached
-    exactly when the degree-q group is zero; otherwise every row is
-    read.  Below dim C^q the bound also lets the elimination defer the
-    rows that a null-vector probe finds spanned already (see the
-    ``linear`` docstring): where the bound is met, as for d_3 and d_4
-    of the sheared V_1^a over V_1 x_hs sl2, those rows are never
-    reduced.
-
-    Every degree checks that its coboundaries B lie in its cocycles Z,
-    without a second elimination.  Z is the kernel basis of
-    ``_kernel_and_pivots``, the identity at the free columns of d_q, so
-    the coordinates of B in Z can only be B's own rows there, and B lies
-    in the span of Z exactly when Z B[free] = B: one integer product
-    (``_kernel_spans``).  A pass is a proof, since the product writes
-    each coboundary as a combination of the cocycles returned; a wrong
-    cocycle basis can only fail it.
-    """
-    groups = []
-    coboundaries = SubspaceBasis.empty(cx.dims[0])
-    last = len(cx.differentials) - 1
-    for q, d in enumerate(cx.differentials):
-        cocycles, pivots = _kernel_and_pivots(d, cx.dims[q] - coboundaries.dim)
-        if not _kernel_spans(cocycles, pivots, coboundaries):
-            raise ComplexError(f"coboundaries escape cocycles in degree {q}")
-        groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
-        if q < last:
-            coboundaries = _column_basis(d, pivots)
-    return CohomologyResult(groups)
+    len(differentials) - 1, with cocycle and coboundary bases: the groups
+    that the one pass of ``CochainComplex`` computed and stored when the
+    complex was built."""
+    return CohomologyResult(cx._groups)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +382,17 @@ class _Grading:
     per degree however many weights M has.  The table counts its own
     entries against COCHAIN_BUDGET after each degree, and degree q takes
     dim h steps per entry of degree q - 1, so it costs at most dim h
-    times the budget before a refusal.
+    times the budget before a refusal.  With every alpha 0 (reach 0: the
+    ungraded pass and the one-dimensional algebra), ``need[q - 1]`` is
+    {0} and d_(q-1) has exactly the rows of the one entry of degree q,
+    so the table refuses a d_(q-1) above the budget, with the text and
+    threshold of ``_checked_grading``, right after building degree q
+    and before the next one.
 
-    A size is stored only up to _SIZE_CAP = 2^4096, so each entry has at
-    most 4097 bits.  Every count compared with the budget is then exact
+    A graded table can hold one entry per degree and still grow: that of
+    alpha = (0, 1, 1), mu = (5001,) and top 5000 stores 2^q at eigenvalue
+    5001 - q.  So a size is stored only up to _SIZE_CAP = 2^4096, and
+    each entry has at most 4097 bits.  Every count compared with the budget is then exact
     or at least the cap, and every comparison goes as it would uncapped.
     A built block reads only exact sizes: its columns, and the runs it
     is cut into, are at most its rows (alpha_g = 0, so block nu of CL^q
@@ -397,6 +425,8 @@ class _Grading:
             self.sizes.append(Counter({nu: min(s, _SIZE_CAP) for nu, s in here.items()}))
             entries += len(here)
             _check_budget(f"the weight table of CL^0..CL^{q}", entries, "entries")
+            if not reach:  # need[q - 1] = {0}: d_(q-1) is the one block here[0]
+                _check_budget(f"the block differential d_{q - 1}", here[0], "rows")
         need = [{0}]
         for q in range(top, 0, -1):  # below[nu + a] > 0 makes block nu of CL^q nonempty
             below = self.sizes[q - 1]

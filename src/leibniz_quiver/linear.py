@@ -50,8 +50,8 @@ for any ``limit`` at least the rank: an echelon that large has as many
 independent rows as the row space has dimensions, so it spans the row
 space, every row not yet read is a combination of it, and the
 leading-column set is complete.  The default limit is the column
-count; ``cohomology_of_complex`` passes the bound that the verified
-``d.d = 0`` of its complex gives.  And below the column count, where a
+count; ``CochainComplex`` passes the bound that its check of
+``d.d = 0`` gives.  And below the column count, where a
 limit can be met with rows still unread, the elimination defers the
 rows that would most likely cancel.  It keeps a probe, an integer
 vector that its echelon annihilated when the probe was drawn, and sets
@@ -594,8 +594,17 @@ def _kernel_and_pivots(m: Mat, limit: int) -> tuple:
     """``kernel_basis(m)`` and the pivot columns of ``m`` from one
     elimination that stops once its echelon has ``limit`` rows; ``limit``
     must be at least the rank of ``m``."""
-    n = m.cols
-    echelon, pivots = _forward_eliminate(_common_int_rows(m)[0], n, limit)
+    return _int_kernel_and_pivots(_common_int_rows(m)[0], m.cols, limit)
+
+
+def _int_kernel_and_pivots(rows: list, n: int, limit: int) -> tuple:
+    """``_kernel_and_pivots`` of the matrix with ``n`` columns whose rows
+    times one nonzero constant are the integer ``rows``, which have the
+    same kernel and pivots.  The elimination consumes ``rows`` and leaves
+    the list empty, so the caller's reference holds nothing during
+    back-substitution."""
+    echelon, pivots = _forward_eliminate(rows, n, limit)
+    rows.clear()
     free = [c for c in range(n) if c not in echelon]
     x = _back_substitute(echelon, pivots, {c: {k: 1} for k, c in enumerate(free)})
     x.update((c, {k: _ONE}) for k, c in enumerate(free))

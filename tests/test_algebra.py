@@ -222,7 +222,7 @@ def test_spec_rejects_malformed_input():
             algebra_from_spec({"dim": 1, "bracket": bracket})
     for triple in ([True, 1, 1], [0, True, 1], [0, 1, True]):
         with pytest.raises(InputError):
-            algebra_from_spec({"dim": 2, "bracket": [[[triple], []], [[], []]]}, check=False)
+            algebra_from_spec({"dim": 2, "bracket": [[[triple], []], [[], []]]})
     with pytest.raises(InputError):
         algebra_from_spec({"dim": True, "bracket": [[[]]]})
     with pytest.raises(AlgebraAxiomError):
@@ -272,4 +272,4 @@ def test_spec_bracket_table_counts_against_the_budget():
         algebra_from_spec(empty(37))
     assert str(exc.value) == (
         "the bracket table of the algebra has 50653 entries, above the budget of 50000")
-    assert algebra_from_spec(empty(36), check=False).dim == 36
+    assert algebra_from_spec(empty(36)).dim == 36

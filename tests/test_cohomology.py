@@ -103,26 +103,28 @@ def test_cochain_complex_checks_compositions_over_a_common_denominator():
 def test_a_cocycle_basis_missing_a_coboundary_is_refused(monkeypatch, drop):
     # K --[1; 1]--> K^2 --[1 -1]--> K: the coboundary (1, 1) spans the
     # cocycles, whose basis from the elimination is (1, 1) itself.
-    cx = CochainComplex([1, 2, 1], [Mat.from_rows([[1], [1]]), Mat.from_rows([[1, -1]])])
-    assert cohomology_of_complex(cx).dims == [0, 0]
-    real = cohomology._kernel_and_pivots
+    def complex_():
+        return CochainComplex([1, 2, 1], [Mat.from_rows([[1], [1]]), Mat.from_rows([[1, -1]])])
 
-    def wrong(m, limit):
+    assert cohomology_of_complex(complex_()).dims == [0, 0]
+    real = cohomology._int_kernel_and_pivots
+
+    def wrong(rows, n, limit):
         """In degree 1, the cocycle basis with its vector dropped, or
         moved off the coboundary by a unit at a pivot row."""
-        z, pivots = real(m, limit)
-        if m.cols != 2:
+        z, pivots = real(rows, n, limit)
+        if n != 2:
             return z, pivots
         cols = [list(v) for v in z.vectors]
         if drop:
             cols = cols[1:]
         else:
             cols[0][pivots[0]] += 1
-        return linear._basis(Mat.from_cols(cols, rows=m.cols)), pivots
+        return linear._basis(Mat.from_cols(cols, rows=n)), pivots
 
-    monkeypatch.setattr(cohomology, "_kernel_and_pivots", wrong)
+    monkeypatch.setattr(cohomology, "_int_kernel_and_pivots", wrong)
     with pytest.raises(ComplexError, match="^coboundaries escape cocycles in degree 1$"):
-        cohomology_of_complex(cx)
+        complex_()
 
 
 class _CountedRows(list):
@@ -287,6 +289,28 @@ def test_ext_where_the_bound_is_never_reached(monkeypatch):
     assert [shape for shape, _, _ in bounded[:5]] == [(d.rows, d.cols) for d in diffs]
     for d, (_, limit, read) in ((diffs[4], bounded[4]), (diffs[1], bounded[1])):
         assert limit > rank(d) and read == d.rows
+
+
+def test_each_differential_is_scaled_to_integers_once(monkeypatch):
+    # One pass per complex: the d.d = 0 check and the elimination read the
+    # same integer rows of each differential.
+    h, bm = _hemi1_v1a()
+    complexes = _spy_complexes(monkeypatch)
+    scaled = []
+    real = linear._common_int_rows
+
+    def recording(m):
+        scaled.append(m)
+        return real(m)
+
+    for module in (linear, cohomology):
+        monkeypatch.setattr(module, "_common_int_rows", recording)
+    assert leibniz_cohomology(h, bm, 3).dims == [2, 1, 0, 0]
+    assert ce_cohomology(sl2(), simple_module(2).underlying, 3).dims == [0, 0, 0, 0]
+    monkeypatch.undo()
+    assert len(complexes) == 2
+    for cx in complexes:
+        assert [sum(m is d for m in scaled) for d in cx.differentials] == [1] * 4
 
 
 # --------------------------------------------------------- Loday differential
@@ -1050,14 +1074,25 @@ def test_weight_table_is_refused_before_any_differential(monkeypatch):
 
 
 def test_weight_table_stores_sizes_up_to_the_cap():
-    # Ungraded over a two-dimensional algebra, CL^q has 2^q cochains; the
-    # table stores them up to 2^4096, and a refusal names the first block
-    # over the budget, d_15 into CL^16, exactly.
-    g = cohomology._Grading((0, 0), (0,), 5000)
-    assert [g.sizes[q][0] for q in (4095, 4096, 5001)] == [1 << 4095] + [1 << 4096] * 2
+    # A graded table with one entry per degree: block 5001 - q of CL^q has
+    # 2^q cochains, stored up to 2^4096.  Ungraded over a two-dimensional
+    # algebra CL^q has 2^q cochains too, and a refusal names the first
+    # block over the budget, d_15 into CL^16, exactly.
+    g = cohomology._Grading((0, 1, 1), (5001,), 5000)
+    assert [g.sizes[q][5001 - q] for q in (4095, 4096, 5001)] == [1 << 4095] + [1 << 4096] * 2
     h = LeibnizAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
     with pytest.raises(InputError, match="^the block differential d_15 has 65536 rows, "):
         leibniz_complex(h, Bimodule(h, 1, [Mat.zero(1, 1)] * 2, [Mat.zero(1, 1)] * 2), 5000)
+
+
+def test_an_ungraded_weight_table_is_refused_as_it_grows():
+    # With every alpha 0, d_(q-1) is the one block of CL^q, refused right
+    # after that degree is built: CL^7 over a five-dimensional algebra and
+    # a two-dimensional bimodule has 2 * 5^7 cochains, and none of the
+    # 49 992 degrees above it is built.
+    with pytest.raises(InputError, match="^the block differential d_6 has 156250 rows, "
+                                         f"above the budget of {COCHAIN_BUDGET}$"):
+        cohomology._Grading((0,) * 5, (0,) * 2, 49998)
 
 
 def test_cl0_over_the_zero_algebra_counts_against_the_budget(monkeypatch):
