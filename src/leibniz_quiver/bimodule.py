@@ -21,10 +21,10 @@ from .linear import (
     Mat,
     SubspaceBasis,
     _Frozen,
+    _wrap,
     as_scalar,
     image_basis,
     intersect_kernels,
-    kron,
     lincomb,
     parse_rational,
     restrict_and_project,
@@ -174,17 +174,32 @@ def hom_module_action(g: LeibnizAlgebra, u: LeftModule, v: LeftModule) -> LeftMo
     rho_u(x)^T for x and A', B' for y, A commutes with B' and A' with B,
     so the commutator of the two action matrices is [A, A'] + [B, B'],
     which is rho_v([x, y]) ox I - I ox rho_u([x, y])^T.  Hom of two
-    modules is a module by construction, and is built unchecked.
+    modules is a module by construction, and is built unchecked.  Row
+    (i, i') holds rho_v(x)[i, j] at (j, i') and -rho_u(x)[j', i'] at
+    (i, j'), meeting only at (i, i').
     """
     if u.algebra != g or v.algebra != g:
         raise ModuleAxiomError("both modules must be over the given algebra")
-    iu = Mat.identity(u.dim)
-    iv = Mat.identity(v.dim)
-    mats = [
-        kron(av, iu) - kron(iv, au.transpose())
-        for au, av in zip(u.action, v.action)
-    ]
-    return LeftModule(g, u.dim * v.dim, mats, check=False)
+    p, q = v.dim, u.dim
+    mats = []
+    for au, av in zip(u.action, v.action):
+        neg = (-au).transpose()
+        rows = []
+        for i in range(p):
+            vrow = av.nonzeros(i)
+            for i2 in range(q):
+                acc = {i * q + j2: y for j2, y in neg.nonzeros(i2)}
+                for j, x in vrow:
+                    c = j * q + i2
+                    if c in acc:  # only at c = (i, i2)
+                        x += acc[c]
+                        if not x:
+                            del acc[c]
+                            continue
+                    acc[c] = x
+                rows.append(acc)
+        mats.append(_wrap(p * q, p * q, rows))
+    return LeftModule(g, p * q, mats, check=False)
 
 
 class OneDimBimodule(_Frozen):

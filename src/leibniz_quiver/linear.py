@@ -37,9 +37,10 @@ whose free coordinates are 0.  Hence the rank, the pivot columns,
 ``image_basis`` (the pivot columns of the matrix itself), ``solve`` and
 the complement chosen by ``pivot_extension`` are reproducible bit for
 bit, whichever row ends up as the echelon row of a column.  So are the
-matrices of ``restrict_and_project``: they are read off one solve on
-the adapted basis ``[Q | S_comp] = S [S^-1 Q | e_comp]``, which fixes
-them as the matrices in the complement basis ``[S^-1 Q | e_comp]``.
+matrices of ``restrict_and_project``: the induced maps have one matrix
+in the complement basis ``S e_comp`` of span S / span Q, and comp
+depends on span(S^-1 Q) alone, as the complement of the positions where
+the vectors of that span have their last nonzero entry.
 
 Three savings rest on that argument, and none can change an output.
 The rows are reduced sparsest first, by a stable sort on their nonzero
@@ -611,6 +612,25 @@ def _int_kernel_and_pivots(rows: list, n: int, limit: int) -> tuple:
     return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n)))), pivots
 
 
+def _shifted_kernels(a: Mat) -> tuple:
+    """``(den, kernel)`` for a square ``a``: den is the lcm of its
+    denominators and ``kernel(k)`` is ``kernel_basis(a - (k / den) I)``,
+    eliminated from the integer rows of den a with k subtracted on the
+    diagonal."""
+    rows, den = _common_int_rows(a)
+    n = a.rows
+
+    def kernel(k: int) -> "SubspaceBasis":
+        shifted = [dict(r) for r in rows]
+        for i, row in enumerate(shifted):
+            v = row.pop(i, 0) - k
+            if v:
+                row[i] = v
+        return _int_kernel_and_pivots(shifted, n, n)[0]
+
+    return den, kernel
+
+
 def _kernel_spans(kernel: "SubspaceBasis", pivots: Sequence[int], sub: "SubspaceBasis") -> bool:
     """Whether every vector of ``sub`` lies in the span of ``kernel``,
     for ``(kernel, pivots)`` as ``_kernel_and_pivots`` returns them.
@@ -794,6 +814,17 @@ def pivot_extension(q: Mat, pool: Mat) -> tuple:
     return comp, Mat.hstack([q, _columns(pool, comp)])
 
 
+def _reversed_columns(rows: Sequence[Mapping], count: int) -> list:
+    """The ``count`` columns of the integer ``rows``, entry i of each at
+    coordinate ``len(rows) - 1 - i``: their pivots are last nonzeros."""
+    n = len(rows)
+    out = [{} for _ in range(count)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][n - 1 - i] = v
+    return out
+
+
 def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
                          quot_of: SubspaceBasis) -> list:
     """Matrices of the maps induced by each of ``maps`` on
@@ -801,16 +832,18 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
 
     Each map must preserve span(sub) and span(quot_of), which must lie
     in span(sub); StabilityError if any map fails.  The quotient is
-    presented in the deterministic complement basis obtained by extending
-    quot_of (in sub coordinates) with standard vectors at pivot
-    positions.  Two eliminations serve the whole family:
-    ``pivot_extension(Q, S)`` gives the adapted basis C = [Q | S_comp]
-    (s - t columns exactly when Q lies in span S), and one solve gives
-    every X_k = C^-1 F_k C (None when some F_k leaves span S).  F_k keeps
-    span Q iff the lower-left t-column block of X_k is zero, and the
-    lower-right block is the induced matrix.  With quot_of empty, C is S
-    itself and the solve is the one elimination: the columns of a basis
-    are independent, so each is a pivot of [Q | S].
+    presented in the complement basis S e_comp, comp as
+    ``pivot_extension(Q, S)`` picks it.  The work is on integer rows, and
+    no elimination carries the k s right-hand sides.  Restrict: one
+    elimination of [S^T | I], S^T's coordinates reversed, gives the rows
+    R where the vectors of span S have their last nonzero entry, and
+    S[R]^-1 (S[R] = I for ``SubspaceBasis.full`` and every kernel basis);
+    Y_k = S[R]^-1 (F_k S)[R] and Q_S = S[R]^-1 Q[R], and an exact product
+    checks S Y_k = F_k S and S Q_S = Q outside R.  Project: comp is the
+    complement of the last-nonzero positions R' of span(Q_S); the rows of
+    Pi = [I_comp | -W], W = Q_S[comp] Q_S[R']^-1, are the kernel basis of
+    Q_S^T in reversed coordinates, from its t-row echelon, and X_k =
+    (Pi Y_k)[:, comp], F_k keeping span Q iff Pi Y_k Q_S = 0.
     """
     n = sub.ambient_dim
     if any(f.rows != n or f.cols != n for f in maps):
@@ -820,21 +853,74 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     if not maps:
         return []
     s, t = sub.dim, quot_of.dim
-    if t:
-        comp, c = pivot_extension(quot_of.matrix(), sub.matrix())
-    else:
-        comp, c = range(s), sub.matrix()
-    if len(comp) != s - t:
+    ks = len(maps) * s
+    srows, ds = _common_int_rows(sub.matrix())
+    frows, df = _common_int_rows(Mat.vstack(maps))
+    qrows, _ = _common_int_rows(quot_of.matrix())
+    # Row i of b is [F_0 S | ... | F_(K-1) S | Q] at row i, times
+    # integers; an entry that cancels stays as a stored 0.
+    b = [{ks + u: v for u, v in q.items()} for q in qrows]
+    for r, frow in enumerate(frows):
+        k, i = divmod(r, n)
+        acc, off = b[i], k * s
+        for l, a in frow.items():
+            for j, v in srows[l].items():
+                acc[off + j] = acc.get(off + j, 0) + a * v
+    # Restrict: x / dx = S[R]^-1 b[R], which is [df Y_0 | ... | c Q_S]
+    # for a constant c != 0.  Row i of the echelon of [S^T | I] is
+    # [E_i | T_i] with E = T S^T, so its columns n + m give S[R]^-1.
+    echelon, last = _forward_eliminate(
+        [{**col, n + m: 1} for m, col in enumerate(_reversed_columns(srows, s))], n + s)
+    rr = [n - 1 - p for p in reversed(last)]
+    x, dx = [b[r] for r in rr], ds
+    if any(srows[r] != {i: ds} for i, r in enumerate(rr)):
+        # Fixing column n + m at -1 makes (ds S[R])^T z[R] = e_m: the pivot
+        # values are column m of (ds S[R])^-T, that is row m of its inverse.
+        inv = _integer_back_substitute(echelon, last, {n + m: {m: -1} for m in range(s)})
+        dx = lcm(*[den for _, den in inv.values()])
+        rows = [{} for _ in range(s)]
+        for j, p in enumerate(last):
+            num, den = inv[p]
+            for m, v in num.items():
+                rows[m][s - 1 - j] = v * (dx // den)
+        x = [{c: v for c, v in acc.items() if v} for acc in _int_product(rows, x)]
+    # S x / dx = b holds at the rows R by construction; check the others.
+    outside = set()  # True for a column of Q, False for one of some F_k S
+    others = sorted(set(range(n)).difference(rr))
+    for acc, i in zip(_int_product([srows[i] for i in others], x), others):
+        row = b[i]
+        outside.update(c >= ks for c in acc.keys() | row.keys()
+                       if acc.get(c, 0) != dx * row.get(c, 0))
+    if True in outside:
         raise StabilityError("quotient space is not inside the subspace")
-    fc = (Mat.vstack(maps) * c)._rows  # every F_k C from one product
-    x = solve(c, Mat.hstack([_wrap(n, s, fc[k * n:(k + 1) * n]) for k in range(len(maps))]))
-    if x is None:
+    if outside:
         raise StabilityError("map does not preserve the subspace")
-    blocks = [[{} for _ in comp] for _ in maps]
-    for i, row in enumerate(x._rows[t:]):
-        for col, v in row.items():
-            k, j = divmod(col, s)
-            if j < t:
-                raise StabilityError("map does not preserve the quotient subspace")
-            blocks[k][i][j - t] = v
-    return [_wrap(s - t, s - t, rows) for rows in blocks]
+    # Project: row k of Pi times d is d at comp[k], 0 at the rest of comp.
+    comp, z, d = range(s), x, 1
+    if t:
+        qs = [{u - ks: v for u, v in row.items() if u >= ks} for row in x]
+        echelon, last = _forward_eliminate(_reversed_columns(qs, t), s)
+        comp = [j for j in range(s) if s - 1 - j not in echelon]
+        pi = _integer_back_substitute(echelon, last,
+                                      {s - 1 - j: {k: 1} for k, j in enumerate(comp)})
+        d = lcm(*[den for _, den in pi.values()])
+        prows = [{} for _ in comp]
+        for p, (num, den) in pi.items():
+            for k, v in num.items():
+                prows[k][s - 1 - p] = v * (d // den)
+        z = list(_int_product(prows, x))
+        # Pi Y_k Q_S for every k at once: z times the block-diagonal
+        # matrix with Q_S in each of its K blocks.
+        blocks = [{c // s * t + u: v for u, v in qs[c % s].items()} for c in range(ks)]
+        if any(any(acc.values()) for acc in _int_product(z, blocks + [{}] * t)):
+            raise StabilityError("map does not preserve the quotient subspace")
+    at = {j: i for i, j in enumerate(comp)}
+    den = d * dx * df
+    out = [[{} for _ in comp] for _ in maps]
+    for i, row in enumerate(z):
+        for c, v in row.items():
+            if v and c < ks:
+                k, j = divmod(c, s)
+                if j in at:
+                    out[k][i][at[j]] = Fraction(v, den)
+    return [_wrap(s - t, s - t, rows) for rows in out]

@@ -10,7 +10,8 @@ v_0, ..., v_m with
 
 Decomposition into simples counts highest-weight vectors: every simple
 summand V_m contributes one line to ker e, on which h acts by m, so the
-multiplicity of V_m is dim ker(h|_{ker e} - m).
+multiplicity of V_m is dim ker(h|_{ker e} - m): den h|_{ker e} in
+integers, shifted by m den on the diagonal (``linear._shifted_kernels``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import Mat, SubspaceBasis, _Frozen, kernel_basis, rank, restrict_and_project
+from .linear import (Mat, SubspaceBasis, _Frozen, _shifted_kernels, kernel_basis,
+                     restrict_and_project)
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
 from .bimodule import hom_module_action
 from .cohomology import _check_budget
@@ -168,12 +170,13 @@ def decompose(v: SL2Module) -> WeightMultiset:
     top = kernel_basis(v.e)
     s = top.dim
     [h_top] = restrict_and_project([v.h], top, SubspaceBasis.empty(d))
+    den, kernel = _shifted_kernels(h_top)
     mults = {}
     found = 0
     for m in range(d):
         if found == s:
             break
-        k = s - rank(h_top - Mat.identity(s).scale(m))
+        k = kernel(m * den).dim
         if k:
             mults[m] = k
             found += k

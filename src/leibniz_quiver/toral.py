@@ -14,7 +14,7 @@ from math import gcd, lcm
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
 from .cohomology import _basis_weights, _trace_form
-from .linear import Mat, kernel_basis, lincomb, pivot_extension, solve
+from .linear import Mat, _shifted_kernels, lincomb, pivot_extension, solve
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -44,22 +44,22 @@ def _eigenspaces(a: Mat) -> list | None:
     D a, with D the lcm of the denominators of a, is an integer matrix,
     so its rational eigenvalues are integers and those of a are k / D.
     They are tried for k = 0, 1, -1, 2, -2, ..., each by one
-    ``kernel_basis``.  Where the eigenspaces span, tr(a^2) is the sum of
-    the squares of the eigenvalues, so once those found leave r
-    dimensions and a part s of tr(a^2), every eigenvalue left has
-    r (k / D)^2 <= s for the next k: when that fails, they do not span.
-    The cap |k| <= 2n bounds the work whatever the size of the entries
+    ``linear._shifted_kernels`` elimination.  Where the eigenspaces span,
+    tr(a^2) is the sum of the squares of the eigenvalues, so once those
+    found leave r dimensions and a part s of tr(a^2), every eigenvalue
+    left has r (k / D)^2 <= s for the next k: when that fails, they do
+    not span.  The cap |k| <= 2n bounds the work whatever the size of the entries
     (V_m, of dimension m + 1, has the weights -2m..2m under 2h); a matrix
     past it is only left ungraded.
     """
     n = a.rows
-    den = lcm(*(x.denominator for i in range(n) for _, x in a.nonzeros(i)))
+    den, kernel = _shifted_kernels(a)
     spaces, left, rest, k = [], n, _trace_form([a])[0][0], 0
     while left:
         lam = Fraction(k, den)
         if left * lam * lam > rest or abs(k) > 2 * n:
             return None
-        space = kernel_basis(a - Mat.identity(n).scale(lam))
+        space = kernel(k)
         if space.dim:
             spaces.append(space)
             left -= space.dim

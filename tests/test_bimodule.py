@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leibniz_quiver.algebra import LeibnizAlgebra, lift_module, trivial_algebra
+from leibniz_quiver.algebra import LeftModule, LeibnizAlgebra, lift_module, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
@@ -25,7 +26,7 @@ from leibniz_quiver.bimodule import (
 )
 from leibniz_quiver.errors import InputError, ModuleAxiomError
 from leibniz_quiver.cohomology import leibniz_cohomology
-from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, intersect_kernels
+from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, intersect_kernels, kron
 from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2
 
 from conftest import make_trivial_bimodule
@@ -139,6 +140,30 @@ def test_hom_module_action_decomposes_correctly():
     hom = hom_module_action(g, u, v)
     assert hom.dim == 6
     assert decompose(SL2Module(hom)).mults == {3: 1, 1: 1}
+
+
+_entries = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                            Fraction(-2, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_hom_module_action_is_the_kronecker_formula(du, dv, data):
+    # Any matrix is a module over the one-dimensional algebra, so these
+    # are random modules; equal diagonal entries make the two terms
+    # cancel on the diagonal.
+    g = trivial_algebra()
+
+    def module(d):
+        grid = data.draw(st.lists(st.lists(_entries, min_size=d, max_size=d),
+                                  min_size=d, max_size=d))
+        return LeftModule(g, d, [Mat(d, d, grid)])
+
+    u, v = module(du), module(dv)
+    [au], [av] = u.action, v.action
+    hom = hom_module_action(g, u, v)
+    assert hom.dim == du * dv
+    assert hom.action == (kron(av, Mat.identity(du)) - kron(Mat.identity(dv), au.transpose()),)
 
 
 def test_intertwiner_dim_is_schur():

@@ -259,28 +259,55 @@ def test_restrict_and_project_family_with_one_unstable_map_raises():
                 restrict_and_project(family, sub, quot)
 
 
-def test_restrict_and_project_eliminates_twice(monkeypatch):
-    calls = []
-    eliminate = linear._forward_eliminate
+def _record_restrict_and_project(monkeypatch, modules):
+    """Route ``restrict_and_project`` in ``modules`` through a recorder:
+    each call appends (n, s, t, number of maps, shapes), shapes the
+    (rows, columns) of every forward elimination the call runs."""
+    log, open_calls = [], []
+    eliminate, real = linear._forward_eliminate, linear.restrict_and_project
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return eliminate(rows, ncols)
+    def counting(rows, ncols, *rest):
+        if open_calls:
+            open_calls[-1].append((len(rows), ncols))
+        return eliminate(rows, ncols, *rest)
+
+    def recording(maps, sub, quot):
+        open_calls.append([])
+        try:
+            return real(maps, sub, quot)
+        finally:
+            log.append((sub.ambient_dim, sub.dim, quot.dim, len(maps), open_calls.pop()))
 
     monkeypatch.setattr(linear, "_forward_eliminate", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "restrict_and_project", recording)
+    return log
+
+
+def test_restrict_and_project_eliminates_twice(monkeypatch):
+    # Exactly two eliminations: the s rows of [S^T | I] over n + s
+    # columns restrict, whatever S is (S[R]^-1 is a back-substitution,
+    # not a solve), and the t rows of Q_S^T over s columns project.  So
+    # none reads the n ambient rows together with k s right-hand sides.
+    log = _record_restrict_and_project(monkeypatch, [linear])
     for seed in range(3):
         maps, sub, quot, _ = _flag_family(seed, 3)
         for family, q in ((maps, quot), (maps[:1], quot), (maps, SubspaceBasis.empty(4))):
-            calls.clear()
-            restrict_and_project(family, sub, q)
-            assert len(calls) <= 2
+            linear.restrict_and_project(family, sub, q)
+        linear.restrict_and_project(maps, SubspaceBasis.full(4), quot)
+    assert len(log) == 12
+    for n, s, t, k, shapes in log:
+        assert shapes == [(s, n + s)] + ([(t, s)] if t else [])
+        assert not any(rows == n and cols >= k * s for rows, cols in shapes if s < n)
 
 
 def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
-    # The columns of a basis are independent, so with nothing divided out
-    # the adapted basis is the subspace's own, and each induced map is
-    # the X with S X = F S.  decompose and induced_module restrict that
-    # way, and their outputs must not change.
+    # With nothing divided out each induced map is the X with S X = F S,
+    # from the one elimination that restricts: the s rows of [S^T | I].
+    # decompose and induced_module restrict kernel bases that way, where
+    # S[R] = I, and their outputs must not change.  pivot_extension is
+    # not called, with a quotient or without.
+    from leibniz_quiver import cohomology
     from leibniz_quiver.algebra import quotient_data
     from leibniz_quiver.bimodule import antisymmetric
     from leibniz_quiver.cohomology import induced_module, leibniz_cohomology
@@ -288,10 +315,11 @@ def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
     calls = []
     extend = linear.pivot_extension
     monkeypatch.setattr(linear, "pivot_extension", lambda *a: calls.append(1) or extend(*a))
+    log = _record_restrict_and_project(monkeypatch, [linear, repsl2, cohomology])
     for seed in range(3):
         maps, sub, quot, _ = _flag_family(seed, 3)
         s = sub.matrix()
-        assert restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
+        assert linear.restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
             solve(s, f * s) for f in maps]
     for m in range(1, 4):
         for n in range(m, 5):
@@ -306,9 +334,11 @@ def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
         s = z0.matrix()
         assert module.action == tuple(solve(s, bm.left[i] * s)
                                       for i in quotient_data(h).complement)
-    assert calls == []
-    restrict_and_project(maps, sub, quot)
-    assert calls == [1]
+    assert len(log) == 3 + 9 + 2
+    for n, s, t, _, shapes in log:
+        assert t == 0 and shapes == [(s, n + s)]
+    linear.restrict_and_project(maps, sub, quot)
+    assert calls == [] and log[-1][4] == [(3, 7), (1, 3)]
 
 
 # ------------------------------------------------------------- property tests
@@ -655,6 +685,117 @@ def test_restrict_and_project_matches_reference_complement():
         for f, g in zip(maps, restrict_and_project(maps, sub, quot)):
             assert _ref_solve(qmat, f * b - b * g) is not None
     assert len(comps) > 1
+
+
+square_matrices = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(fractions_or_zero, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda grid: Mat(n, n, grid)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices, st.booleans(), st.integers(-3, 3))
+def test_shifted_kernels_are_the_kernels_of_the_shifted_matrices(a, upper, k):
+    # Upper-triangular inputs have their diagonal entries as eigenvalues,
+    # so some shifts have kernels.
+    n = a.rows
+    if upper:
+        a = Mat.from_sparse(n, n, [{j: x for j, x in a.nonzeros(i) if j >= i} for i in range(n)])
+    den, kernel = linear._shifted_kernels(a)
+    for shift in {k} | {int(a[i, i] * den) for i in range(n)}:
+        assert kernel(shift) == kernel_basis(a - Mat.identity(n).scale(F(shift, den)))
+
+
+def _ref_restrict_and_project(maps, sub, quot):
+    """The plain-Fraction reference: comp from the textbook rref of
+    [S^-1 Q | I], C = [Q | S e_comp], and X_k from the solve on
+    [C | F_k C]; StabilityError where Q is not inside span S, where
+    some F_k C is not in span C or where X_k has a lower-left block."""
+    smat, qmat = sub.matrix(), quot.matrix()
+    s, t = smat.cols, qmat.cols
+    a = _ref_solve(smat, qmat)
+    if a is None:
+        raise StabilityError("quotient space is not inside the subspace")
+    _, piv = _rref([row + [F(int(i == j)) for j in range(s)] for i, row in enumerate(a)], t + s)
+    c = Mat.hstack([qmat, Mat.from_cols([smat.col(p - t) for p in piv if p >= t],
+                                        rows=smat.rows)])
+    xs = [_ref_solve(c, f * c) for f in maps]
+    if None in xs:
+        raise StabilityError("map does not preserve the subspace")
+    if any(x[i][j] for x in xs for i in range(t, s) for j in range(t)):
+        raise StabilityError("map does not preserve the quotient subspace")
+    return [Mat(s - t, s - t, [row[t:] for row in x[t:]]) for x in xs]
+
+
+def _caller_shapes(n, s, t, shape, breaker, seed):
+    """Maps preserving span(p_0..p_(s-1)) and span(p_0..p_(t-1)) for the
+    columns p_i of a random invertible rational P, the two spans, and
+    whether a breaker applies.  ``shape`` "flag" gives the spans random
+    bases, "full" takes S = I (s = n), as cokernels and symmetric
+    quotients do, and "kernel" takes S a kernel basis and nothing divided
+    out, as decompose and induced_module do.  The breaker "leaves" adds a
+    map sending p_0 out of span S, "moves" one sending p_0 into span S
+    but out of span Q, and "outside" puts p_s into Q, where the
+    dimensions allow it."""
+    rng = random.Random(seed)
+    entry = lambda: F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+    while True:
+        p = Mat(n, n, [[entry() for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    p_inv = solve(p, Mat.identity(n))
+    block = lambda i: (i >= t) + (i >= s)
+    maps = [p * Mat(n, n, [[entry() if block(i) <= block(j) else 0 for j in range(n)]
+                           for i in range(n)]) * p_inv for _ in range(rng.randint(1, 3))]
+    target = {"leaves": s if 0 < s < n else None, "moves": t if 0 < t < s else None}.get(breaker)
+    if target is not None:  # the map p_0 -> p_target
+        maps.insert(rng.randint(0, len(maps)), p * Mat.from_sparse(
+            n, n, [{0: 1} if i == target else {} for i in range(n)]) * p_inv)
+    outside = breaker == "outside" and t and s < n
+
+    def span(cols):
+        # upper triangular with a nonzero diagonal: an invertible mix
+        mix = [[rng.choice((1, 2, -1)) if i == j else rng.randint(-1, 1) * (i < j)
+                for j in range(len(cols))] for i in range(len(cols))]
+        return [tuple(sum(p[r, c] * mix[k][j] for k, c in enumerate(cols))
+                      for r in range(n)) for j in range(len(cols))]
+
+    quot = SubspaceBasis(n, span(list(range(t - 1)) + [s] if outside else list(range(t))))
+    broken = target is not None or bool(outside)
+    if shape == "full":
+        return maps, SubspaceBasis.full(n), quot, broken
+    if shape == "kernel":
+        sub = kernel_basis(Mat(n - s, n, [p_inv.row(i) for i in range(s, n)]))
+        return maps, sub, quot, broken
+    return maps, SubspaceBasis(n, span(list(range(s)))), quot, broken
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from(["flag", "full", "kernel"]),
+       st.sampled_from([None, "leaves", "moves", "outside"]), st.integers(0, 1 << 16))
+@example(3, 0, 0, "flag", None, 0)
+@example(3, 2, 2, "flag", None, 1)
+@example(0, 0, 0, "full", None, 2)
+@example(4, 0, 0, "kernel", None, 3)
+@example(4, 4, 0, "kernel", None, 3)
+@example(4, 2, 1, "flag", "leaves", 4)
+@example(4, 3, 1, "flag", "moves", 5)
+@example(4, 2, 1, "flag", "outside", 6)
+@example(4, 4, 2, "full", "moves", 7)
+@example(3, 1, 1, "flag", "outside", 8)
+def test_restrict_and_project_matches_the_plain_fraction_solve(n, s, t, shape, breaker, seed):
+    s = n if shape == "full" else min(s, n)
+    t = 0 if shape == "kernel" else min(t, s)
+    maps, sub, quot, broken = _caller_shapes(n, s, t, shape, breaker, seed)
+    try:
+        want = _ref_restrict_and_project(maps, sub, quot)
+    except StabilityError as exc:
+        assert broken
+        with pytest.raises(StabilityError, match=f"^{exc}$"):
+            restrict_and_project(maps, sub, quot)
+    else:
+        assert not broken
+        assert restrict_and_project(maps, sub, quot) == want
 
 
 # ------------------------------------------------- equality and hashing

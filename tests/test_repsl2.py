@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from leibniz_quiver.algebra import LeftModule
 from leibniz_quiver import cohomology
 from leibniz_quiver.errors import InputError, NonIntegralWeightError
-from leibniz_quiver.linear import Mat, kron
+from leibniz_quiver.linear import Mat, kron, solve
 from leibniz_quiver.repsl2 import (
     SL2Module,
     WeightMultiset,
@@ -75,6 +75,35 @@ def test_tensor_decomposition_matches_clebsch_gordan_small():
             t = tensor(simple_module(m), simple_module(n))
             assert decompose(t).mults == clebsch_gordan(m, n).mults
             assert decompose(_shear_conjugate(t)).mults == clebsch_gordan(m, n).mults
+
+
+def test_decompose_through_a_non_unimodular_rational_change_of_basis(monkeypatch):
+    # P is lower triangular with diagonal 1, 2, ..., d and 1/2 below it,
+    # so h on ker e has denominators and the weight loop shifts the
+    # scaled rows by m * den with den > 1.
+    from leibniz_quiver import repsl2
+
+    dens = []
+    real = repsl2._shifted_kernels
+
+    def recording(a):
+        den, kernel = real(a)
+        dens.append(den)
+        return den, kernel
+
+    monkeypatch.setattr(repsl2, "_shifted_kernels", recording)
+    cases = [(tensor(simple_module(m), simple_module(n)), clebsch_gordan(m, n))
+             for m in range(1, 4) for n in range(m, 4)]
+    cases.append((direct_sum(simple_module(2), simple_module(0), simple_module(2)),
+                  WeightMultiset({2: 2, 0: 1})))
+    for v, want in cases:
+        d = v.dim
+        p = Mat.from_rows([[i + 1 if i == j else Fraction(1, 2) * (j < i) for j in range(d)]
+                           for i in range(d)])
+        p_inv = solve(p, Mat.identity(d))
+        conj = SL2Module(LeftModule(sl2(), d, [p_inv * a * p for a in v.underlying.action]))
+        assert decompose(conj) == want
+    assert len(dens) == len(cases) and min(dens) > 1
 
 
 def test_dual_of_simple_is_isomorphic():
