@@ -18,7 +18,6 @@ from .linear import (Mat, SubspaceBasis, _Frozen, _common_int_rows, _int_product
                      as_scalar, image_basis, lincomb, pivot_extension, solve)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _freeze_constants(dim: int, c) -> tuple:
@@ -89,9 +88,6 @@ class LeibnizAlgebra(_Frozen):
         """Matrix of y -> [b_i, y]."""
         n = self.dim
         return Mat(n, n, [[self.c[i][j][k] for j in range(n)] for k in range(n)])
-
-    def basis_vector(self, i: int) -> tuple:
-        return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
 
 
 class LieAlgebra(LeibnizAlgebra):
@@ -250,12 +246,6 @@ class LeftModule(_Frozen):
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
-
-
-def one_dim_module(algebra: LeibnizAlgebra, weights: Sequence) -> LeftModule:
-    """The one-dimensional module where b_i acts by the scalar weights[i]."""
-    mats = [Mat(1, 1, [[w]]) for w in weights]
-    return LeftModule(algebra, 1, mats)
 
 
 def adjoint_module(g: LieAlgebra) -> LeftModule:

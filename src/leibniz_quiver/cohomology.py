@@ -86,8 +86,9 @@ quotient h / Leib(h) of ``quotient_data``.
     quadratic form in xbar, with its Gram matrix built once per call.
     Over so(3) x_hs so(3) it is negative definite, and every candidate
     stops here.
-  * Then the eigenspaces (``toral._eigenspaces``): a candidate passes only
-    when those of ad(xbar) span h and those of L_xbar span M.
+  * Then the eigenspaces (``linear._eigenspaces`` at the eigenvalues of
+    ``toral._zigzag``): a candidate passes only when those of ad(xbar)
+    span h and those of L_xbar span M.
   * The lift: x is the eigenvalue-0 component of the lift y of xbar at
     the quotient's basis indices.  The projection pi onto the quotient
     is an algebra map, so pi ad(y) = ad(xbar) pi, and pi takes the

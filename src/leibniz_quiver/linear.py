@@ -612,23 +612,52 @@ def _int_kernel_and_pivots(rows: list, n: int, limit: int) -> tuple:
     return _basis(_wrap(n, len(free), (x.get(i, {}) for i in range(n)))), pivots
 
 
-def _shifted_kernels(a: Mat) -> tuple:
-    """``(den, kernel)`` for a square ``a``: den is the lcm of its
-    denominators and ``kernel(k)`` is ``kernel_basis(a - (k / den) I)``,
-    eliminated from the integer rows of den a with k subtracted on the
-    diagonal."""
-    rows, den = _common_int_rows(a)
+def _eigenspaces(a: Mat, candidates: Iterable) -> list | None:
+    """``[(lam, kernel_basis(a - lam I))]`` for the eigenvalues lam of
+    the n x n matrix ``a`` among ``candidates``, in their order, when
+    these eigenspaces span K^n; None otherwise.  The candidates are
+    distinct rationals in nondecreasing absolute value.
+
+    D a, with D the lcm of the denominators of a, is an integer matrix,
+    so its rational eigenvalues are integers: a candidate with D lam not
+    an integer is skipped.  Where the eigenspaces span, tr((D a)^2) is
+    the sum of the squares of the eigenvalues D lam, so once those found
+    leave r dimensions and a part s of it, every eigenvalue left has
+    r (D lam)^2 <= s for the next candidate: when that fails, they do not
+    span.  A diagonal ``a`` is read off, the coordinate vectors at its
+    entries lam being the basis that ``kernel_basis`` gives; any other
+    takes one elimination per candidate, of the integer rows of D a with
+    D lam subtracted on the diagonal.
+    """
     n = a.rows
-
-    def kernel(k: int) -> "SubspaceBasis":
-        shifted = [dict(r) for r in rows]
-        for i, row in enumerate(shifted):
-            v = row.pop(i, 0) - k
-            if v:
-                row[i] = v
-        return _int_kernel_and_pivots(shifted, n, n)[0]
-
-    return den, kernel
+    rows, den = _common_int_rows(a)
+    diagonal = all(r.keys() <= {i} for i, r in enumerate(rows))
+    rest = sum(v * rows[j].get(i, 0) for i, r in enumerate(rows) for j, v in r.items())
+    spaces, left = [], n
+    for lam in candidates:
+        if not left:
+            break
+        k = lam * den
+        if k.denominator != 1:
+            continue
+        k = k.numerator
+        if left * k * k > rest:
+            return None
+        if diagonal:
+            at = [i for i in range(n) if rows[i].get(i, 0) == k]
+            space = _basis(_columns(Mat.identity(n), at))
+        else:
+            shifted = [dict(r) for r in rows]
+            for i, row in enumerate(shifted):
+                v = row.pop(i, 0) - k
+                if v:
+                    row[i] = v
+            space = _int_kernel_and_pivots(shifted, n, n)[0]
+        if space.dim:
+            spaces.append((lam, space))
+            left -= space.dim
+            rest -= space.dim * k * k
+    return None if left else spaces
 
 
 def _kernel_spans(kernel: "SubspaceBasis", pivots: Sequence[int], sub: "SubspaceBasis") -> bool:

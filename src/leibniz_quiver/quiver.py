@@ -48,12 +48,6 @@ class Quiver(_Frozen):
         object.__setattr__(self, "edges",
                            tuple((s, d, merged[(s, d)]) for s, d in sorted(merged)))
 
-    def edge_multiplicity(self, src: int, dst: int) -> int:
-        for s, d, k in self.edges:
-            if (s, d) == (src, dst):
-                return k
-        return 0
-
 
 def quiver_trivial(lambdas: Sequence) -> Quiver:
     """Quiver of the one-dimensional algebra restricted to the simples

@@ -10,8 +10,10 @@ v_0, ..., v_m with
 
 Decomposition into simples counts highest-weight vectors: every simple
 summand V_m contributes one line to ker e, on which h acts by m, so the
-multiplicity of V_m is dim ker(h|_{ker e} - m): den h|_{ker e} in
-integers, shifted by m den on the diagonal (``linear._shifted_kernels``).
+multiplicity of V_m is the dimension of the eigenspace of h|_{ker e} at
+m (``linear._eigenspaces`` over m = 0, 1, 2, ...).  In a weight basis
+ker e has a basis of weight vectors, h|_{ker e} is diagonal and the
+eigenspaces are read off; any other basis takes one elimination per m.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import (Mat, SubspaceBasis, _Frozen, _shifted_kernels, kernel_basis,
+from .linear import (Mat, SubspaceBasis, _Frozen, _eigenspaces, kernel_basis,
                      restrict_and_project)
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
 from .bimodule import hom_module_action
@@ -156,33 +158,22 @@ class WeightMultiset(_Frozen):
 def decompose(v: SL2Module) -> WeightMultiset:
     """Decompose into simples by the highest-weight rule.
 
-    The highest-weight vectors span ker e, which h preserves; with s =
-    dim ker e summands, the multiplicity of V_m is dim ker of the
-    s x s matrix of h - m on ker e.  Raises NonIntegralWeightError when
-    those eigenvalues are not integers 0..dim-1 or the weights do not
-    account for the module, and StabilityError when h does not preserve
-    ker e (neither can happen for an actual sl2-module over the
-    rationals, but both guard corrupted inputs).
+    The highest-weight vectors span ker e, which h preserves; the
+    multiplicity of V_m is the dimension of the eigenspace of h on ker e
+    at m.  Raises NonIntegralWeightError when those eigenspaces, for m =
+    0..dim-1, do not span ker e or the weights do not account for the
+    module, and StabilityError when h does not preserve ker e (neither
+    can happen for an actual sl2-module over the rationals, but both
+    guard corrupted inputs).
     """
     d = v.dim
-    if d == 0:
-        return WeightMultiset({})
     top = kernel_basis(v.e)
-    s = top.dim
     [h_top] = restrict_and_project([v.h], top, SubspaceBasis.empty(d))
-    den, kernel = _shifted_kernels(h_top)
-    mults = {}
-    found = 0
-    for m in range(d):
-        if found == s:
-            break
-        k = kernel(m * den).dim
-        if k:
-            mults[m] = k
-            found += k
-    if found != s:
-        raise NonIntegralWeightError(f"integer weights cover {found} of {s} highest-weight vectors")
-    out = WeightMultiset(mults)
+    spaces = _eigenspaces(h_top, range(d))
+    if spaces is None:
+        raise NonIntegralWeightError(
+            f"the weights 0..{d - 1} do not span the {top.dim} highest-weight vectors")
+    out = WeightMultiset({m: space.dim for m, space in spaces})
     if out.module_dim() != d:
         raise NonIntegralWeightError("weight multiset does not account for the module")
     return out

@@ -1,8 +1,10 @@
 """The exact search for a split toral element, by which
 ``cohomology.leibniz_cohomology`` grades an input that no basis element
 grades.  The argument, and the proof that the element found is split
-toral, are in the ``cohomology`` module docstring.  ``cohomology``
-imports this module only when a search runs.
+toral, are in the ``cohomology`` module docstring.  The eigenspaces
+come from ``linear._eigenspaces``, by which ``repsl2.decompose`` also
+counts weights.  ``cohomology`` imports this module only when a search
+runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import gcd, lcm
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
 from .cohomology import _basis_weights, _trace_form
-from .linear import Mat, _shifted_kernels, lincomb, pivot_extension, solve
+from .linear import Mat, _eigenspaces, lincomb, pivot_extension, solve
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -36,36 +38,17 @@ def _candidates(k: int):
     return itertools.islice(runs(), _CANDIDATES)
 
 
-def _eigenspaces(a: Mat) -> list | None:
-    """The eigenspaces of the n x n matrix ``a``, in the order their
-    eigenvalues are tried, when they span K^n and every eigenvalue is
-    k / D with |k| <= 2n; None otherwise.
-
-    D a, with D the lcm of the denominators of a, is an integer matrix,
-    so its rational eigenvalues are integers and those of a are k / D.
-    They are tried for k = 0, 1, -1, 2, -2, ..., each by one
-    ``linear._shifted_kernels`` elimination.  Where the eigenspaces span,
-    tr(a^2) is the sum of the squares of the eigenvalues, so once those
-    found leave r dimensions and a part s of tr(a^2), every eigenvalue
-    left has r (k / D)^2 <= s for the next k: when that fails, they do
-    not span.  The cap |k| <= 2n bounds the work whatever the size of the entries
-    (V_m, of dimension m + 1, has the weights -2m..2m under 2h); a matrix
-    past it is only left ungraded.
-    """
+def _zigzag(a: Mat):
+    """The eigenvalues that ``split_toral`` tries for the n x n matrix
+    ``a``: k / D for k = 0, 1, -1, 2, -2, ..., 2n, -2n, with D the lcm of
+    the denominators of a, whose rational eigenvalues are all of that
+    form (``linear._eigenspaces``).  The cap |k| <= 2n bounds the work
+    whatever the size of the entries (V_m, of dimension m + 1, has the
+    weights -2m..2m under 2h); a matrix past it is only left ungraded."""
     n = a.rows
-    den, kernel = _shifted_kernels(a)
-    spaces, left, rest, k = [], n, _trace_form([a])[0][0], 0
-    while left:
-        lam = Fraction(k, den)
-        if left * lam * lam > rest or abs(k) > 2 * n:
-            return None
-        space = kernel(k)
-        if space.dim:
-            spaces.append(space)
-            left -= space.dim
-            rest -= space.dim * lam * lam
-        k = -k if k > 0 else 1 - k
-    return spaces
+    den = lcm(*(x.denominator for i in range(n) for _, x in a.nonzeros(i)))
+    ks = [0] + [s * k for k in range(1, 2 * n + 1) for s in (1, -1)]
+    return [Fraction(k, den) for k in ks]
 
 
 def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
@@ -83,22 +66,26 @@ def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
     for v in _candidates(len(ads)):
         if sum(x * y * row[j] for x, row in zip(v, form) for j, y in enumerate(v)) <= 0:
             continue
-        on_h = _eigenspaces(lincomb(ads, v, h.dim))
+        a = lincomb(ads, v, h.dim)
+        on_h = _eigenspaces(a, _zigzag(a))
         if on_h is None:
             continue
-        on_m = _eigenspaces(lincomb(lefts, v, m.dim))
+        a = lincomb(lefts, v, m.dim)
+        on_m = _eigenspaces(a, _zigzag(a))
         if on_m is None:
             continue
         lift = [0] * h.dim
         for i, c in zip(data.complement, v):
             lift[i] = c
-        # Eigenvalue 0 is tried first, and the lift has a component there.
-        p = Mat.hstack([e.matrix() for e in on_h])
-        zero = on_h[0].matrix()
+        # ad(lift) has eigenvalue 0 on h, as ad(xbar) has xbar in its
+        # kernel on the quotient.
+        spaces = {lam: e.matrix() for lam, e in on_h}
+        zero = spaces.pop(0)
+        p = Mat.hstack([zero, *spaces.values()])
         x = zero.apply(solve(p, Mat.from_cols([lift], rows=h.dim)).col(0)[:zero.cols])
-        p = Mat.hstack([pivot_extension(Mat.from_cols([x], rows=h.dim), zero)[1]]
-                       + [e.matrix() for e in on_h[1:]])
-        q = Mat.hstack([Mat.zero(m.dim, 0)] + [e.matrix() for e in on_m])
+        p = Mat.hstack([pivot_extension(Mat.from_cols([x], rows=h.dim), zero)[1],
+                        *spaces.values()])
+        q = Mat.hstack([Mat.zero(m.dim, 0)] + [e.matrix() for _, e in on_m])
         h2, m2 = _transport(h, m, p, q)
         weights = _basis_weights(h2, m2, 0)
         return (h2, m2) + weights if weights else None

@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_quiver.algebra import trivial_algebra
+from leibniz_quiver.algebra import LeftModule, trivial_algebra
 from leibniz_quiver.bimodule import Bimodule
 from leibniz_quiver.linear import Mat, solve
+
+
+def basis_vector(n: int, i: int) -> tuple:
+    """The i-th coordinate vector of K^n."""
+    return tuple(Fraction(int(k == i)) for k in range(n))
+
+
+def one_dim_module(algebra, weights) -> LeftModule:
+    """The one-dimensional module where b_i acts by the scalar weights[i]."""
+    return LeftModule(algebra, 1, [Mat(1, 1, [[w]]) for w in weights])
 
 
 def _unimodular(rng: random.Random, n: int) -> Mat:

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 from leibniz_quiver import cli
-from leibniz_quiver.algebra import lift_module, one_dim_module, trivial_algebra
+from leibniz_quiver.algebra import lift_module, trivial_algebra
 from leibniz_quiver.bimodule import (
     KIND_ANTISYMMETRIC,
     KIND_SYMMETRIC,
@@ -60,7 +60,7 @@ from leibniz_quiver.repsl2 import (
     tensor,
 )
 
-from conftest import make_trivial_bimodule
+from conftest import make_trivial_bimodule, one_dim_module
 
 ONE_DIM_KINDS = [
     OneDimBimodule(KIND_TRIVIAL),

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from leibniz_quiver.algebra import (
     hemi_semidirect,
     leibniz_kernel,
     lift_module,
-    one_dim_module,
     quotient_data,
     trivial_algebra,
 )
@@ -25,10 +25,12 @@ from leibniz_quiver.errors import AlgebraAxiomError, InputError, ModuleAxiomErro
 from leibniz_quiver.linear import Mat
 from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2
 
+from conftest import basis_vector, one_dim_module
+
 
 def br(a, i, j):
     """Bracket of two basis elements as a coordinate tuple."""
-    return a.bracket(a.basis_vector(i), a.basis_vector(j))
+    return a.bracket(basis_vector(a.dim, i), basis_vector(a.dim, j))
 
 
 def test_trivial_algebra_shape():
@@ -69,7 +71,7 @@ def test_non_leibniz_table_rejected():
 
 def _leibniz_pointwise(a):
     """The left Leibniz identity on every basis triple, by ``a.bracket``."""
-    e = a.basis_vector
+    e = partial(basis_vector, a.dim)
     for x, y, z in itertools.product(range(a.dim), repeat=3):
         lhs = a.bracket(e(x), a.bracket(e(y), e(z)))
         rhs = [u + v for u, v in zip(a.bracket(a.bracket(e(x), e(y)), e(z)),

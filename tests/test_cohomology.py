@@ -6,6 +6,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from leibniz_quiver.algebra import (
     adjoint_module,
     hemi_semidirect,
     lift_module,
-    one_dim_module,
     trivial_algebra,
 )
 from leibniz_quiver.bimodule import (
@@ -56,7 +56,7 @@ from leibniz_quiver.linear import (Mat, SubspaceBasis, image_basis, kernel_basis
                                    restrict_and_project, solve)
 from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2, tensor
 
-from conftest import make_trivial_bimodule
+from conftest import basis_vector, make_trivial_bimodule, one_dim_module
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -369,7 +369,7 @@ def _plus(acc, c, v):
 def _reference_differential(h, m, f, n):
     """d f for the cochain f of CL^n (a flat coordinate tuple), by the
     formula of the cohomology module docstring, at every basis tuple."""
-    e = h.basis_vector
+    e = partial(basis_vector, h.dim)
     out = []
     for x in itertools.product(range(h.dim), repeat=n + 1):
         acc = [Fraction(0)] * m.dim
@@ -390,7 +390,7 @@ def _reference_differential(h, m, f, n):
 def _reference_action(h, m, a, f, q):
     """b_a . f for the cochain f of CL^q, by the formula of the
     ``cochain_action`` docstring, at every basis tuple."""
-    e = h.basis_vector
+    e = partial(basis_vector, h.dim)
     out = []
     for y in itertools.product(range(h.dim), repeat=q):
         acc = m.left[a].apply(_at(h, m, f, y))
@@ -892,7 +892,7 @@ def _reference_ce(g, m, f, p):
         c = subsets.index(tuple(sorted(t)))
         return [sign * v for v in f[c * m.dim:(c + 1) * m.dim]]
 
-    e = g.basis_vector
+    e = partial(basis_vector, g.dim)
     out = []
     for x in itertools.combinations(range(g.dim), p + 1):
         acc = [Fraction(0)] * m.dim

@@ -12,7 +12,6 @@ from leibniz_quiver.algebra import (
     LieAlgebra,
     hemi_semidirect,
     lift_module,
-    one_dim_module,
     quotient_data,
     trivial_algebra,
 )
@@ -59,7 +58,7 @@ from leibniz_quiver.repsl2 import (
     sl2,
 )
 
-from conftest import make_trivial_bimodule
+from conftest import make_trivial_bimodule, one_dim_module
 
 TRIV = OneDimBimodule(KIND_TRIVIAL)
 SYM1 = OneDimBimodule(KIND_SYMMETRIC, 1)

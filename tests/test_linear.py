@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, kernels, solving, subspace arithmetic."""
 
 import doctest
+import itertools
 import random
 from fractions import Fraction
 
@@ -692,17 +693,44 @@ square_matrices = st.integers(0, 4).flatmap(lambda n: st.lists(
         lambda grid: Mat(n, n, grid)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(square_matrices, st.booleans(), st.integers(-3, 3))
-def test_shifted_kernels_are_the_kernels_of_the_shifted_matrices(a, upper, k):
-    # Upper-triangular inputs have their diagonal entries as eigenvalues,
-    # so some shifts have kernels.
+@settings(max_examples=80, deadline=None)
+@given(square_matrices, st.sampled_from(["any", "upper", "diagonal"]), st.booleans(),
+       st.lists(st.integers(-3, 3), max_size=3))
+def test_eigenspaces_are_the_kernels_at_the_candidates_when_they_span(a, shape, dense, extra):
+    # Triangular inputs have their diagonal entries as eigenvalues, so
+    # those are the candidates, with a few integers besides; ``dense``
+    # conjugates by the unitriangular all-ones matrix, which keeps the
+    # eigenvalues and fills the strict lower triangle.
     n = a.rows
-    if upper:
-        a = Mat.from_sparse(n, n, [{j: x for j, x in a.nonzeros(i) if j >= i} for i in range(n)])
-    den, kernel = linear._shifted_kernels(a)
-    for shift in {k} | {int(a[i, i] * den) for i in range(n)}:
-        assert kernel(shift) == kernel_basis(a - Mat.identity(n).scale(F(shift, den)))
+    keep = {"any": lambda i, j: True, "upper": lambda i, j: j >= i,
+            "diagonal": lambda i, j: j == i}[shape]
+    a = Mat.from_sparse(n, n, [{j: x for j, x in a.nonzeros(i) if keep(i, j)} for i in range(n)])
+    candidates = sorted({a[i, i] for i in range(n)} | set(map(F, extra)), key=abs)
+    if dense:
+        low = Mat.from_sparse(n, n, [{j: 1 for j in range(i + 1)} for i in range(n)])
+        low_inv = Mat.from_sparse(n, n, [{j: 1 - 2 * (j < i) for j in (i - 1, i) if j >= 0}
+                                         for i in range(n)])
+        a = low_inv * a * low
+    spaces = [(lam, kernel_basis(a - Mat.identity(n).scale(lam))) for lam in candidates]
+    spaces = [(lam, k) for lam, k in spaces if k.dim]
+    # Eigenspaces at distinct eigenvalues are independent: they span K^n
+    # exactly when their dimensions add up to n.
+    spans = sum(k.dim for _, k in spaces) == n
+    assert linear._eigenspaces(a, candidates) == (spaces if spans else None)
+
+
+def test_eigenspaces_refuse_what_they_cannot_span():
+    jordan = mat([[2, 1], [0, 2]])
+    assert linear._eigenspaces(jordan, range(5)) is None
+    assert linear._eigenspaces(Mat.diagonal([0, 5]), range(5)) is None  # 5 is no candidate
+    assert linear._eigenspaces(mat([[F(1, 2), 1], [0, 1]]), [0, F(1, 3), 1]) is None
+    # With endless candidates only the trace bound can stop: at the
+    # Jordan block, at the eigenvalues +-i and at (5 +- 33^(1/2)) / 2.
+    for a in (jordan, mat([[0, 1], [-1, 0]]), mat([[1, 2], [3, 4]])):
+        assert linear._eigenspaces(a, itertools.count()) is None
+    assert linear._eigenspaces(mat([[F(1, 2), 1], [0, 1]]), [0, F(1, 2), 1]) == [
+        (F(1, 2), kernel_basis(mat([[0, 1], [0, F(1, 2)]]))),
+        (1, kernel_basis(mat([[F(-1, 2), 1], [0, 0]])))]
 
 
 def _ref_restrict_and_project(maps, sub, quot):

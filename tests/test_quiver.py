@@ -22,6 +22,11 @@ from leibniz_quiver.quiver import (
 )
 
 
+def edge_multiplicity(q: Quiver, src: int, dst: int) -> int:
+    """The multiplicity of the arrow src -> dst, 0 when there is none."""
+    return next((k for s, d, k in q.edges if (s, d) == (src, dst)), 0)
+
+
 def edge_labels(q: Quiver) -> dict:
     return {(q.vertices[s].label(), q.vertices[d].label()): k
             for s, d, k in q.edges}
@@ -33,8 +38,8 @@ def test_quiver_merges_parallel_edge_records():
     vs = [SimpleDescriptor(KIND_SYMMETRIC, 1), SimpleDescriptor(KIND_ANTISYMMETRIC, 1)]
     q = Quiver(vs, [(0, 1, 1), (0, 1, 2)])
     assert q.edges == ((0, 1, 3),)
-    assert q.edge_multiplicity(0, 1) == 3
-    assert q.edge_multiplicity(1, 0) == 0
+    assert edge_multiplicity(q, 0, 1) == 3
+    assert edge_multiplicity(q, 1, 0) == 0
     with pytest.raises(InputError):
         Quiver(vs, [(0, 5, 1)])
     with pytest.raises(InputError):
@@ -102,11 +107,11 @@ def test_every_vertex_pair_has_the_closed_form_multiplicity():
     # an absent edge counts as 0, so missing arrows are caught as well
     q = quiver_trivial([1, Fraction(1, 2), -3])
     for (i, s), (j, d) in product(enumerate(q.vertices), repeat=2):
-        assert q.edge_multiplicity(i, j) == ext_trivial_closed(s, d, 1)[1], (s, d)
+        assert edge_multiplicity(q, i, j) == ext_trivial_closed(s, d, 1)[1], (s, d)
     for n in (1, 2, 3):
         q = quiver_hemi(n, 6)
         for (i, s), (j, d) in product(enumerate(q.vertices), repeat=2):
-            assert q.edge_multiplicity(i, j) == ext_simple_closed(n, s, d, 1), (n, s, d)
+            assert edge_multiplicity(q, i, j) == ext_simple_closed(n, s, d, 1), (n, s, d)
 
 
 def test_quiver_hemi_edge_directions():
@@ -150,7 +155,7 @@ def test_quiver_hemi_verify_catches_wrong_closed_form(monkeypatch):
         return k + 1 if (p, m) == (2, 0) else k
 
     monkeypatch.setattr(qmod, "ext1_hemi_closed", wrong)
-    assert quiver_hemi(1, 2, verify=False).edge_multiplicity(3, 0) == 2
+    assert edge_multiplicity(quiver_hemi(1, 2, verify=False), 3, 0) == 2
     with pytest.raises(VerificationError) as exc:
         quiver_hemi(1, 2, verify=True)
     assert "V_2^s" in str(exc.value) and "V_0" in str(exc.value)

@@ -1,14 +1,16 @@
 """Finite-dimensional sl2 representation theory: weights and decompositions."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_quiver.algebra import LeftModule
-from leibniz_quiver import cohomology
+from leibniz_quiver import cohomology, ext, linear, repsl2
 from leibniz_quiver.errors import InputError, NonIntegralWeightError
 from leibniz_quiver.linear import Mat, kron, solve
+from leibniz_quiver.quiver import quiver_hemi
 from leibniz_quiver.repsl2 import (
     SL2Module,
     WeightMultiset,
@@ -58,15 +60,16 @@ def test_clebsch_gordan_values():
         clebsch_gordan(-1, 0)
 
 
-def _shear_conjugate(v):
+def _shear_conjugate(v, check=True):
     """v in the basis given by the columns of L L^T, with L the lower
     unitriangular all-ones matrix, so that e, h and f are dense instead
-    of being given in a weight basis."""
+    of being given in a weight basis; ``check`` is the module check."""
     d = v.dim
     low = Mat.from_rows([[int(j <= i) for j in range(d)] for i in range(d)])
     low_inv = Mat.from_rows([[int(i == j) - int(i == j + 1) for j in range(d)] for i in range(d)])
     p, p_inv = low * low.transpose(), low_inv.transpose() * low_inv
-    return SL2Module(LeftModule(sl2(), d, [p_inv * a * p for a in v.underlying.action]))
+    return SL2Module(LeftModule(sl2(), d, [p_inv * a * p for a in v.underlying.action],
+                                check=check))
 
 
 def test_tensor_decomposition_matches_clebsch_gordan_small():
@@ -79,19 +82,16 @@ def test_tensor_decomposition_matches_clebsch_gordan_small():
 
 def test_decompose_through_a_non_unimodular_rational_change_of_basis(monkeypatch):
     # P is lower triangular with diagonal 1, 2, ..., d and 1/2 below it,
-    # so h on ker e has denominators and the weight loop shifts the
-    # scaled rows by m * den with den > 1.
-    from leibniz_quiver import repsl2
-
+    # so h on ker e has denominators and each elimination of
+    # ``_eigenspaces`` shifts the scaled rows by m * den with den > 1.
     dens = []
-    real = repsl2._shifted_kernels
+    real = repsl2._eigenspaces
 
-    def recording(a):
-        den, kernel = real(a)
-        dens.append(den)
-        return den, kernel
+    def recording(a, candidates):
+        dens.append(lcm(*(x.denominator for i in range(a.rows) for _, x in a.nonzeros(i))))
+        return real(a, candidates)
 
-    monkeypatch.setattr(repsl2, "_shifted_kernels", recording)
+    monkeypatch.setattr(repsl2, "_eigenspaces", recording)
     cases = [(tensor(simple_module(m), simple_module(n)), clebsch_gordan(m, n))
              for m in range(1, 4) for n in range(m, 4)]
     cases.append((direct_sum(simple_module(2), simple_module(0), simple_module(2)),
@@ -104,6 +104,55 @@ def test_decompose_through_a_non_unimodular_rational_change_of_basis(monkeypatch
         conj = SL2Module(LeftModule(sl2(), d, [p_inv * a * p for a in v.underlying.action]))
         assert decompose(conj) == want
     assert len(dens) == len(cases) and min(dens) > 1
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """The column count of each ``linear._int_kernel_and_pivots``
+    elimination, the one under every kernel of ``linear``."""
+    calls = []
+    real = linear._int_kernel_and_pivots
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(linear, "_int_kernel_and_pivots", counting)
+    return calls
+
+
+def test_a_weight_basis_is_decomposed_by_one_elimination(monkeypatch):
+    # In a weight basis h is diagonal on ker e, so its eigenspaces are
+    # read off and the one elimination is that of ker e.
+    calls = _count_eliminations(monkeypatch)
+    for m in range(6):
+        for n in range(m, 6):
+            v = tensor(simple_module(m), simple_module(n))
+            calls.clear()
+            assert decompose(v) == clebsch_gordan(m, n)
+            assert len(calls) == 1, (m, n)
+    per_call = []
+    real = ext.decompose
+
+    def counted(v):
+        before = len(calls)
+        out = real(v)
+        per_call.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(ext, "decompose", counted)
+    quiver_hemi(1, 8, verify=True)  # the N-hat cokernels of weights 0..8
+    assert per_call == [1] * 9
+
+
+def test_a_sheared_basis_takes_at_most_one_elimination_per_weight(monkeypatch):
+    # h on ker e is not diagonal here: ker e, then at most one shifted
+    # elimination for each m = 0..m + n, the top weight.
+    calls = _count_eliminations(monkeypatch)
+    for m, n in ((3, 30), (1, 40)):
+        v = _shear_conjugate(tensor(simple_module(m), simple_module(n)), check=False)
+        calls.clear()
+        assert decompose(v) == clebsch_gordan(m, n)
+        assert 1 < len(calls) <= m + n + 2
 
 
 def test_dual_of_simple_is_isomorphic():
