@@ -186,9 +186,10 @@ def _cmd_ce(args, out) -> int:
 def _report(args, out, src, dst, results: dict, as_dims) -> int:
     """Print one line per method (text) or one JSON pair, the methods in
     the order computed; ``as_dims`` turns a result into its list of
-    dimensions.  When two methods disagree, write a diagnostic to
-    stderr and return 2 (JSON mode then prints nothing).  JSON ``certified``
-    is true for an answer from a certified spectral page, else null."""
+    dimensions.  When two methods disagree, raise VerificationError,
+    which ``main`` reports with exit 2 (JSON mode then prints nothing).
+    JSON ``certified`` is true for an answer from a certified spectral
+    page, else null."""
     (first, value), *others = results.items()
     diverged = any(v != value for _, v in others)
     if args.format == "json":
@@ -202,8 +203,7 @@ def _report(args, out, src, dst, results: dict, as_dims) -> int:
             out.write(" ".join(str(d) for d in as_dims(v)) + "\n")
     if diverged:
         [(second, other)] = others
-        sys.stderr.write(f"error: {first} {value} != {second} {other}\n")
-        return 2
+        raise VerificationError(f"{first} {value} != {second} {other}")
     return 0
 
 

@@ -130,7 +130,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 from .errors import ComplexError, DimensionError, InputError
@@ -140,9 +140,10 @@ from .linear import (
     _Frozen,
     _column_basis,
     _common_int_rows,
+    _common_ints,
     _int_kernel_and_pivots,
     _int_product,
-    _kernel_spans,
+    _kernel_coordinates,
     _sum,
     _wrap,
     intersect_kernels,
@@ -217,9 +218,9 @@ class CochainComplex(_Frozen):
     ``_int_kernel_and_pivots``, the identity at the free columns of d_q, so
     the coordinates of B in Z can only be B's own rows there, and B lies
     in the span of Z exactly when Z B[free] = B: one integer product
-    (``_kernel_spans``).  A pass is a proof, since the product writes
-    each coboundary as a combination of the cocycles returned; a wrong
-    cocycle basis can only fail it.
+    (``linear._kernel_coordinates``).  A pass is a proof, since the
+    product writes each coboundary as a combination of the cocycles
+    returned; a wrong cocycle basis can only fail it.
 
     The elimination consumes the integer rows of d_q, and those of B
     live only for the product, so no integer rows outlive the degree
@@ -246,7 +247,7 @@ class CochainComplex(_Frozen):
                     rows, _common_int_rows(coboundaries.matrix())[0])):
                 raise ComplexError(f"d({q}) . d({q - 1}) is nonzero")
             cocycles, pivots = _int_kernel_and_pivots(rows, dims[q], dims[q] - coboundaries.dim)
-            if not _kernel_spans(cocycles, pivots, coboundaries):
+            if _kernel_coordinates(cocycles.matrix(), coboundaries.matrix()) is None:
                 raise ComplexError(f"coboundaries escape cocycles in degree {q}")
             groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
             if q < last:
@@ -342,8 +343,8 @@ def _basis_weights(h: LeibnizAlgebra, m: Bimodule, g: int) -> tuple | None:
     mu = tuple(left[j, j] for j in range(m.dim))
     if not (any(alpha) or any(mu)):
         return None
-    d = lcm(*(x.denominator for x in alpha + mu))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in xs) for xs in (alpha, mu))
+    ints = _common_ints(alpha + mu)[0]
+    return tuple(ints[:len(alpha)]), tuple(ints[len(alpha):])
 
 
 class _Grading:
@@ -659,8 +660,9 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
 
 
 def induced_module(m: Bimodule, sub: SubspaceBasis) -> LeftModule:
-    """The left action of ``m`` induced on span(sub), as a module over the
-    Lie quotient of its algebra; StabilityError unless span(sub) is stable.
+    """The left action of ``m`` induced on span(sub), for a kernel basis
+    ``sub``, as a module over the Lie quotient of its algebra;
+    StabilityError unless span(sub) is stable.
     The induced maps form a representation, and (LLM) makes L vanish on
     every [x, x] and [x, y] + [y, x], which span the Leibniz kernel, so the
     module is built unchecked."""

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .linear import (Mat, SubspaceBasis, _Frozen, _column_basis, _kernel_and_pivots,
-                     image_basis, restrict_and_project, solve)
+                     _kernel_coordinates, image_basis, restrict_and_project)
 from .algebra import LeftModule, LeibnizAlgebra, _is_int, lift_module, quotient_data
 from .bimodule import (
     Bimodule,
@@ -190,13 +190,15 @@ def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
     HL^0 in the coordinates of its cocycle basis ``z0`` (the degree-0
     cocycles of ``leibniz_cohomology(h, x, ...)``).
 
-    The values of f land in HL^0 because R_y(L_x + R_x) = 0 follows
-    from the bimodule axioms; StabilityError if they do not.
+    ``z0`` is a kernel basis, so f is read off it with no elimination
+    (``linear._kernel_coordinates``).  The values of f land in HL^0
+    because R_y(L_x + R_x) = 0 follows from the bimodule axioms;
+    StabilityError if they do not, or if ``z0`` is not a kernel basis.
     """
     if x.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
     sums = [x.left[j] + x.right[j] for j in range(h.dim)]
-    stacked = solve(z0.matrix(), Mat.hstack([Mat.zero(x.dim, 0), *sums]))
+    stacked = _kernel_coordinates(z0.matrix(), Mat.hstack([Mat.zero(x.dim, 0), *sums]))
     if stacked is None:
         raise StabilityError("f does not land in the degree-0 cocycles")
     return _into_hom(stacked, h.dim, x.dim)

@@ -39,8 +39,10 @@ the complement chosen by ``pivot_extension`` are reproducible bit for
 bit, whichever row ends up as the echelon row of a column.  So are the
 matrices of ``restrict_and_project``: the induced maps have one matrix
 in the complement basis ``S e_comp`` of span S / span Q, and comp
-depends on span(S^-1 Q) alone, as the complement of the positions where
-the vectors of that span have their last nonzero entry.
+depends on span(Q_S) alone, as the complement of the positions where
+the vectors of that span have their last nonzero entry.  Q_S = Q[R], the
+coordinates of Q in S, is read off: S is a kernel basis, the identity
+at the rows R of the last nonzeros of its vectors (``_read_off``).
 
 Three savings rest on that argument, and none can change an output.
 The rows are reduced sparsest first, by a stable sort on their nonzero
@@ -424,12 +426,20 @@ def kron(a: Mat, b: Mat) -> Mat:
 def _common_int_rows(m: Mat) -> tuple:
     """Fresh ``{column: int}`` rows, every row of ``m`` times one common
     denominator, the lcm of all its denominators, and that lcm: the one
-    integer scaling of the package, for eliminations and products alike."""
+    integer scaling of the package, for eliminations and products alike,
+    which ``_common_ints`` applies to a flat sequence."""
     den = lcm(*[x.denominator for r in m._rows for x in r.values()])
     if den == 1:  # an integer matrix, as most differentials are: no scaling
         return [{j: x.numerator for j, x in r.items()} for r in m._rows], den
     return [{j: x.numerator * (den // x.denominator) for j, x in r.items()}
             for r in m._rows], den
+
+
+def _common_ints(values: Iterable) -> tuple:
+    """``_common_int_rows`` of a flat sequence, as one list of ints."""
+    values = list(values)
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _int_product(arows: Sequence[Mapping], brows: Sequence[Mapping]):
@@ -660,31 +670,38 @@ def _eigenspaces(a: Mat, candidates: Iterable) -> list | None:
     return None if left else spaces
 
 
-def _kernel_spans(kernel: "SubspaceBasis", pivots: Sequence[int], sub: "SubspaceBasis") -> bool:
-    """Whether every vector of ``sub`` lies in the span of ``kernel``,
-    for ``(kernel, pivots)`` as ``_kernel_and_pivots`` returns them.
+def _read_off(srows: Sequence[Mapping], cols: int, scale: int,
+              brows: Sequence[Mapping]) -> tuple | None:
+    """For the integer rows of ``scale * S``, S with ``cols`` columns, and
+    of B: ``(R, outside)`` when S[R] = I, R the row of the last nonzero
+    of each column of S, and None otherwise.  A kernel basis has R its
+    free columns.  S X = B then forces X = B[R], and ``outside`` holds the
+    columns where S B[R] != B, from one integer product off R."""
+    last = {}
+    for i, row in enumerate(srows):
+        for j in row:
+            last[j] = i
+    rr = [last.get(j) for j in range(cols)]
+    if None in rr or any(srows[r] != {j: scale} for j, r in enumerate(rr)):
+        return None
+    others = sorted(set(range(len(srows))).difference(rr))
+    outside = set()
+    for acc, i in zip(_int_product([srows[i] for i in others], [brows[r] for r in rr]), others):
+        row = brows[i]
+        outside.update(c for c in acc.keys() | row.keys()
+                       if acc.get(c, 0) != scale * row.get(c, 0))
+    return rr, outside
 
-    That basis Z is the identity at the free columns, those that are not
-    pivots, so the coordinates of a vector v in Z can only be v's own
-    entries there, and v lies in the span exactly when Z v[free] = v.
-    The test is that one product, in integers, with no elimination.  It
-    reads the Z it is given, so True proves the containment whatever Z
-    is, and a Z of any other form can only fail it.
-    """
-    z, v = kernel.matrix(), sub.matrix()
-    pivots = set(pivots)
-    free = [c for c in range(z.rows) if c not in pivots]
-    if z.cols != len(free) or v.rows != z.rows:
-        return False
-    vrows, _ = _common_int_rows(v)
-    zrows, dz = _common_int_rows(z)
-    # Z / dz . v[free] = v, both sides times dz and the common
-    # denominator of v.
-    for acc, vrow in zip(_int_product(zrows, [vrows[c] for c in free]), vrows):
-        if {j: x for j, x in acc.items() if x} != (
-                vrow if dz == 1 else {j: dz * x for j, x in vrow.items()}):
-            return False
-    return True
+
+def _kernel_coordinates(s: Mat, b: Mat) -> Mat | None:
+    """X = b[R] with s X = b by ``_read_off``, no elimination; None when
+    s is not of its form or b is outside span s.  Only the s given is
+    read, so a result proves s X = b whatever s is."""
+    srows, ds = _common_int_rows(s)
+    found = _read_off(srows, s.cols, ds, _common_int_rows(b)[0])
+    if found is None or found[1]:
+        return None
+    return _wrap(s.cols, b.cols, (b._rows[r] for r in found[0]))
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -843,36 +860,25 @@ def pivot_extension(q: Mat, pool: Mat) -> tuple:
     return comp, Mat.hstack([q, _columns(pool, comp)])
 
 
-def _reversed_columns(rows: Sequence[Mapping], count: int) -> list:
-    """The ``count`` columns of the integer ``rows``, entry i of each at
-    coordinate ``len(rows) - 1 - i``: their pivots are last nonzeros."""
-    n = len(rows)
-    out = [{} for _ in range(count)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            out[c][n - 1 - i] = v
-    return out
-
-
 def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
                          quot_of: SubspaceBasis) -> list:
     """Matrices of the maps induced by each of ``maps`` on
     span(sub)/span(quot_of), in the order given.
 
-    Each map must preserve span(sub) and span(quot_of), which must lie
-    in span(sub); StabilityError if any map fails.  The quotient is
-    presented in the complement basis S e_comp, comp as
-    ``pivot_extension(Q, S)`` picks it.  The work is on integer rows, and
-    no elimination carries the k s right-hand sides.  Restrict: one
-    elimination of [S^T | I], S^T's coordinates reversed, gives the rows
-    R where the vectors of span S have their last nonzero entry, and
-    S[R]^-1 (S[R] = I for ``SubspaceBasis.full`` and every kernel basis);
-    Y_k = S[R]^-1 (F_k S)[R] and Q_S = S[R]^-1 Q[R], and an exact product
-    checks S Y_k = F_k S and S Q_S = Q outside R.  Project: comp is the
-    complement of the last-nonzero positions R' of span(Q_S); the rows of
-    Pi = [I_comp | -W], W = Q_S[comp] Q_S[R']^-1, are the kernel basis of
-    Q_S^T in reversed coordinates, from its t-row echelon, and X_k =
-    (Pi Y_k)[:, comp], F_k keeping span Q iff Pi Y_k Q_S = 0.
+    ``sub`` must be the identity at the last nonzero of each vector, as
+    ``SubspaceBasis.full`` and every kernel basis are (ValueError
+    otherwise).  Each map must preserve span(sub) and span(quot_of),
+    which must lie in span(sub); StabilityError if any map fails.  The
+    quotient is presented in the complement basis S e_comp, comp as
+    ``pivot_extension(Q, S)`` picks it.  The work is on integer rows.
+    Restrict: Y_k = (F_k S)[R] and Q_S = Q[R] are read off at those rows
+    R, where S[R] = I, and one product checks S Y_k = F_k S and S Q_S =
+    Q outside R (``_read_off``).  Project, the one elimination and only
+    with t > 0: comp is the complement of the last-nonzero positions R'
+    of span(Q_S); the rows of Pi = [I_comp | -W], W = Q_S[comp]
+    Q_S[R']^-1, are the kernel basis of Q_S^T in reversed coordinates,
+    from its t-row echelon, and X_k = (Pi Y_k)[:, comp], F_k keeping
+    span Q iff Pi Y_k Q_S = 0.
     """
     n = sub.ambient_dim
     if any(f.rows != n or f.cols != n for f in maps):
@@ -895,40 +901,26 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
         for l, a in frow.items():
             for j, v in srows[l].items():
                 acc[off + j] = acc.get(off + j, 0) + a * v
-    # Restrict: x / dx = S[R]^-1 b[R], which is [df Y_0 | ... | c Q_S]
-    # for a constant c != 0.  Row i of the echelon of [S^T | I] is
-    # [E_i | T_i] with E = T S^T, so its columns n + m give S[R]^-1.
-    echelon, last = _forward_eliminate(
-        [{**col, n + m: 1} for m, col in enumerate(_reversed_columns(srows, s))], n + s)
-    rr = [n - 1 - p for p in reversed(last)]
-    x, dx = [b[r] for r in rr], ds
-    if any(srows[r] != {i: ds} for i, r in enumerate(rr)):
-        # Fixing column n + m at -1 makes (ds S[R])^T z[R] = e_m: the pivot
-        # values are column m of (ds S[R])^-T, that is row m of its inverse.
-        inv = _integer_back_substitute(echelon, last, {n + m: {m: -1} for m in range(s)})
-        dx = lcm(*[den for _, den in inv.values()])
-        rows = [{} for _ in range(s)]
-        for j, p in enumerate(last):
-            num, den = inv[p]
-            for m, v in num.items():
-                rows[m][s - 1 - j] = v * (dx // den)
-        x = [{c: v for c, v in acc.items() if v} for acc in _int_product(rows, x)]
-    # S x / dx = b holds at the rows R by construction; check the others.
-    outside = set()  # True for a column of Q, False for one of some F_k S
-    others = sorted(set(range(n)).difference(rr))
-    for acc, i in zip(_int_product([srows[i] for i in others], x), others):
-        row = b[i]
-        outside.update(c >= ks for c in acc.keys() | row.keys()
-                       if acc.get(c, 0) != dx * row.get(c, 0))
-    if True in outside:
+    # Restrict: x / ds = b[R] is [df Y_0 | ... | c Q_S] for a constant
+    # c != 0, and S x / ds = b must hold off R too.
+    found = _read_off(srows, s, ds, b)
+    if found is None:
+        raise ValueError("sub is not the identity at the last nonzero entry of each vector")
+    rr, outside = found
+    if any(c >= ks for c in outside):
         raise StabilityError("quotient space is not inside the subspace")
     if outside:
         raise StabilityError("map does not preserve the subspace")
+    x = [b[r] for r in rr]
     # Project: row k of Pi times d is d at comp[k], 0 at the rest of comp.
     comp, z, d = range(s), x, 1
     if t:
         qs = [{u - ks: v for u, v in row.items() if u >= ks} for row in x]
-        echelon, last = _forward_eliminate(_reversed_columns(qs, t), s)
+        cols = [{} for _ in range(t)]  # Q_S^T, coordinates reversed: pivots are last nonzeros
+        for i, row in enumerate(qs):
+            for c, v in row.items():
+                cols[c][s - 1 - i] = v
+        echelon, last = _forward_eliminate(cols, s)
         comp = [j for j in range(s) if s - 1 - j not in echelon]
         pi = _integer_back_substitute(echelon, last,
                                       {s - 1 - j: {k: 1} for k, j in enumerate(comp)})
@@ -944,7 +936,7 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
         if any(any(acc.values()) for acc in _int_product(z, blocks + [{}] * t)):
             raise StabilityError("map does not preserve the quotient subspace")
     at = {j: i for i, j in enumerate(comp)}
-    den = d * dx * df
+    den = d * ds * df
     out = [[{} for _ in comp] for _ in maps]
     for i, row in enumerate(z):
         for c, v in row.items():

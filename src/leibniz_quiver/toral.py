@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
 from .cohomology import _basis_weights, _trace_form
-from .linear import Mat, _eigenspaces, lincomb, pivot_extension, solve
+from .linear import (Mat, _common_int_rows, _common_ints, _eigenspaces, lincomb,
+                     pivot_extension, solve)
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -46,7 +47,7 @@ def _zigzag(a: Mat):
     whatever the size of the entries (V_m, of dimension m + 1, has the
     weights -2m..2m under 2h); a matrix past it is only left ungraded."""
     n = a.rows
-    den = lcm(*(x.denominator for i in range(n) for _, x in a.nonzeros(i)))
+    den = _common_int_rows(a)[1]
     ks = [0] + [s * k for k in range(1, 2 * n + 1) for s in (1, -1)]
     return [Fraction(k, den) for k in ks]
 
@@ -60,11 +61,12 @@ def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
     data = quotient_data(h)
     ads = [h.left_mult(i) for i in data.complement]
     lefts = [m.left[i] for i in data.complement]
-    form = [[x + y for x, y in zip(r, s)] for r, s in zip(_trace_form(ads), _trace_form(lefts))]
-    den = lcm(*(x.denominator for row in form for x in row))  # the form times den, in ints
-    form = [[x.numerator * (den // x.denominator) for x in row] for row in form]
-    for v in _candidates(len(ads)):
-        if sum(x * y * row[j] for x, row in zip(v, form) for j, y in enumerate(v)) <= 0:
+    k = len(ads)
+    # The trace form, flat and times the lcm of its denominators.
+    form = _common_ints(x + y for r, s in zip(_trace_form(ads), _trace_form(lefts))
+                        for x, y in zip(r, s))[0]
+    for v in _candidates(k):
+        if sum(x * y * form[i * k + j] for i, x in enumerate(v) for j, y in enumerate(v)) <= 0:
             continue
         a = lincomb(ads, v, h.dim)
         on_h = _eigenspaces(a, _zigzag(a))

@@ -221,7 +221,9 @@ def test_restrict_and_project_requires_stability():
 
 def _flag_family(seed: int, count: int):
     """Maps preserving span(p0, p1, p2) and span(p0) for the columns
-    p_i of a random invertible P: upper-triangular maps conjugated by P."""
+    p_i of a random invertible P: upper-triangular maps conjugated by P.
+    The middle space comes as the kernel basis of the last row of P^-1,
+    the form ``restrict_and_project`` requires of its ``sub``."""
     rng = random.Random(seed)
     while True:
         p = mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
@@ -230,7 +232,7 @@ def _flag_family(seed: int, count: int):
     p_inv = solve(p, Mat.identity(4))
     maps = [p * mat([[rng.randint(-3, 3) if j >= i else 0 for j in range(4)]
                      for i in range(4)]) * p_inv for _ in range(count)]
-    sub = SubspaceBasis(4, [p.col(0), p.col(1), p.col(2)])
+    sub = kernel_basis(Mat(1, 4, [p_inv.row(3)]))
     quot = SubspaceBasis(4, [p.col(0)])
     return maps, sub, quot, p
 
@@ -285,11 +287,11 @@ def _record_restrict_and_project(monkeypatch, modules):
     return log
 
 
-def test_restrict_and_project_eliminates_twice(monkeypatch):
-    # Exactly two eliminations: the s rows of [S^T | I] over n + s
-    # columns restrict, whatever S is (S[R]^-1 is a back-substitution,
-    # not a solve), and the t rows of Q_S^T over s columns project.  So
-    # none reads the n ambient rows together with k s right-hand sides.
+def test_restrict_and_project_eliminates_only_the_quotient(monkeypatch):
+    # Restricting eliminates nothing: S[R] = I at the last nonzeros R of
+    # a kernel basis or of I, so the coordinates are read off.  The one
+    # elimination, of the t rows of Q_S^T over s columns, projects, and
+    # with nothing divided out there is none.
     log = _record_restrict_and_project(monkeypatch, [linear])
     for seed in range(3):
         maps, sub, quot, _ = _flag_family(seed, 3)
@@ -297,17 +299,23 @@ def test_restrict_and_project_eliminates_twice(monkeypatch):
             linear.restrict_and_project(family, sub, q)
         linear.restrict_and_project(maps, SubspaceBasis.full(4), quot)
     assert len(log) == 12
-    for n, s, t, k, shapes in log:
-        assert shapes == [(s, n + s)] + ([(t, s)] if t else [])
-        assert not any(rows == n and cols >= k * s for rows, cols in shapes if s < n)
+    for _, s, t, _, shapes in log:
+        assert shapes == ([(t, s)] if t else [])
+
+
+def test_restrict_and_project_refuses_a_sub_it_cannot_read_off():
+    # [1, 2] has its last nonzero 2, not 1, and the vectors [1, 1] and
+    # [0, 1] both have theirs in row 1: neither basis is the identity there.
+    for sub in (SubspaceBasis(2, [[1, 2]]), SubspaceBasis(2, [[1, 1], [0, 1]])):
+        with pytest.raises(ValueError, match="not the identity at the last nonzero"):
+            restrict_and_project([Mat.identity(2)], sub, SubspaceBasis.empty(2))
 
 
 def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
     # With nothing divided out each induced map is the X with S X = F S,
-    # from the one elimination that restricts: the s rows of [S^T | I].
-    # decompose and induced_module restrict kernel bases that way, where
-    # S[R] = I, and their outputs must not change.  pivot_extension is
-    # not called, with a quotient or without.
+    # read off with no elimination.  decompose and induced_module
+    # restrict kernel bases that way, and their outputs must not change.
+    # pivot_extension is not called, with a quotient or without.
     from leibniz_quiver import cohomology
     from leibniz_quiver.algebra import quotient_data
     from leibniz_quiver.bimodule import antisymmetric
@@ -337,9 +345,9 @@ def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
                                       for i in quotient_data(h).complement)
     assert len(log) == 3 + 9 + 2
     for n, s, t, _, shapes in log:
-        assert t == 0 and shapes == [(s, n + s)]
+        assert t == 0 and shapes == []
     linear.restrict_and_project(maps, sub, quot)
-    assert calls == [] and log[-1][4] == [(3, 7), (1, 3)]
+    assert calls == [] and log[-1][4] == [(1, 3)]
 
 
 # ------------------------------------------------------------- property tests
@@ -665,18 +673,13 @@ def test_content_reduction_changes_no_result(monkeypatch):
 
 def test_restrict_and_project_matches_reference_complement():
     # The complement is the one a textbook rref of [S^-1 Q | I] picks,
-    # and G is the induced map on the classes of B = S e_comp.  A random
-    # basis S of the flag's middle space varies the complement.
+    # and G is the induced map on the classes of B = S e_comp.  The
+    # coordinates of p0 in the kernel basis S vary with P, and so does
+    # the complement.
     comps = set()
     for seed in range(6):
-        maps, _, quot, p = _flag_family(seed, 3)
-        rng = random.Random(seed)
-        while True:
-            u = mat([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
-            if rank(u) == 3:
-                break
-        smat = Mat.from_cols([p.col(j) for j in range(3)]) * u
-        sub, qmat = SubspaceBasis(4, [smat.col(j) for j in range(3)]), quot.matrix()
+        maps, sub, quot, _ = _flag_family(seed, 3)
+        smat, qmat = sub.matrix(), quot.matrix()
         aug = [row + [F(int(i == j)) for j in range(3)]
                for i, row in enumerate(_ref_solve(smat, qmat))]
         _, piv = _rref(aug, 4)
@@ -757,13 +760,14 @@ def _ref_restrict_and_project(maps, sub, quot):
 def _caller_shapes(n, s, t, shape, breaker, seed):
     """Maps preserving span(p_0..p_(s-1)) and span(p_0..p_(t-1)) for the
     columns p_i of a random invertible rational P, the two spans, and
-    whether a breaker applies.  ``shape`` "flag" gives the spans random
-    bases, "full" takes S = I (s = n), as cokernels and symmetric
-    quotients do, and "kernel" takes S a kernel basis and nothing divided
-    out, as decompose and induced_module do.  The breaker "leaves" adds a
-    map sending p_0 out of span S, "moves" one sending p_0 into span S
-    but out of span Q, and "outside" puts p_s into Q, where the
-    dimensions allow it."""
+    whether a breaker applies.  S is the kernel basis of span S, the
+    form ``restrict_and_project`` requires, and Q a random basis.
+    ``shape`` "flag" takes that S, "full" takes S = I (s = n), as
+    cokernels and symmetric quotients do, and "kernel" takes that S with
+    nothing divided out, as decompose and induced_module do.  The
+    breaker "leaves" adds a map sending p_0 out of span S, "moves" one
+    sending p_0 into span S but out of span Q, and "outside" puts p_s
+    into Q, where the dimensions allow it."""
     rng = random.Random(seed)
     entry = lambda: F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
     while True:
@@ -791,10 +795,7 @@ def _caller_shapes(n, s, t, shape, breaker, seed):
     broken = target is not None or bool(outside)
     if shape == "full":
         return maps, SubspaceBasis.full(n), quot, broken
-    if shape == "kernel":
-        sub = kernel_basis(Mat(n - s, n, [p_inv.row(i) for i in range(s, n)]))
-        return maps, sub, quot, broken
-    return maps, SubspaceBasis(n, span(list(range(s)))), quot, broken
+    return maps, kernel_basis(Mat(n - s, n, [p_inv.row(i) for i in range(s, n)])), quot, broken
 
 
 @settings(max_examples=120, deadline=None)
@@ -890,16 +891,23 @@ def test_product_matches_the_textbook_sum(factors):
 
 @settings(max_examples=100, deadline=None)
 @given(contract_matrices(), st.data())
-def test_kernel_spans_exactly_the_kernel(m, data):
-    kernel, pivots = linear._kernel_and_pivots(m, m.cols)
-    coeffs = Mat(kernel.dim, 3, [data.draw(st.lists(fractions_or_zero, min_size=3, max_size=3))
-                                 for _ in range(kernel.dim)])
-    inside = kernel.matrix() * coeffs
-    assert linear._kernel_spans(kernel, pivots, linear._basis(inside))
+def test_kernel_coordinates_read_off_exactly_the_span(m, data):
+    kernel = kernel_basis(m).matrix()
+    coeffs = Mat(kernel.cols, 3, [data.draw(st.lists(fractions_or_zero, min_size=3, max_size=3))
+                                  for _ in range(kernel.cols)])
+    inside = kernel * coeffs
+    assert linear._kernel_coordinates(kernel, inside) == solve(kernel, inside) == coeffs
     outside = [j for j in range(m.cols) if any(m.col(j))]
     if outside:  # a standard vector at a nonzero column of m
         e = Mat.from_cols([[int(i == outside[0]) for i in range(m.cols)]], rows=m.cols)
-        assert not linear._kernel_spans(kernel, pivots, linear._basis(Mat.hstack([inside, e])))
+        assert solve(kernel, e) is None
+        assert linear._kernel_coordinates(kernel, Mat.hstack([inside, e])) is None
+    # The same span in another basis: the first vector doubled, or the
+    # second added to it, which moves its last nonzero to the second's.
+    for j in range(1, min(kernel.cols, 2) + 1):
+        mix = Mat.identity(kernel.cols) + Mat.from_sparse(
+            kernel.cols, kernel.cols, [{0: 1} if i == j - 1 else {} for i in range(kernel.cols)])
+        assert linear._kernel_coordinates(kernel * mix, inside) is None
 
 
 @settings(max_examples=60, deadline=None)
