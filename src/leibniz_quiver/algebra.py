@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from .linear import (Mat, SubspaceBasis, _Frozen, _common_int_rows, _int_product, _wrap,
-                     as_scalar, image_basis, lincomb, pivot_extension, solve)
+from .linear import (Mat, SubspaceBasis, _Frozen, _common_int_rows, _complement, _int_product,
+                     _wrap, as_scalar, image_basis, lincomb)
 
 _ZERO = Fraction(0)
 
@@ -167,9 +167,12 @@ class QuotientData(_Frozen):
     """Canonical Lie quotient of a Leibniz algebra.
 
     ``complement`` lists the basis indices of the original algebra whose
-    classes form the quotient basis (deterministic pivot extension of
-    the Leibniz kernel), ``projection`` sends original coordinates to
-    quotient coordinates, and ``lie`` is the quotient algebra itself.
+    classes form the quotient basis, the positions off the last nonzero
+    entries of the vectors of the Leibniz kernel, ``projection`` sends
+    original coordinates to quotient coordinates along the kernel (both
+    from ``linear._complement``), and ``lie`` is the quotient algebra
+    itself, whose bracket of the classes of b_i and b_j is the
+    projection of [b_i, b_j].
     """
 
     __slots__ = ("algebra", "kernel", "complement", "projection", "lie")
@@ -177,14 +180,10 @@ class QuotientData(_Frozen):
     def __init__(self, algebra: LeibnizAlgebra):
         kernel = leibniz_kernel(algebra)
         n = algebra.dim
-        comp, bmat = pivot_extension(kernel.matrix(), Mat.identity(n))
+        comp, prows = _complement(_common_int_rows(kernel.matrix())[0], kernel.dim)
         nq = len(comp)
-        # Solve [K | E] c = v for each basis vector; the last nq coords
-        # of c are the quotient coordinates of v.
-        coords = solve(bmat, Mat.identity(n))
-        if coords is None:  # unreachable: the columns of bmat span K^n
-            raise AlgebraAxiomError("internal: quotient coordinates unsolvable")
-        proj = Mat(nq, n, [coords.row(kernel.dim + i) for i in range(nq)])
+        d = prows[0][comp[0]] if comp else 1  # the projection is the identity on comp
+        proj = _wrap(nq, n, ({j: Fraction(v, d) for j, v in row.items()} for row in prows))
         cq = [[None] * nq for _ in range(nq)]
         for ai, i in enumerate(comp):
             for bj, j in enumerate(comp):

@@ -150,7 +150,7 @@ def antisymmetric_kernel(b: Bimodule) -> SubspaceBasis:
 def sym_quotient(b: Bimodule) -> Bimodule:
     """The symmetric quotient bimodule M / M_0 with the induced actions."""
     m0 = antisymmetric_kernel(b)
-    induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim), m0)
+    induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim), m0.matrix())
     k = b.algebra.dim
     out = Bimodule(b.algebra, b.dim - m0.dim, induced[:k], induced[k:])
     for l, r in zip(out.left, out.right):

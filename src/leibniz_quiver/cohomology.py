@@ -667,7 +667,7 @@ def induced_module(m: Bimodule, sub: SubspaceBasis) -> LeftModule:
     every [x, x] and [x, y] + [y, x], which span the Leibniz kernel, so the
     module is built unchecked."""
     data = quotient_data(m.algebra)
-    induced = restrict_and_project(m.left, sub, SubspaceBasis.empty(sub.ambient_dim))
+    induced = restrict_and_project(m.left, sub, Mat.zero(sub.ambient_dim, 0))
     return LeftModule(data.lie, sub.dim, [induced[i] for i in data.complement], check=False)
 
 

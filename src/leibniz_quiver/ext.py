@@ -29,8 +29,8 @@ from .errors import (
     StabilityError,
     UnsupportedDegreeError,
 )
-from .linear import (Mat, SubspaceBasis, _Frozen, _column_basis, _kernel_and_pivots,
-                     _kernel_coordinates, image_basis, restrict_and_project)
+from .linear import (Mat, SubspaceBasis, _Frozen, _kernel_coordinates, kernel_basis, rank,
+                     restrict_and_project)
 from .algebra import LeftModule, LeibnizAlgebra, _is_int, lift_module, quotient_data
 from .bimodule import (
     Bimodule,
@@ -165,12 +165,15 @@ def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement], check=False)
 
 
-def _cokernel_module(hom: LeftModule, imf: SubspaceBasis) -> LeftModule:
-    """hom / span(imf) with the induced action; ``imf``, the image basis
-    of a map into hom, must span a submodule (StabilityError otherwise),
-    so the induced maps form a representation, built unchecked."""
-    induced = restrict_and_project(hom.action, SubspaceBasis.full(hom.dim), imf)
-    return LeftModule(hom.algebra, hom.dim - imf.dim, induced, check=False)
+def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
+    """Coker f = hom / span f with the induced action, for a map f into
+    hom given as it is, dependent columns and all; its image must be a
+    submodule (StabilityError otherwise), so the induced maps form a
+    representation, built unchecked.  Over the zero algebra there is no
+    action to induce and the dimension is dim hom - rank f."""
+    induced = restrict_and_project(hom.action, SubspaceBasis.full(hom.dim), f)
+    dim = induced[0].rows if induced else hom.dim - rank(f)
+    return LeftModule(hom.algebra, dim, induced, check=False)
 
 
 def _into_hom(stacked: Mat, k: int, dx: int) -> Mat:
@@ -194,6 +197,8 @@ def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
     (``linear._kernel_coordinates``).  The values of f land in HL^0
     because R_y(L_x + R_x) = 0 follows from the bimodule axioms;
     StabilityError if they do not, or if ``z0`` is not a kernel basis.
+    Its columns need not be independent: ``ext_base_sym`` takes Ker f
+    from one elimination and divides by f itself for Coker f.
     """
     if x.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
@@ -218,13 +223,12 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
         raise DimensionError("degree must be nonnegative")
     cohom = leibniz_cohomology(h, x, max(qmax - 1, 0))
     f = base_change_map(h, x, cohom[0].cocycles)
-    kerf, pivots = _kernel_and_pivots(f, f.cols)
-    ker = induced_module(x, kerf)
+    ker = induced_module(x, kernel_basis(f))
     if qmax == 0:
         return [ker]
     hmod = h_as_lie_module(h)
     homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_modules(h, x, cohom)]
-    return [ker, _cokernel_module(homs[0], _column_basis(f, pivots))] + homs[1:]
+    return [ker, _cokernel_module(homs[0], f)] + homs[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,7 @@ def nhat(h: LeibnizAlgebra, n: LeftModule) -> LeftModule:
     hom = hom_module_action(data.lie, h_as_lie_module(h), n)
     acts = lift_module(h, n).action
     f = _into_hom(Mat.hstack([Mat.zero(n.dim, 0), *acts]), h.dim, n.dim)
-    return _cokernel_module(hom, image_basis(f))
+    return _cokernel_module(hom, f)
 
 
 # Degree-1 Ext between simples over V_n x_hs sl2 can be nonzero only

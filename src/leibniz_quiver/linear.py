@@ -34,15 +34,19 @@ that set, the null-space vector with a 1 at free column f and 0 at the
 other free columns is unique, and so is the solution of ``a x = b``
 whose free coordinates are 0.  Hence the rank, the pivot columns,
 ``kernel_basis`` (one vector per free column, in increasing order),
-``image_basis`` (the pivot columns of the matrix itself), ``solve`` and
-the complement chosen by ``pivot_extension`` are reproducible bit for
-bit, whichever row ends up as the echelon row of a column.  So are the
-matrices of ``restrict_and_project``: the induced maps have one matrix
-in the complement basis ``S e_comp`` of span S / span Q, and comp
-depends on span(Q_S) alone, as the complement of the positions where
-the vectors of that span have their last nonzero entry.  Q_S = Q[R], the
-coordinates of Q in S, is read off: S is a kernel basis, the identity
-at the rows R of the last nonzeros of its vectors (``_read_off``).
+``image_basis`` (the pivot columns of the matrix itself) and ``solve``
+are reproducible bit for bit, whichever row ends up as the echelon row
+of a column.  So is every quotient.  A subspace to divide by is given
+by any matrix Q whose columns span it, dependent and zero columns
+allowed, and ``_complement`` picks its complement: the coordinates comp
+off the positions where the vectors of span Q have their last nonzero
+entry, and the projection onto them along span Q, both fixed by span Q
+alone.  That serves the Lie quotient (``algebra.QuotientData``) and
+the matrices of ``restrict_and_project``: the induced maps have one
+matrix in the complement basis ``S e_comp`` of span S / span Q, comp
+that of Q_S = Q[R], the coordinates of Q in S, which are read off: S is
+a kernel basis, the identity at the rows R of the last nonzeros of its
+vectors (``_read_off``).
 
 Three savings rest on that argument, and none can change an output.
 The rows are reduced sparsest first, by a stable sort on their nonzero
@@ -598,21 +602,16 @@ def kernel_basis(m: Mat) -> "SubspaceBasis":
     >>> [v for v in kernel_basis(Mat.from_rows([[1, 1]])).vectors]
     [(Fraction(-1, 1), Fraction(1, 1))]
     """
-    return _kernel_and_pivots(m, m.cols)[0]
-
-
-def _kernel_and_pivots(m: Mat, limit: int) -> tuple:
-    """``kernel_basis(m)`` and the pivot columns of ``m`` from one
-    elimination that stops once its echelon has ``limit`` rows; ``limit``
-    must be at least the rank of ``m``."""
-    return _int_kernel_and_pivots(_common_int_rows(m)[0], m.cols, limit)
+    return _int_kernel_and_pivots(_common_int_rows(m)[0], m.cols, m.cols)[0]
 
 
 def _int_kernel_and_pivots(rows: list, n: int, limit: int) -> tuple:
-    """``_kernel_and_pivots`` of the matrix with ``n`` columns whose rows
-    times one nonzero constant are the integer ``rows``, which have the
-    same kernel and pivots.  The elimination consumes ``rows`` and leaves
-    the list empty, so the caller's reference holds nothing during
+    """``kernel_basis`` and the pivot columns of the matrix with ``n``
+    columns whose rows times one nonzero constant are the integer
+    ``rows``, which have the same kernel and pivots, from one elimination
+    that stops once its echelon has ``limit`` rows; ``limit`` must be at
+    least the rank.  The elimination consumes ``rows`` and leaves the
+    list empty, so the caller's reference holds nothing during
     back-substitution."""
     echelon, pivots = _forward_eliminate(rows, n, limit)
     rows.clear()
@@ -799,17 +798,6 @@ class SubspaceBasis(_Frozen):
         """The ambient_dim x dim matrix whose columns are the basis."""
         return self._matrix
 
-    def coords(self, vector: Sequence) -> tuple | None:
-        """Coordinates of ``vector`` in this basis, or None if outside."""
-        v = Mat.from_cols([vector], rows=self.ambient_dim)
-        if not self.dim:
-            return () if v.is_zero() else None
-        sol = solve(self._matrix, v)
-        return sol.col(0) if sol is not None else None
-
-    def contains(self, vector: Sequence) -> bool:
-        return self.coords(vector) is not None
-
 
 def lincomb(mats: Sequence[Mat], coords: Sequence, dim: int) -> Mat:
     """The ``dim x dim`` matrix sum of ``coords[i] * mats[i]``.
@@ -843,55 +831,65 @@ def intersect_kernels(mats: Sequence[Mat], n: int) -> SubspaceBasis:
     return kernel_basis(Mat.vstack([Mat.zero(0, n), *mats]))
 
 
-def pivot_extension(q: Mat, pool: Mat) -> tuple:
-    """Extend the span of the columns of ``q`` by the columns j of
-    ``pool`` that are pivot columns of ``[q | pool]``; returns ``(comp,
-    [q | pool_comp])`` with ``comp`` increasing.
+def _complement(qrows: Sequence[Mapping], t: int) -> tuple:
+    """(comp, d Pi) for the integer rows, with no stored zero, of a
+    matrix Q with ``t`` columns, dependent and zero columns allowed, from
+    one elimination.
 
-    ``pool = I`` extends independent ``q`` to a basis of K^rows.  For
-    ``pool = S`` with independent columns and span q inside span S,
-    ``[q | S] = S [S^-1 q | I]`` has the pivots of ``[S^-1 q | I]`` (S is
-    injective, so it keeps every column dependency), and ``[q | S_comp]
-    = S [S^-1 q | e_comp]`` is the basis of span S adapted to span q.
+    comp, increasing, is the complement of the positions R' where the
+    vectors of span Q have their last nonzero entry, and Pi = [I_comp |
+    -W], W = Q[comp] Q[R']^-1 for any basis Q of the span, projects onto
+    the coordinates comp along span Q; d, the lcm of its denominators,
+    is each entry of d Pi at comp.  The rows of Pi are the kernel basis
+    of Q^T in reversed coordinates, where pivots are last nonzeros, from
+    the echelon of the t rows of Q^T.
     """
-    t = q.cols
-    _, pivots = _forward_eliminate(_common_int_rows(Mat.hstack([q, pool]))[0], t + pool.cols)
-    comp = [p - t for p in pivots if p >= t]
-    return comp, Mat.hstack([q, _columns(pool, comp)])
+    s = len(qrows)
+    cols = [{} for _ in range(t)]
+    for i, row in enumerate(qrows):
+        for c, v in row.items():
+            cols[c][s - 1 - i] = v
+    echelon, last = _forward_eliminate(cols, s)
+    comp = [j for j in range(s) if s - 1 - j not in echelon]
+    pi = _integer_back_substitute(echelon, last, {s - 1 - j: {k: 1} for k, j in enumerate(comp)})
+    d = lcm(*[den for _, den in pi.values()])
+    prows = [{} for _ in comp]
+    for p, (num, den) in pi.items():
+        for k, v in num.items():
+            prows[k][s - 1 - p] = v * (d // den)
+    return comp, prows
 
 
-def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
-                         quot_of: SubspaceBasis) -> list:
+def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis, quot: Mat) -> list:
     """Matrices of the maps induced by each of ``maps`` on
-    span(sub)/span(quot_of), in the order given.
+    span(sub)/span(quot), in the order given.
 
     ``sub`` must be the identity at the last nonzero of each vector, as
     ``SubspaceBasis.full`` and every kernel basis are (ValueError
-    otherwise).  Each map must preserve span(sub) and span(quot_of),
+    otherwise).  ``quot`` is any matrix whose columns span the subspace
+    to divide by.  Each map must preserve span(sub) and span(quot),
     which must lie in span(sub); StabilityError if any map fails.  The
     quotient is presented in the complement basis S e_comp, comp as
-    ``pivot_extension(Q, S)`` picks it.  The work is on integer rows.
-    Restrict: Y_k = (F_k S)[R] and Q_S = Q[R] are read off at those rows
-    R, where S[R] = I, and one product checks S Y_k = F_k S and S Q_S =
-    Q outside R (``_read_off``).  Project, the one elimination and only
-    with t > 0: comp is the complement of the last-nonzero positions R'
-    of span(Q_S); the rows of Pi = [I_comp | -W], W = Q_S[comp]
-    Q_S[R']^-1, are the kernel basis of Q_S^T in reversed coordinates,
-    from its t-row echelon, and X_k = (Pi Y_k)[:, comp], F_k keeping
-    span Q iff Pi Y_k Q_S = 0.
+    ``_complement`` picks it for Q_S, and has dimension len(comp).  The
+    work is on integer rows.  Restrict: Y_k = (F_k S)[R] and Q_S = Q[R]
+    are read off at those rows R, where S[R] = I, and one product checks
+    S Y_k = F_k S and S Q_S = Q outside R (``_read_off``).  Project, the
+    one elimination and only when Q has a nonzero entry: with d Pi from
+    ``_complement(Q_S)``, X_k = (Pi Y_k)[:, comp], F_k keeping span Q iff
+    Pi Y_k Q_S = 0.
     """
     n = sub.ambient_dim
     if any(f.rows != n or f.cols != n for f in maps):
         raise ValueError("endomorphism shape mismatch")
-    if quot_of.ambient_dim != n:
-        raise ValueError("ambient mismatch between sub and quot_of")
+    if quot.rows != n:
+        raise ValueError("ambient mismatch between sub and quot")
     if not maps:
         return []
-    s, t = sub.dim, quot_of.dim
+    s, t = sub.dim, quot.cols
     ks = len(maps) * s
     srows, ds = _common_int_rows(sub.matrix())
     frows, df = _common_int_rows(Mat.vstack(maps))
-    qrows, _ = _common_int_rows(quot_of.matrix())
+    qrows, _ = _common_int_rows(quot)
     # Row i of b is [F_0 S | ... | F_(K-1) S | Q] at row i, times
     # integers; an entry that cancels stays as a stored 0.
     b = [{ks + u: v for u, v in q.items()} for q in qrows]
@@ -912,23 +910,12 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
     if outside:
         raise StabilityError("map does not preserve the subspace")
     x = [b[r] for r in rr]
-    # Project: row k of Pi times d is d at comp[k], 0 at the rest of comp.
     comp, z, d = range(s), x, 1
-    if t:
+    if any(qrows):
         qs = [{u - ks: v for u, v in row.items() if u >= ks} for row in x]
-        cols = [{} for _ in range(t)]  # Q_S^T, coordinates reversed: pivots are last nonzeros
-        for i, row in enumerate(qs):
-            for c, v in row.items():
-                cols[c][s - 1 - i] = v
-        echelon, last = _forward_eliminate(cols, s)
-        comp = [j for j in range(s) if s - 1 - j not in echelon]
-        pi = _integer_back_substitute(echelon, last,
-                                      {s - 1 - j: {k: 1} for k, j in enumerate(comp)})
-        d = lcm(*[den for _, den in pi.values()])
-        prows = [{} for _ in comp]
-        for p, (num, den) in pi.items():
-            for k, v in num.items():
-                prows[k][s - 1 - p] = v * (d // den)
+        comp, prows = _complement(qs, t)
+        if comp:
+            d = prows[0][comp[0]]
         z = list(_int_product(prows, x))
         # Pi Y_k Q_S for every k at once: z times the block-diagonal
         # matrix with Q_S in each of its K blocks.
@@ -944,4 +931,4 @@ def restrict_and_project(maps: Sequence[Mat], sub: SubspaceBasis,
                 k, j = divmod(c, s)
                 if j in at:
                     out[k][i][at[j]] = Fraction(v, den)
-    return [_wrap(s - t, s - t, rows) for rows in out]
+    return [_wrap(len(comp), len(comp), rows) for rows in out]

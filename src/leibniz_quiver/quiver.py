@@ -29,6 +29,8 @@ class Quiver(_Frozen):
 
     Edges are stored as (source index, target index, multiplicity >= 1),
     sorted by (source, target) with at most one record per ordered pair.
+    Each field of an edge must be an int (InputError otherwise): a float
+    or a string is refused, not truncated or parsed.
     """
 
     __slots__ = ("vertices", "edges")
@@ -38,7 +40,8 @@ class Quiver(_Frozen):
         vertices = tuple(vertices)
         merged = {}
         for s, d, k in edges:
-            s, d, k = int(s), int(d), int(k)
+            if not (_is_int(s) and _is_int(d) and _is_int(k)):
+                raise InputError("edge src, dst and mult must be integers")
             if not (0 <= s < len(vertices) and 0 <= d < len(vertices)):
                 raise InputError("edge endpoint out of range")
             if k < 1:
@@ -177,8 +180,6 @@ def quiver_from_json(text: str) -> Quiver:
         doc = json.loads(text)
         vertices = [_vertex_from_record(rec) for rec in doc["vertices"]]
         edges = [(rec["src"], rec["dst"], rec["mult"]) for rec in doc["edges"]]
-        if not all(_is_int(x) for edge in edges for x in edge):
-            raise InputError("edge src, dst and mult must be integers")
     except InputError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:

@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralWeightError
-from .linear import (Mat, SubspaceBasis, _Frozen, _eigenspaces, kernel_basis,
-                     restrict_and_project)
+from .linear import Mat, _Frozen, _eigenspaces, kernel_basis, restrict_and_project
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect
 from .bimodule import hom_module_action
 from .cohomology import _check_budget
@@ -168,7 +167,7 @@ def decompose(v: SL2Module) -> WeightMultiset:
     """
     d = v.dim
     top = kernel_basis(v.e)
-    [h_top] = restrict_and_project([v.h], top, SubspaceBasis.empty(d))
+    [h_top] = restrict_and_project([v.h], top, Mat.zero(d, 0))
     spaces = _eigenspaces(h_top, range(d))
     if spaces is None:
         raise NonIntegralWeightError(

@@ -16,8 +16,7 @@ from math import gcd
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
 from .cohomology import _basis_weights, _trace_form
-from .linear import (Mat, _common_int_rows, _common_ints, _eigenspaces, lincomb,
-                     pivot_extension, solve)
+from .linear import Mat, _columns, _common_int_rows, _common_ints, _eigenspaces, lincomb, solve
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -84,8 +83,16 @@ def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
         spaces = {lam: e.matrix() for lam, e in on_h}
         zero = spaces.pop(0)
         p = Mat.hstack([zero, *spaces.values()])
-        x = zero.apply(solve(p, Mat.from_cols([lift], rows=h.dim)).col(0)[:zero.cols])
-        p = Mat.hstack([pivot_extension(Mat.from_cols([x], rows=h.dim), zero)[1],
+        c = solve(p, Mat.from_cols([lift], rows=h.dim)).col(0)[:zero.cols]
+        # x = zero c is not 0: else lift lies in the image of the
+        # diagonalizable ad(lift), and v = [v, y] in both the kernel and
+        # the image of the diagonalizable ad(v) on the quotient.  The
+        # columns of zero are independent, so zero_i lies in span(x,
+        # zero_<i) only at the last nonzero i of c: [x | zero off i] is x
+        # extended by the pivot columns of [x | zero].
+        last = max(i for i, v in enumerate(c) if v)
+        p = Mat.hstack([Mat.from_cols([zero.apply(c)], rows=h.dim),
+                        _columns(zero, [i for i in range(zero.cols) if i != last]),
                         *spaces.values()])
         q = Mat.hstack([Mat.zero(m.dim, 0)] + [e.matrix() for _, e in on_m])
         h2, m2 = _transport(h, m, p, q)

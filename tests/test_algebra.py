@@ -1,6 +1,7 @@
 """Leibniz algebras, the Leibniz kernel, Lie quotients, hemi-semidirect products."""
 
 import itertools
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -11,6 +12,7 @@ from leibniz_quiver.algebra import (
     LeftModule,
     LeibnizAlgebra,
     LieAlgebra,
+    QuotientData,
     adjoint_module,
     algebra_from_spec,
     algebra_to_spec,
@@ -22,10 +24,11 @@ from leibniz_quiver.algebra import (
     trivial_algebra,
 )
 from leibniz_quiver.errors import AlgebraAxiomError, InputError, ModuleAxiomError
-from leibniz_quiver.linear import Mat
-from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2
+from leibniz_quiver import linear
+from leibniz_quiver.linear import Mat, lincomb, rank, solve
+from leibniz_quiver.repsl2 import direct_sum, hemi_sl2, simple_module, sl2
 
-from conftest import basis_vector, one_dim_module
+from conftest import _unimodular, basis_vector, one_dim_module
 
 
 def br(a, i, j):
@@ -240,6 +243,60 @@ def test_algebra_equality_and_hash():
     assert trivial_algebra() == trivial_algebra()
     assert hash(sl2()) == hash(sl2())
     assert sl2() != trivial_algebra()
+
+
+def _sheared(a: LeibnizAlgebra, rng: random.Random) -> LeibnizAlgebra:
+    """a in the basis of the columns of a random unimodular P: the
+    bracket of the new b_i and b_j is P^-1 [p_i, p_j]."""
+    p = _unimodular(rng, a.dim)
+    p_inv = solve(p, Mat.identity(a.dim))
+    ads = [a.left_mult(i) for i in range(a.dim)]
+    cols = [p.col(i) for i in range(a.dim)]
+    return LeibnizAlgebra(a.dim, [[p_inv.apply(lincomb(ads, u, a.dim).apply(w)) for w in cols]
+                                  for u in cols])
+
+
+def _quotient_inputs():
+    rng = random.Random(7)
+    algebras = [hemi_sl2(n) for n in (1, 2, 3)]
+    algebras.append(hemi_semidirect(sl2(), direct_sum(simple_module(1),
+                                                      simple_module(1)).underlying))
+    return algebras + [_sheared(a, rng) for a in algebras] + [sl2(), trivial_algebra()]
+
+
+def test_quotient_data_matches_the_solve_on_kernel_and_complement():
+    # comp takes each standard vector that is independent of the kernel K
+    # and of the standard vectors before it, and v = K x + E_comp y has
+    # quotient coordinates y: the projection is the last rows of the
+    # solution of [K | E_comp] X = I.
+    sheared_w = 0
+    for a in _quotient_inputs():
+        data = QuotientData(a)
+        n, k = a.dim, data.kernel.matrix()
+        e = [Mat.from_cols([Mat.identity(n).col(i) for i in range(j)], rows=n)
+             for j in range(n + 1)]
+        comp = [j for j in range(n)
+                if rank(Mat.hstack([k, e[j + 1]])) > rank(Mat.hstack([k, e[j]]))]
+        ecomp = Mat.from_cols([Mat.identity(n).col(j) for j in comp], rows=n)
+        x = solve(Mat.hstack([k, ecomp]), Mat.identity(n))
+        proj = Mat(len(comp), n, [x.row(k.cols + i) for i in range(len(comp))])
+        assert data.complement == tuple(comp)
+        assert data.projection == proj
+        assert data.lie.c == tuple(tuple(proj.apply(a.c[i][j]) for j in comp) for i in comp)
+        sheared_w += any(proj[i, j] for i in range(len(comp)) for j in range(n) if j not in comp)
+    assert sheared_w > 0
+
+
+def test_quotient_data_eliminates_twice(monkeypatch):
+    # One elimination for the kernel basis, one for its complement and
+    # the projection along it.
+    calls = []
+    real = linear._forward_eliminate
+    monkeypatch.setattr(linear, "_forward_eliminate", lambda *args: calls.append(1) or real(*args))
+    for a in _quotient_inputs():
+        calls.clear()
+        QuotientData(a)
+        assert len(calls) == 2
 
 
 @settings(max_examples=20, deadline=None)

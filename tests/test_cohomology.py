@@ -569,7 +569,8 @@ def test_h_acts_by_zero_on_hl_above_degree_zero():
         for q, g in enumerate(cohomology_of_complex(leibniz_complex(h, m, qmax)).groups):
             if g.dim == 0:
                 continue
-            induced = restrict_and_project(cochain_action(h, m, q), g.cocycles, g.coboundaries)
+            induced = restrict_and_project(cochain_action(h, m, q), g.cocycles,
+                                           g.coboundaries.matrix())
             if q == 0:
                 nonzero_hl0_action += not all(a.is_zero() for a in induced)
             else:
@@ -656,7 +657,8 @@ def _check_graded_route(h, m, qmax):
     assert graded[0].cocycles == full[0].cocycles
     for q, module in enumerate(hl_modules(h, m, graded)[1:], 1):
         g = full[q]
-        induced = restrict_and_project(cochain_action(h, m, q), g.cocycles, g.coboundaries)
+        induced = restrict_and_project(cochain_action(h, m, q), g.cocycles,
+                                       g.coboundaries.matrix())
         assert module.dim == g.dim
         assert all(a.is_zero() for a in module.action)
         assert all(a.is_zero() for a in induced)

@@ -46,7 +46,7 @@ from leibniz_quiver.ext import (
     ext_trivial_closed,
     nhat,
 )
-from leibniz_quiver.linear import rank
+from leibniz_quiver.linear import Mat, rank
 from leibniz_quiver.quiver import quiver_hemi
 from leibniz_quiver.repsl2 import (
     SL2Module,
@@ -324,6 +324,34 @@ def test_nhat_builds_h_as_a_lie_module_once_per_algebra(monkeypatch):
     assert len(seen) == 13
     assert all(m is seen[0] for m in seen)
     assert ext.h_as_lie_module.cache_info().misses == 1
+
+
+def test_nhat_eliminates_only_for_the_complement_of_the_image(monkeypatch):
+    # f goes to the cokernel as it is, so N-hat takes one elimination, of
+    # the complement of span f, and none for V_0, on which f = 0.
+    from leibniz_quiver import linear
+
+    calls = []
+    real = linear._forward_eliminate
+    monkeypatch.setattr(linear, "_forward_eliminate", lambda *args: calls.append(1) or real(*args))
+    for n in (1, 2):
+        h = hemi_sl2(n)
+        for m in range(4):
+            module = simple_module(m).underlying
+            nhat(h, module)  # the Lie quotient and h as its module are built once
+            calls.clear()
+            nhat(h, module)
+            assert len(calls) == (1 if m else 0), (n, m)
+
+
+def test_a_cokernel_over_the_zero_algebra_divides_by_the_rank():
+    # With no action matrices there is nothing to induce; the dimension is
+    # still dim hom - rank f, for f with dependent and zero columns.
+    zero = LeibnizAlgebra(0, [])
+    hom = LeftModule(zero, 3, [])
+    f = Mat.from_cols([[1, 2, 0], [2, 4, 0], [0, 0, 0], [0, 1, 1]])
+    assert ext._cokernel_module(hom, f) == LeftModule(zero, 1, [])
+    assert ext._cokernel_module(hom, Mat.zero(3, 2)).dim == 3
 
 
 def test_nhat_is_the_degree_one_base_change_cokernel():

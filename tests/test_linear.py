@@ -17,7 +17,6 @@ from leibniz_quiver.linear import (
     intersect_kernels,
     kernel_basis,
     kron,
-    pivot_extension,
     rank,
     restrict_and_project,
     solve,
@@ -28,6 +27,26 @@ F = Fraction
 
 def mat(rows):
     return Mat.from_rows(rows)
+
+
+def in_span(basis, vector):
+    """Whether ``vector`` lies in the span of the basis, by ``solve``."""
+    return solve(basis.matrix(), Mat.from_cols([vector], rows=basis.ambient_dim)) is not None
+
+
+def complement(q):
+    """``linear._complement`` of the columns of q: comp, and Pi as a
+    rational matrix, d Pi divided by its entry d at comp."""
+    comp, prows = linear._complement(linear._common_int_rows(q)[0], q.cols)
+    d = prows[0][comp[0]] if comp else 1
+    return comp, Mat.from_sparse(len(comp), q.rows, [{j: F(v, d) for j, v in r.items()}
+                                                      for r in prows])
+
+
+def kernel_and_pivots(m, limit):
+    """``kernel_basis(m)`` and the pivot columns of m from one
+    elimination that stops at ``limit`` echelon rows."""
+    return linear._int_kernel_and_pivots(linear._common_int_rows(m)[0], m.cols, limit)
 
 
 # ---------------------------------------------------------------- Mat basics
@@ -132,7 +151,7 @@ def test_image_basis_spans_column_space():
     im = image_basis(m)
     assert im.dim == 2
     for j in range(m.cols):
-        assert im.contains(m.col(j))
+        assert in_span(im, m.col(j))
 
 
 def test_span_of_dedupes_dependent_vectors():
@@ -142,17 +161,6 @@ def test_span_of_dedupes_dependent_vectors():
 
 
 # ------------------------------------------------------------ SubspaceBasis
-
-def test_subspace_coords_roundtrip():
-    s = SubspaceBasis(3, [[1, 0, 1], [0, 1, 0]])
-    c = s.coords([2, 3, 2])
-    assert c is not None
-    recon = [sum(ci * vi for ci, vi in zip(c, col)) for col in zip(*s.vectors)]
-    assert recon == [2, 3, 2]
-    assert s.coords([0, 0, 1]) is None
-    assert s.contains([1, 1, 1])
-    assert not s.contains([1, 0, 0])
-
 
 def test_solve_against_full_and_empty_bases():
     full = SubspaceBasis.full(3).matrix()
@@ -191,18 +199,21 @@ def test_intersect_kernels_matches_stacked_kernel():
 
 
 def test_complement_pivot_indices():
-    # coordinates of a 1-dim subspace inside a 3-dim space
-    comp, b = pivot_extension(Mat.from_cols([[1, 0, 0]], rows=3), Mat.identity(3))
-    assert len(comp) == 2
-    assert 0 not in comp or len(set(comp)) == 2
-    assert b == Mat.from_cols([[1, 0, 0]] + [[int(i == j) for i in range(3)] for j in comp])
+    # A line in K^3, given by one vector, or repeated with a zero column:
+    # comp is off its last nonzero, and Pi projects along it.
+    for cols in ([[1, 0, 0]], [[2, 0, 0], [0, 0, 0], [-1, 0, 0]]):
+        assert complement(Mat.from_cols(cols, rows=3)) == ([1, 2], mat([[0, 1, 0], [0, 0, 1]]))
+    assert linear._complement([{0: 1}, {0: 1}, {}], 1) == ([0, 2], [{0: 1, 1: -1}, {2: 1}])
+    assert linear._complement([{0: 2}, {0: 3}], 1) == ([0], [{0: 3, 1: -2}])
+    assert linear._complement([{0: 1}, {1: 1}], 2) == ([], [])
+    assert complement(Mat.zero(2, 0)) == complement(Mat.zero(2, 3)) == ([0, 1], Mat.identity(2))
 
 
 def test_restrict_and_project_diagonal_example():
     # f = diag(1, 2, 3); restrict to span(e0, e1), project away span(e0)
     f = Mat.diagonal([1, 2, 3])
     sub = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])
-    quot = SubspaceBasis(3, [[1, 0, 0]])
+    quot = Mat.from_cols([[1, 0, 0]])
     [g] = restrict_and_project([f], sub, quot)
     # induced map on the 1-dim quotient spanned by the image of e1
     assert g.rows == g.cols == 1
@@ -213,17 +224,18 @@ def test_restrict_and_project_requires_stability():
     f = mat([[0, 1], [1, 0]])  # swaps the axes; span(e0) is not invariant
     sub = SubspaceBasis(2, [[1, 0]])
     with pytest.raises(StabilityError):
-        restrict_and_project([f], sub, SubspaceBasis.empty(2))
+        restrict_and_project([f], sub, Mat.zero(2, 0))
     # span(e1) is not inside span(e0): refused even for the identity
     with pytest.raises(StabilityError):
-        restrict_and_project([Mat.identity(2)], sub, SubspaceBasis(2, [[0, 1]]))
+        restrict_and_project([Mat.identity(2)], sub, Mat.from_cols([[0, 1]]))
 
 
 def _flag_family(seed: int, count: int):
     """Maps preserving span(p0, p1, p2) and span(p0) for the columns
     p_i of a random invertible P: upper-triangular maps conjugated by P.
     The middle space comes as the kernel basis of the last row of P^-1,
-    the form ``restrict_and_project`` requires of its ``sub``."""
+    the form ``restrict_and_project`` requires of its ``sub``, and the
+    quotient as the matrix with the one column p0."""
     rng = random.Random(seed)
     while True:
         p = mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
@@ -233,7 +245,7 @@ def _flag_family(seed: int, count: int):
     maps = [p * mat([[rng.randint(-3, 3) if j >= i else 0 for j in range(4)]
                      for i in range(4)]) * p_inv for _ in range(count)]
     sub = kernel_basis(Mat(1, 4, [p_inv.row(3)]))
-    quot = SubspaceBasis(4, [p.col(0)])
+    quot = Mat.from_cols([p.col(0)])
     return maps, sub, quot, p
 
 
@@ -243,8 +255,8 @@ def test_restrict_and_project_family_equals_maps_one_at_a_time():
         family = restrict_and_project(maps, sub, quot)
         assert family == [g for f in maps for g in restrict_and_project([f], sub, quot)]
         assert [(g.rows, g.cols) for g in family] == [(2, 2)] * 3
-        assert restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
-            g for f in maps for g in restrict_and_project([f], sub, SubspaceBasis.empty(4))]
+        assert restrict_and_project(maps, sub, Mat.zero(4, 0)) == [
+            g for f in maps for g in restrict_and_project([f], sub, Mat.zero(4, 0))]
     assert restrict_and_project([], sub, quot) == []
 
 
@@ -255,7 +267,7 @@ def test_restrict_and_project_family_with_one_unstable_map_raises():
     escapes = p * Mat.from_sparse(4, 4, [{}, {}, {}, {0: 1}]) * p_inv
     # p0 -> p1 keeps span(p0, p1, p2) but moves the quotient span(p0)
     moves_quot = p * Mat.from_sparse(4, 4, [{}, {0: 1}, {}, {}]) * p_inv
-    assert len(restrict_and_project([moves_quot], sub, SubspaceBasis.empty(4))) == 1
+    assert len(restrict_and_project([moves_quot], sub, Mat.zero(4, 0))) == 1
     for bad in (escapes, moves_quot):
         for family in (maps + [bad], [bad] + maps):
             with pytest.raises(StabilityError):
@@ -279,7 +291,7 @@ def _record_restrict_and_project(monkeypatch, modules):
         try:
             return real(maps, sub, quot)
         finally:
-            log.append((sub.ambient_dim, sub.dim, quot.dim, len(maps), open_calls.pop()))
+            log.append((sub.ambient_dim, sub.dim, quot.cols, len(maps), open_calls.pop()))
 
     monkeypatch.setattr(linear, "_forward_eliminate", counting)
     for module in modules:
@@ -295,7 +307,7 @@ def test_restrict_and_project_eliminates_only_the_quotient(monkeypatch):
     log = _record_restrict_and_project(monkeypatch, [linear])
     for seed in range(3):
         maps, sub, quot, _ = _flag_family(seed, 3)
-        for family, q in ((maps, quot), (maps[:1], quot), (maps, SubspaceBasis.empty(4))):
+        for family, q in ((maps, quot), (maps[:1], quot), (maps, Mat.zero(4, 0))):
             linear.restrict_and_project(family, sub, q)
         linear.restrict_and_project(maps, SubspaceBasis.full(4), quot)
     assert len(log) == 12
@@ -308,27 +320,24 @@ def test_restrict_and_project_refuses_a_sub_it_cannot_read_off():
     # [0, 1] both have theirs in row 1: neither basis is the identity there.
     for sub in (SubspaceBasis(2, [[1, 2]]), SubspaceBasis(2, [[1, 1], [0, 1]])):
         with pytest.raises(ValueError, match="not the identity at the last nonzero"):
-            restrict_and_project([Mat.identity(2)], sub, SubspaceBasis.empty(2))
+            restrict_and_project([Mat.identity(2)], sub, Mat.zero(2, 0))
 
 
 def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
     # With nothing divided out each induced map is the X with S X = F S,
     # read off with no elimination.  decompose and induced_module
     # restrict kernel bases that way, and their outputs must not change.
-    # pivot_extension is not called, with a quotient or without.
+    # A quotient takes the one elimination of its complement.
     from leibniz_quiver import cohomology
     from leibniz_quiver.algebra import quotient_data
     from leibniz_quiver.bimodule import antisymmetric
     from leibniz_quiver.cohomology import induced_module, leibniz_cohomology
 
-    calls = []
-    extend = linear.pivot_extension
-    monkeypatch.setattr(linear, "pivot_extension", lambda *a: calls.append(1) or extend(*a))
     log = _record_restrict_and_project(monkeypatch, [linear, repsl2, cohomology])
     for seed in range(3):
         maps, sub, quot, _ = _flag_family(seed, 3)
         s = sub.matrix()
-        assert linear.restrict_and_project(maps, sub, SubspaceBasis.empty(4)) == [
+        assert linear.restrict_and_project(maps, sub, Mat.zero(4, 0)) == [
             solve(s, f * s) for f in maps]
     for m in range(1, 4):
         for n in range(m, 5):
@@ -347,7 +356,7 @@ def test_an_empty_quotient_needs_no_pivot_extension(monkeypatch):
     for n, s, t, _, shapes in log:
         assert t == 0 and shapes == []
     linear.restrict_and_project(maps, sub, quot)
-    assert calls == [] and log[-1][4] == [(1, 3)]
+    assert log[-1][4] == [(1, 3)]
 
 
 # ------------------------------------------------------------- property tests
@@ -541,11 +550,15 @@ def test_bases_match_independent_rref(m, data):
             assert got is None
         else:
             assert got is not None and got.row_lists() == expect
-    # The standard vectors that extend the columns of m to K^rows.
+    # The complement of span m: the standard vectors that extend the
+    # columns of m to K^rows, and the projection onto them along span m.
     ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
     aug = [list(r) + e for r, e in zip(m.row_lists(), ident)]
     _, piv = _rref(aug, m.cols + m.rows)
-    assert pivot_extension(m, Mat.identity(m.rows))[0] == [p - m.cols for p in piv if p >= m.cols]
+    comp, pi = complement(m)
+    assert comp == [p - m.cols for p in piv if p >= m.cols]
+    assert (pi * m).is_zero()
+    assert all(pi.col(j) == Mat.identity(len(comp)).col(k) for k, j in enumerate(comp))
 
 
 @st.composite
@@ -576,7 +589,7 @@ def test_outputs_do_not_depend_on_row_order(m, data):
     assert image_basis(m).vectors == tuple(m.col(j) for j in pivots)
     # Any limit from the rank up stops the elimination without changing it.
     for limit in range(len(pivots), m.cols + 1):
-        assert linear._kernel_and_pivots(p, limit) == (kernel_basis(m), pivots)
+        assert kernel_and_pivots(p, limit) == (kernel_basis(m), pivots)
     x0 = data.draw(st.lists(fractions_or_zero, min_size=m.cols, max_size=m.cols))
     free = data.draw(st.lists(fractions_or_zero, min_size=m.rows, max_size=m.rows))
     b = Mat.from_cols([m.apply(x0), free], rows=m.rows)
@@ -585,11 +598,14 @@ def test_outputs_do_not_depend_on_row_order(m, data):
         assert solve(p, shuffle(rhs)) == got
         expect = _ref_solve(m, rhs)
         assert got is None if expect is None else got.row_lists() == expect
-    comp, basis = pivot_extension(m, Mat.identity(m.rows))
-    assert pivot_extension(p, shuffle(Mat.identity(m.rows))) == (comp, shuffle(basis))
-    ident = [[F(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
-    _, piv = _rref([list(r) + e for r, e in zip(m.row_lists(), ident)], m.cols + m.rows)
-    assert comp == [c - m.cols for c in piv if c >= m.cols]
+    # The complement eliminates the rows of m as Q^T for Q = m^T, so its
+    # rows, repeated ones included, are the columns of the quotient.
+    q = m.transpose()
+    comp, pi = complement(q)
+    assert complement(p.transpose()) == (comp, pi)
+    ident = [[F(int(i == j)) for j in range(q.rows)] for i in range(q.rows)]
+    _, piv = _rref([list(r) + e for r, e in zip(q.row_lists(), ident)], q.cols + q.rows)
+    assert comp == [c - q.cols for c in piv if c >= q.cols]
 
 
 @st.composite
@@ -613,7 +629,7 @@ def test_bounded_elimination_matches_the_unbounded_one(m):
     # spanned; at the rank or above it, nothing may change.
     _, pivots = _rref(m.row_lists(), m.cols)
     for limit in range(len(pivots), m.cols):
-        assert linear._kernel_and_pivots(m, limit) == (kernel_basis(m), pivots)
+        assert kernel_and_pivots(m, limit) == (kernel_basis(m), pivots)
 
 
 def test_a_deferred_independent_row_is_still_reduced(monkeypatch):
@@ -634,7 +650,7 @@ def test_a_deferred_independent_row_is_still_reduced(monkeypatch):
         return real(echelon, ncols)
 
     monkeypatch.setattr(linear, "_null_vector", recording)
-    assert linear._kernel_and_pivots(m, 3) == (kernel_basis(m), [0, 1])
+    assert kernel_and_pivots(m, 3) == (kernel_basis(m), [0, 1])
     assert drawn == [{0: {0: 1}}]
 
 
@@ -679,7 +695,7 @@ def test_restrict_and_project_matches_reference_complement():
     comps = set()
     for seed in range(6):
         maps, sub, quot, _ = _flag_family(seed, 3)
-        smat, qmat = sub.matrix(), quot.matrix()
+        smat, qmat = sub.matrix(), quot
         aug = [row + [F(int(i == j)) for j in range(3)]
                for i, row in enumerate(_ref_solve(smat, qmat))]
         _, piv = _rref(aug, 4)
@@ -741,7 +757,7 @@ def _ref_restrict_and_project(maps, sub, quot):
     [S^-1 Q | I], C = [Q | S e_comp], and X_k from the solve on
     [C | F_k C]; StabilityError where Q is not inside span S, where
     some F_k C is not in span C or where X_k has a lower-left block."""
-    smat, qmat = sub.matrix(), quot.matrix()
+    smat, qmat = sub.matrix(), quot
     s, t = smat.cols, qmat.cols
     a = _ref_solve(smat, qmat)
     if a is None:
@@ -791,7 +807,7 @@ def _caller_shapes(n, s, t, shape, breaker, seed):
         return [tuple(sum(p[r, c] * mix[k][j] for k, c in enumerate(cols))
                       for r in range(n)) for j in range(len(cols))]
 
-    quot = SubspaceBasis(n, span(list(range(t - 1)) + [s] if outside else list(range(t))))
+    quot = Mat.from_cols(span(list(range(t - 1)) + [s] if outside else list(range(t))), rows=n)
     broken = target is not None or bool(outside)
     if shape == "full":
         return maps, SubspaceBasis.full(n), quot, broken
@@ -825,6 +841,49 @@ def test_restrict_and_project_matches_the_plain_fraction_solve(n, s, t, shape, b
     else:
         assert not broken
         assert restrict_and_project(maps, sub, quot) == want
+
+
+def _spanning_set(rng, q):
+    """The columns of q with up to three more, each a repeat, a
+    combination of two of them or a zero column, in a shuffled order:
+    the same span, given by a matrix that is rarely a basis."""
+    cols = [q.col(j) for j in range(q.cols)]
+    mixed = list(cols)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("repeat", "combination", "zero")) if cols else "zero"
+        if kind == "zero":
+            mixed.append((F(0),) * q.rows)
+        elif kind == "repeat":
+            mixed.append(rng.choice(cols))
+        else:
+            x, y = F(rng.randint(-2, 2), rng.choice((1, 2))), F(rng.randint(-2, 2))
+            mixed.append(tuple(x * u + y * v for u, v in zip(rng.choice(cols), rng.choice(cols))))
+    rng.shuffle(mixed)
+    return Mat.from_cols(mixed, rows=q.rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from(["flag", "full", "kernel"]),
+       st.sampled_from([None, "leaves", "moves", "outside"]), st.integers(0, 1 << 16))
+@example(3, 2, 1, "flag", None, 0)
+@example(4, 4, 2, "full", "moves", 7)
+@example(4, 2, 1, "flag", "outside", 6)
+@example(4, 3, 0, "kernel", None, 3)
+def test_a_spanning_set_divides_as_its_image_basis(n, s, t, shape, breaker, seed):
+    # Repeated, dependent and zero columns change neither the matrices
+    # nor the StabilityError: only span Q is divided out.
+    s = n if shape == "full" else min(s, n)
+    t = 0 if shape == "kernel" else min(t, s)
+    maps, sub, quot, _ = _caller_shapes(n, s, t, shape, breaker, seed)
+    spanning = _spanning_set(random.Random(seed), quot)
+    outcomes = []
+    for q in (spanning, image_basis(spanning).matrix(), quot):
+        try:
+            outcomes.append(restrict_and_project(maps, sub, q))
+        except StabilityError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ------------------------------------------------- equality and hashing

@@ -46,6 +46,14 @@ def test_quiver_merges_parallel_edge_records():
         Quiver(vs, [(0, 1, 0)])
 
 
+def test_quiver_refuses_non_integer_edges():
+    # int() would truncate 1.5 and 0.9 and parse "1"; a bool is no int.
+    vs = [SimpleDescriptor(KIND_SYMMETRIC, 1), SimpleDescriptor(KIND_ANTISYMMETRIC, 1)]
+    for edge in ((0, 1, 1.5), (0.9, 1, 2), ("1", 1, 1), (1, 1, True), (0, Fraction(1), 1)):
+        with pytest.raises(InputError, match="^edge src, dst and mult must be integers$"):
+            Quiver(vs, [(0, 1, 1), edge])
+
+
 # ------------------------------------------------------------- trivial algebra
 
 def test_quiver_trivial_single_eigenvalue():
