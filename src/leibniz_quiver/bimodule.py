@@ -138,21 +138,27 @@ def _simple_bimodule(h: LeibnizAlgebra, kind: str, m: LeftModule) -> Bimodule:
     return (symmetric if kind == KIND_SYMMETRIC else antisymmetric)(h, m)
 
 
+def _antisymmetric_span(b: Bimodule) -> Mat:
+    """[L_0 + R_0 | ... | L_(k-1) + R_(k-1)], behind a dim M x 0 block so
+    that the zero algebra stacks too: its columns span M_0."""
+    return Mat.hstack([Mat.zero(b.dim, 0)] + [l + r for l, r in zip(b.left, b.right)])
+
+
 def antisymmetric_kernel(b: Bimodule) -> SubspaceBasis:
     """Span of all (L_i + R_i) v: the largest subbimodule on which the
     quotient becomes symmetric."""
-    if b.dim == 0:
-        return SubspaceBasis.empty(0)
-    stacked = Mat.hstack([b.left[i] + b.right[i] for i in range(b.algebra.dim)])
-    return image_basis(stacked)
+    return image_basis(_antisymmetric_span(b))
 
 
 def sym_quotient(b: Bimodule) -> Bimodule:
-    """The symmetric quotient bimodule M / M_0 with the induced actions."""
-    m0 = antisymmetric_kernel(b)
-    induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim), m0.matrix())
+    """The symmetric quotient bimodule M / M_0 with the induced actions.
+    ``restrict_and_project`` divides by the columns that span M_0 as they
+    stand, in one elimination; with no algebra there are no actions to
+    induce and no columns, so the quotient is all of M."""
+    induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim),
+                                   _antisymmetric_span(b))
     k = b.algebra.dim
-    out = Bimodule(b.algebra, b.dim - m0.dim, induced[:k], induced[k:])
+    out = Bimodule(b.algebra, induced[0].rows if induced else b.dim, induced[:k], induced[k:])
     for l, r in zip(out.left, out.right):
         if l != -r:
             raise ModuleAxiomError("symmetric quotient is not symmetric")

@@ -752,9 +752,11 @@ def ce_cohomology(g: LieAlgebra, m: LeftModule, pmax: int) -> CohomologyResult:
 
 
 def _trace_form(mats: Sequence[Mat]) -> list:
-    """The Gram matrix tr(A_i A_j) of a family of square matrices."""
-    flat = [{(i, j): x for i in range(a.rows) for j, x in a.nonzeros(i)} for a in mats]
-    return [[sum(x * b.get((j, i), 0) for (i, j), x in a.items()) for b in flat] for a in flat]
+    """The Gram matrix tr(A_i A_j) of a family of square matrices, summed
+    over the integer rows of each (``_common_int_rows``) and divided once."""
+    ints = [_common_int_rows(a) for a in mats]
+    return [[Fraction(sum(x * b[j].get(i, 0) for i, r in enumerate(a) for j, x in r.items()),
+                      da * db) for b, db in ints] for a, da in ints]
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,8 @@ from math import gcd
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
 from .cohomology import _basis_weights, _trace_form
-from .linear import Mat, _columns, _common_int_rows, _common_ints, _eigenspaces, lincomb, solve
+from .linear import (Mat, _columns, _common_int_rows, _common_ints, _eigenspaces, _int_product,
+                     _wrap, lincomb, solve)
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -109,13 +110,36 @@ def _transport(h: LeibnizAlgebra, m: Bimodule, p: Mat, q: Mat) -> tuple:
     for the columns p_i of p, so every identity that h and m satisfy
     holds for the new tables, which are built unchecked."""
     n = h.dim
-    pinv, qinv = solve(p, Mat.identity(n)), solve(q, Mat.identity(m.dim))
-    cols = [p.col(i) for i in range(n)]
-    ads = [h.left_mult(i) for i in range(n)]
-    c = []
-    for u in cols:  # column j of p^-1 ad(u) p is [u, p_j] in the new basis
-        ad = (pinv * lincomb(ads, u, n) * p).transpose()
-        c.append([ad.row(j) for j in range(n)])
-    h2 = LeibnizAlgebra(n, c, check=False)
-    return h2, Bimodule(h2, m.dim, [qinv * m.left_by(u) * q for u in cols],
-                        [qinv * m.right_by(u) * q for u in cols], check=False)
+    # ad(b_0), ..., ad(b_(n-1)) stacked: row k of ad(b_a) holds the
+    # [b_a, b_j]_k, and column j of the new ad(b_i) is [b_i, b_j].
+    ads = _wrap(n * n, n, ({j: h.c[a][j][k] for j in range(n) if h.c[a][j][k]}
+                          for a in range(n) for k in range(n)))
+    ads = _conjugates(ads, p, p, solve(p, Mat.identity(n)))
+    h2 = LeibnizAlgebra(n, [[a.col(j) for j in range(n)] for a in ads], check=False)
+    qinv = solve(q, Mat.identity(m.dim))
+    return h2, Bimodule(h2, m.dim, _conjugates(Mat.vstack(m.left), p, q, qinv),
+                        _conjugates(Mat.vstack(m.right), p, q, qinv), check=False)
+
+
+def _conjugates(stacked: Mat, p: Mat, q: Mat, qinv: Mat) -> list:
+    """[q^-1 A(p_i) q for each column p_i of p], A(u) = sum_a u_a A_a, for
+    ``stacked`` = [A_0; ...; A_(n-1)], n blocks of size d x d, and p of
+    size n x n.  ``_common_int_rows`` scales stacked, p, q and qinv = q^-1
+    to integers, so every product is of integer rows, and each entry is
+    divided once, by the product of the four denominators."""
+    d = q.rows
+    arows, da = _common_int_rows(stacked)
+    pcols, dp = _common_int_rows(p.transpose())
+    qrows, dq = _common_int_rows(q)
+    irows, di = _common_int_rows(qinv)
+    den = da * dp * dq * di
+    out = []
+    for col in pcols:
+        comb = [{} for _ in range(d)]  # the rows of da dp A(p_i)
+        for a, x in col.items():
+            for acc, row in zip(comb, arows[a * d:(a + 1) * d]):
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + x * v
+        rows = _int_product(list(_int_product(irows, comb)), qrows)
+        out.append(_wrap(d, d, [{j: Fraction(v, den) for j, v in r.items() if v} for r in rows]))
+    return out

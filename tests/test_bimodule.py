@@ -26,7 +26,9 @@ from leibniz_quiver.bimodule import (
 )
 from leibniz_quiver.errors import InputError, ModuleAxiomError
 from leibniz_quiver.cohomology import leibniz_cohomology
-from leibniz_quiver.linear import Mat, SubspaceBasis, image_basis, intersect_kernels, kron
+from leibniz_quiver import linear
+from leibniz_quiver.linear import (Mat, SubspaceBasis, image_basis, intersect_kernels, kron,
+                                   restrict_and_project)
 from leibniz_quiver.repsl2 import hemi_sl2, simple_module, sl2
 
 from conftest import make_trivial_bimodule
@@ -110,6 +112,34 @@ def test_antisymmetric_kernel_and_sym_quotient():
     assert antisymmetric_kernel(s).dim == 0
     assert sym_quotient(s).dim == 2
     assert check_bimodule(sym_quotient(s))
+
+
+def test_sym_quotient_eliminates_the_stacked_actions_once(monkeypatch):
+    # The columns of [L_0 + R_0 | ...] are divided by as they stand, in the
+    # one elimination of restrict_and_project; their image basis would be a
+    # second elimination of the same columns.  The quotient is the one
+    # that the image basis gives, and over the zero algebra it is all of M.
+    calls = []
+    real = linear._forward_eliminate
+    monkeypatch.setattr(linear, "_forward_eliminate",
+                        lambda *args: calls.append(1) or real(*args))
+    for m in (1, 2):
+        h, mod = lifted_simple(1, m)
+        calls.clear()
+        assert sym_quotient(antisymmetric(h, mod)).dim == 0
+        assert len(calls) == 1
+    monkeypatch.undo()
+    rng = random.Random(3)
+    for _ in range(20):
+        b = make_trivial_bimodule(rng, max_dim=4)
+        induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim),
+                                       antisymmetric_kernel(b).matrix())
+        q = sym_quotient(b)
+        assert (q.dim, q.left + q.right) == (induced[0].rows, tuple(induced))
+    zero = LeibnizAlgebra(0, [])
+    assert sym_quotient(Bimodule(zero, 2, [], [])).dim == 2
+    assert sym_quotient(Bimodule(hemi_sl2(1), 0, [Mat.zero(0, 0)] * 5,
+                                 [Mat.zero(0, 0)] * 5)).dim == 0
 
 
 def test_right_invariants():

@@ -798,6 +798,64 @@ def test_no_split_toral_element_over_so3(monkeypatch):
         assert res.dims == cohomology_of_complex(leibniz_complex(h, bm, 2)).dims
 
 
+def _spy_eigenspaces(monkeypatch) -> list:
+    """Record ``(a, eigenspaces)`` for every eigenspace computation of the
+    search."""
+    seen = []
+    real = toral._eigenspaces
+
+    def recording(a, candidates):
+        seen.append((a, real(a, candidates)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(toral, "_eigenspaces", recording)
+    return seen
+
+
+def test_transport_with_rational_bases():
+    # The eigenbases of the search are rational; in such bases the tables
+    # that ``_transport`` builds from integer products must be those of
+    # p^-1 [p_i, p_j] and q^-1 L(p_i) q, R likewise, computed over Q.
+    rng = random.Random(11)
+    for n, m, make in ((1, 1, antisymmetric), (1, 2, symmetric), (2, 1, symmetric)):
+        h = hemi_sl2(n)
+        bm = make(h, simple_module(m).underlying)
+        for _ in range(3):
+            p, q = (Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                    if i != j else Fraction(rng.choice([1, -2]), 3)
+                                    for j in range(d)] for i in range(d)])
+                    for d in (h.dim, bm.dim))
+            if solve(p, Mat.identity(h.dim)) is None or solve(q, Mat.identity(bm.dim)) is None:
+                continue
+            assert toral._transport(h, bm, p, q) == _in_bases(h, bm, p, q)
+
+
+def test_a_module_that_rejects_the_first_candidate(monkeypatch):
+    # Over the abelian two-dimensional Lie algebra ad = 0, so every
+    # candidate passes on ad.  The first, b_1, acts by a Jordan block at 1
+    # (tr L^2 = 2 passes the form test) and fails on M; the next, b_0,
+    # acts by diag(1, 1, 2), which commutes with it.  Both are conjugated
+    # by a shear chain, so no basis element grades M, and the search must
+    # go on to b_0 and answer as the full complex does.
+    s = Mat.from_rows([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    s_inv = solve(s, Mat.identity(3))
+    left = [s * Mat.diagonal([1, 1, 2]) * s_inv,
+            s * Mat.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 0]]) * s_inv]
+    h = LieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    bm = Bimodule(h, 3, left, [Mat.zero(3, 3)] * 2)
+    assert not any(cohomology._weights(h, bm)[1])
+    seen = _spy_eigenspaces(monkeypatch)
+    found = toral.split_toral(h, bm)
+    monkeypatch.undo()
+    zero = Mat.zero(2, 2)
+    assert [(a, e is not None) for a, e in seen] == [
+        (zero, True), (left[1], False), (zero, True), (left[0], True)]
+    h2, m2, alpha, mu = found
+    assert alpha == (0, 0) and mu == (1, 1, 2) and m2.left[0] == Mat.diagonal([1, 1, 2])
+    res = leibniz_cohomology(h, bm, 4)
+    assert res.dims == cohomology_of_complex(leibniz_complex(h, bm, 4)).dims == [3, 0, 0, 0, 0]
+
+
 def test_one_dim_algebra_with_a_diagonalizable_left_action(monkeypatch):
     # L is not diagonal but has the eigenbasis (1, 0), (1, 1) with
     # eigenvalues 1, 2 on the first block, (3, 1), (1, -1) with 3, -1 on
