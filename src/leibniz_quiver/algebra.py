@@ -50,12 +50,14 @@ class LeibnizAlgebra(_Frozen):
 
     # Its own pair, not ``_fields``: a LieAlgebra equals a LeibnizAlgebra
     # with the same table, and the hash is precomputed for lru cache keys.
+    # Equal tables are interchangeable, so ``other`` takes this one: the
+    # next comparison of the pair meets identical planes and skips them.
     def __eq__(self, other):
-        return (
-            isinstance(other, LeibnizAlgebra)
-            and self.dim == other.dim
-            and self.c == other.c
-        )
+        if not (isinstance(other, LeibnizAlgebra) and self.dim == other.dim
+                and self.c == other.c):
+            return False
+        object.__setattr__(other, "c", self.c)
+        return True
 
     def __hash__(self):
         return self._hash

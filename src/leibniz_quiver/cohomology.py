@@ -97,12 +97,14 @@ quotient h / Leib(h) of ``quotient_data``.
     component lies in Leib(h), where ad and L vanish: ad(x) = ad(y),
     L_x = L_y, and [x, x] = ad(y) x = 0 as x has eigenvalue 0.
   * h and M are then carried into the eigenbases, x first
-    (``toral._transport``), and ``_basis_weights`` must accept b_0 = x
-    there.
+    (``toral._transport``), and the pass grades the transported pair
+    with ``_weights``, which accepts b_0 = x: ad(x) and L_x are diagonal
+    there, [x, x] = 0, and the form test left some eigenvalue nonzero.
 
-With no candidate left, or if that last check failed, the pass is
-ungraded, which is exact: the search changes how fast an answer comes,
-never the answer.
+With no candidate left, or if ``_weights`` ever found nothing in the
+transported pair, the pass keeps the caller's pair and is ungraded,
+which is exact: the search changes how fast an answer comes, never the
+answer.
 
 The Chevalley-Eilenberg complex of a Lie algebra g with coefficients in
 a left module (M, rho) has C^p = Hom(Lambda^p g, M), flattened in the
@@ -145,6 +147,7 @@ from .linear import (
     _int_product,
     _kernel_coordinates,
     _sum,
+    _trace_form,
     _wrap,
     intersect_kernels,
     kron,
@@ -316,35 +319,26 @@ def _check_degrees(last: int) -> None:
 
 
 def _weights(h: LeibnizAlgebra, m: Bimodule) -> tuple:
-    """(alpha, mu) of the first basis element that ``_basis_weights``
-    accepts; all zero when no basis element qualifies."""
-    for g in range(h.dim):
-        found = _basis_weights(h, m, g)
-        if found:
-            return found
+    """(alpha, mu) of the first basis element b = b_g with ad(b) and L_b
+    diagonal, ad(b) b = 0 and some eigenvalue nonzero: the eigenvalues of
+    ad(b) on the basis of h and of L_b on the basis of M, all times D,
+    the lcm of their denominators, as ints.  These are the eigenvalues of
+    D b, whose eigenspaces are those of b.  All zero when no basis
+    element qualifies.  A basis element of the Leibniz kernel has
+    ad(b) = 0 and L_b = 0, so it passes the first three tests and fails
+    the last."""
+    for g, plane in enumerate(h.c):  # plane[t] = [b_g, b_t]
+        alpha = tuple(row[t] for t, row in enumerate(plane))
+        if alpha[g] or any(x for t, row in enumerate(plane) for s, x in enumerate(row) if s != t):
+            continue
+        left = m.left[g]
+        if any(k != j for j in range(m.dim) for k, _ in left.nonzeros(j)):
+            continue
+        mu = tuple(left[j, j] for j in range(m.dim))
+        if any(alpha) or any(mu):
+            ints = _common_ints(alpha + mu)[0]
+            return tuple(ints[:h.dim]), tuple(ints[h.dim:])
     return (0,) * h.dim, (0,) * m.dim
-
-
-def _basis_weights(h: LeibnizAlgebra, m: Bimodule, g: int) -> tuple | None:
-    """(alpha, mu): the eigenvalues of ad(b) on the basis of h and of L_b
-    on the basis of M for b = b_g, when ad(b) and L_b are diagonal,
-    ad(b) b = 0 and some eigenvalue is nonzero, all times D, the lcm of
-    their denominators, as ints; None otherwise.  These are the
-    eigenvalues of D b, whose eigenspaces are those of b.  A basis
-    element of the Leibniz kernel has ad(b) = 0 and L_b = 0, so it
-    passes the first three tests and fails the last."""
-    plane = h.c[g]  # plane[t] = [b_g, b_t]
-    alpha = tuple(row[t] for t, row in enumerate(plane))
-    if alpha[g] or any(x for t, row in enumerate(plane) for s, x in enumerate(row) if s != t):
-        return None
-    left = m.left[g]
-    if any(k != j for j in range(m.dim) for k, _ in left.nonzeros(j)):
-        return None
-    mu = tuple(left[j, j] for j in range(m.dim))
-    if not (any(alpha) or any(mu)):
-        return None
-    ints = _common_ints(alpha + mu)[0]
-    return tuple(ints[:len(alpha)]), tuple(ints[len(alpha):])
 
 
 class _Grading:
@@ -565,11 +559,11 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
     rows of each d_q's blocks.  Ungraded, the one block of d_q is all of
     CL^(q+1).
 
-    Graded, the pass is graded by the first basis element that
-    ``_weights`` finds or, with none, by the split toral element that
-    ``toral.split_toral`` finds, and then h and m are returned in its
-    eigenbasis; with neither, and whenever ``graded`` is False, the pass
-    is ungraded."""
+    Graded, the pass is graded by one rule, ``_weights``: on h and m
+    themselves or, where it finds no basis element, on the pair that
+    ``toral.split_toral`` returns, h and m in the eigenbases of a split
+    toral element, which are then returned in their place.  With neither,
+    and whenever ``graded`` is False, the pass is ungraded."""
     _check_degrees(top + 1)
     if m.algebra != h:
         raise DimensionError("bimodule is not over the given algebra")
@@ -579,7 +573,10 @@ def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
         alpha, mu = _weights(h, m)
         if not (any(alpha) or any(mu)):
             from .toral import split_toral  # compiled only where a search runs
-            h, m, alpha, mu = split_toral(h, m) or (h, m, alpha, mu)
+            found = split_toral(h, m)
+            weights = _weights(*found) if found else (alpha, mu)
+            if any(weights[0]) or any(weights[1]):
+                (h, m), (alpha, mu) = found, weights
     g = _Grading(alpha, mu, top)
     for q in range(top + 1):
         _check_budget(f"the block differential d_{q}",
@@ -614,9 +611,12 @@ def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex
 def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyResult:
     """HL^q(h, m) for q = 0..qmax, with cocycle/coboundary bases.
 
-    HL^0 is ker d_0 on all of M, the right invariants, in the
-    coordinates of m.  For q >= 1 the groups are those of the
-    eigenvalue-0 block C_0 of the grading element (module docstring), as
+    HL^0 is ker d_0 on all of M, ``right_invariants(m)`` in the
+    coordinates of m, on every route: where C_0^0 is all of M it is the
+    degree-0 group of the pass too, as ker(-[R_a]) = ker([R_a]) and a
+    grading with every weight of M zero forces R_a = 0 at alpha_a != 0.
+    For q >= 1 the groups are those of the eigenvalue-0 block C_0 of
+    the grading element (module docstring), as
     ``cohomology_of_complex`` returns them: their bases live in the
     coordinates of C_0^q, the block's cochains in ``_Grading`` order, not
     in CL^q.  The grading element is the first basis element that
@@ -631,12 +631,10 @@ def leibniz_cohomology(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CohomologyR
     """
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
-    graded_h, graded_m, g = _checked_grading(h, m, qmax, graded=True)
-    groups = cohomology_of_complex(_zero_block_complex(graded_h, graded_m, g, qmax)).groups
-    if graded_m is not m or g.sizes[0][0] < m.dim:  # another basis, or C_0^0 misses part of M
-        z0 = right_invariants(m)
-        groups = (DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim)),) + groups[1:]
-    return CohomologyResult(groups)
+    groups = cohomology_of_complex(_zero_block_complex(
+        *_checked_grading(h, m, qmax, graded=True), qmax)).groups
+    z0 = right_invariants(m)
+    return CohomologyResult((DegreeGroup(z0.dim, z0, SubspaceBasis.empty(m.dim)),) + groups[1:])
 
 
 def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
@@ -749,14 +747,6 @@ def ce_complex(g: LieAlgebra, m: LeftModule, pmax: int) -> CochainComplex:
 def ce_cohomology(g: LieAlgebra, m: LeftModule, pmax: int) -> CohomologyResult:
     """H^p(g, m) for p = 0..pmax; degrees above dim g are reported 0."""
     return cohomology_of_complex(ce_complex(g, m, pmax))
-
-
-def _trace_form(mats: Sequence[Mat]) -> list:
-    """The Gram matrix tr(A_i A_j) of a family of square matrices, summed
-    over the integer rows of each (``_common_int_rows``) and divided once."""
-    ints = [_common_int_rows(a) for a in mats]
-    return [[Fraction(sum(x * b[j].get(i, 0) for i, r in enumerate(a) for j, x in r.items()),
-                      da * db) for b, db in ints] for a, da in ints]
 
 
 @lru_cache(maxsize=None)

@@ -147,8 +147,9 @@ class SimpleDescriptor(_Frozen):
         return simple_module(self.weight).underlying
 
     def realize(self, h: LeibnizAlgebra) -> Bimodule:
-        """The bimodule over h this descriptor names."""
-        return _simple_bimodule(h, self.kind, simple_module(self.weight).underlying)
+        """The bimodule over h this descriptor names, refused as
+        ``underlying_module`` refuses the Lie quotient of h."""
+        return _simple_bimodule(h, self.kind, self.underlying_module(quotient_data(h).lie))
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,14 @@ def _int_product(arows: Sequence[Mapping], brows: Sequence[Mapping]):
         yield acc
 
 
+def _trace_form(mats: Sequence[Mat]) -> list:
+    """The Gram matrix tr(A_i A_j) of a family of square matrices, summed
+    over the integer rows of each (``_common_int_rows``) and divided once."""
+    ints = [_common_int_rows(a) for a in mats]
+    return [[Fraction(sum(x * b[j].get(i, 0) for i, r in enumerate(a) for j, x in r.items()),
+                      da * db) for b, db in ints] for a, da in ints]
+
+
 def _reduce_row(row: dict) -> None:
     g = gcd(*row.values())
     if g > 1:

@@ -1,10 +1,11 @@
-"""The exact search for a split toral element, by which
-``cohomology.leibniz_cohomology`` grades an input that no basis element
-grades.  The argument, and the proof that the element found is split
-toral, are in the ``cohomology`` module docstring.  The eigenspaces
-come from ``linear._eigenspaces``, by which ``repsl2.decompose`` also
-counts weights.  ``cohomology`` imports this module only when a search
-runs.
+"""The exact search for a split toral element x of an input that no
+basis element grades.  It only changes the basis: it returns h and M
+in eigenbases of x, x first, and ``cohomology`` grades that pair by the
+rule it uses on every pair.  The argument, and the proof that the
+element found is split toral, are in the ``cohomology`` module
+docstring.  The eigenspaces come from ``linear._eigenspaces``, by which
+``repsl2.decompose`` also counts weights.  This module imports nothing
+from ``cohomology``, which imports it only when a search runs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from math import gcd
 
 from .algebra import LeibnizAlgebra, quotient_data
 from .bimodule import Bimodule
-from .cohomology import _basis_weights, _trace_form
 from .linear import (Mat, _columns, _common_int_rows, _common_ints, _eigenspaces, _int_product,
-                     _wrap, lincomb, solve)
+                     _trace_form, _wrap, lincomb, solve)
 
 # The most candidates ``split_toral`` tries, whatever the dimension of h:
 # every line of the [-2, 2] box in a three-dimensional Lie quotient.
@@ -53,11 +53,10 @@ def _zigzag(a: Mat):
 
 
 def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
-    """(h, m, alpha, mu) with h and m transported into eigenbases of a
-    split toral element x, x the first basis element of h, and (alpha,
-    mu) its weights from ``cohomology._basis_weights``; None when no
-    candidate of ``_candidates`` passes the tests of the ``cohomology``
-    module docstring."""
+    """(h, m) transported into eigenbases of a split toral element x, x
+    the first basis element of h; None when no candidate of
+    ``_candidates`` passes the tests of the ``cohomology`` module
+    docstring."""
     data = quotient_data(h)
     ads = [h.left_mult(i) for i in data.complement]
     lefts = [m.left[i] for i in data.complement]
@@ -96,9 +95,7 @@ def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
                         _columns(zero, [i for i in range(zero.cols) if i != last]),
                         *spaces.values()])
         q = Mat.hstack([Mat.zero(m.dim, 0)] + [e.matrix() for _, e in on_m])
-        h2, m2 = _transport(h, m, p, q)
-        weights = _basis_weights(h2, m2, 0)
-        return (h2, m2) + weights if weights else None
+        return _transport(h, m, p, q)
     return None
 
 

@@ -245,6 +245,24 @@ def test_algebra_equality_and_hash():
     assert sl2() != trivial_algebra()
 
 
+def test_equal_algebras_share_one_table():
+    # A comparison that finds the tables equal leaves both algebras on
+    # one table; unequal ones keep their own, and no hash changes.
+    lie, s = quotient_data(hemi_sl2(2)).lie, LieAlgebra(3, sl2().c)
+    hashes = hash(lie), hash(s)
+    assert s.c is not lie.c and lie == s
+    assert s.c is lie.c and (hash(lie), hash(s)) == hashes
+    a, b = hemi_sl2(1), hemi_sl2(2)
+    ca, cb = a.c, b.c
+    assert a != b and b != a and a.c is ca and b.c is cb
+    c = [[list(row) for row in plane] for plane in sl2().c]
+    c[0][1][1] += 1
+    changed = LieAlgebra(3, c, check=False)
+    before = changed.c, hash(changed)
+    assert changed != sl2() and sl2() != changed
+    assert (changed.c, hash(changed)) == before and changed.c is before[0]
+
+
 def _sheared(a: LeibnizAlgebra, rng: random.Random) -> LeibnizAlgebra:
     """a in the basis of the columns of a random unimodular P: the
     bracket of the new b_i and b_j is P^-1 [p_i, p_j]."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_quiver import cli, cohomology, quiver
+from leibniz_quiver import algebra, cli, cohomology, quiver
 from leibniz_quiver.algebra import LeftModule, algebra_to_spec
 from leibniz_quiver.bimodule import antisymmetric, bimodule_to_spec
 from leibniz_quiver.errors import CollapseNotCertifiedError
@@ -259,6 +259,19 @@ def test_check_reports_valid_algebra(capsys, tmp_path):
         "leibniz kernel dim: 0\n"
         "lie quotient dim: 1\n"
     )
+
+
+def test_check_computes_the_leibniz_kernel_once(capsys, tmp_path, monkeypatch):
+    # leibniz_kernel is the one caller of image_basis in algebra.py, and
+    # the kernel dimension is read off quotient_data.
+    path = write_json(tmp_path, "a.json", algebra_to_spec(hemi_sl2(1)))
+    calls = []
+    real = algebra.image_basis
+    monkeypatch.setattr(algebra, "image_basis", lambda m: calls.append(m) or real(m))
+    algebra.quotient_data.cache_clear()
+    assert run(capsys, "check", path) == (
+        0, "dim: 5\nleibniz identity: OK\nleibniz kernel dim: 2\nlie quotient dim: 3\n", "")
+    assert len(calls) == 1
 
 
 def test_check_flags_broken_algebra(capsys, tmp_path):

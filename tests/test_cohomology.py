@@ -830,6 +830,25 @@ def test_transport_with_rational_bases():
             assert toral._transport(h, bm, p, q) == _in_bases(h, bm, p, q)
 
 
+def test_no_candidate_with_a_diagonalizable_ad(monkeypatch):
+    # [x, y] = y, [x, z] = y + z: ad(a x + b y + c z) has the eigenvalue a
+    # in a Jordan block on span(y, z), and tr ad^2 = 2 a^2.  So the 41
+    # candidates with a != 0 pass the form test and fail on ad, the rest
+    # have form 0, and the bimodule is never reached.
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1], c[0][2] = [0, 1, 0], [0, 1, 1]
+    c[1][0], c[2][0] = [0, -1, 0], [0, -1, -1]
+    g = LieAlgebra(3, c)
+    k = trivial_bimodule(g)
+    seen = _spy_eigenspaces(monkeypatch)
+    assert toral.split_toral(g, k) is None
+    monkeypatch.undo()
+    assert len(seen) == 41
+    assert all((a.rows, a.cols) == (3, 3) and e is None for a, e in seen)
+    res = leibniz_cohomology(g, k, 3)
+    assert res.dims == cohomology_of_complex(leibniz_complex(g, k, 3)).dims == [1, 1, 1, 1]
+
+
 def test_a_module_that_rejects_the_first_candidate(monkeypatch):
     # Over the abelian two-dimensional Lie algebra ad = 0, so every
     # candidate passes on ad.  The first, b_1, acts by a Jordan block at 1
@@ -850,7 +869,8 @@ def test_a_module_that_rejects_the_first_candidate(monkeypatch):
     zero = Mat.zero(2, 2)
     assert [(a, e is not None) for a, e in seen] == [
         (zero, True), (left[1], False), (zero, True), (left[0], True)]
-    h2, m2, alpha, mu = found
+    h2, m2 = found
+    alpha, mu = cohomology._weights(h2, m2)
     assert alpha == (0, 0) and mu == (1, 1, 2) and m2.left[0] == Mat.diagonal([1, 1, 2])
     res = leibniz_cohomology(h, bm, 4)
     assert res.dims == cohomology_of_complex(leibniz_complex(h, bm, 4)).dims == [3, 0, 0, 0, 0]
@@ -899,6 +919,20 @@ def test_fast_ext_over_a_sheared_hemi_sl2(monkeypatch):
         monkeypatch.undo()
         assert found and None not in found
         assert got.dims == want.dims and got.certificate.certified
+
+
+def test_weight_descriptors_refuse_a_sheared_hemi_sl2():
+    # Its Lie quotient is sl2 in another basis, so a weight descriptor
+    # names no module there: ext_dims and realize refuse it alike.
+    h = hemi_sl2(1)
+    hs, ms = _sheared(h, antisymmetric(h, simple_module(1).underlying))
+    v1a = SimpleDescriptor("antisymmetric", 1)
+    with pytest.raises(InputError, match="weight descriptors need an sl2 quotient"):
+        ext_dims(hs, v1a, ms, 2)
+    with pytest.raises(InputError, match="weight descriptors need an sl2 quotient"):
+        v1a.realize(hs)
+    assert v1a.realize(h) == antisymmetric(h, simple_module(1).underlying)
+    assert SimpleDescriptor("trivial").realize(hs) == trivial_bimodule(hs)
 
 
 # --------------------------------------------------------------- CE cohomology
