@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedDegreeError,
     VerificationError,
 )
-from .linear import Mat, Scalar, SubspaceBasis, kernel_basis, image_basis, rank, solve
+from .linear import Mat, SubspaceBasis, kernel_basis, image_basis, rank, solve
 from .algebra import (
     LeftModule,
     LeibnizAlgebra,

@@ -1,10 +1,12 @@
 """Finite-dimensional Leibniz and Lie algebras from structure constants.
 
 An algebra is stored as the table c[i][j][k] with
-``[b_i, b_j] = sum_k c[i][j][k] b_k``.  Construction validates the left
-Leibniz identity ``[x, [y, z]] = [[x, y], z] + [y, [x, z]]`` on basis
-triples, so invalid algebras are unrepresentable downstream (tests that
-need a broken table pass ``check=False``).
+``[b_i, b_j] = sum_k c[i][j][k] b_k``.  A table that comes from outside
+the library is checked on construction against the left Leibniz identity
+``[x, [y, z]] = [[x, y], z] + [y, [x, z]]`` on basis triples.  An algebra
+or module that the library derives from structures it holds (the Lie
+quotient, the hemi-semidirect product, ...) is built with ``check=False``
+by a construction whose docstring carries the proof.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ def _freeze_constants(dim: int, c) -> tuple:
 
 
 class LeibnizAlgebra(_Frozen):
-    """A left Leibniz algebra given by exact structure constants."""
+    """A left Leibniz algebra given by exact structure constants, checked
+    against the left Leibniz identity unless ``check=False``."""
 
     __slots__ = ("dim", "c", "labels", "_hash")
 
@@ -96,7 +99,7 @@ class LieAlgebra(LeibnizAlgebra):
     """A Leibniz algebra whose bracket is also antisymmetric.
 
     Antisymmetry plus the left Leibniz identity is equivalent to the
-    Jacobi identity, so construction checks both.
+    Jacobi identity, so a checked construction checks both.
     """
 
     def __init__(self, dim: int, c, labels: Sequence[str] | None = None, *, check: bool = True):
@@ -175,6 +178,13 @@ class QuotientData(_Frozen):
     from ``linear._complement``), and ``lie`` is the quotient algebra
     itself, whose bracket of the classes of b_i and b_j is the
     projection of [b_i, b_j].
+
+    ``lie`` is built unchecked.  Leib(h), the span of the squares, is a
+    two-sided ideal: [Leib, h] = 0 by the left Leibniz identity, and
+    [x, [y, y]] = [[x, y], y] + [y, [x, y]] is a polarized square.  So
+    the projected bracket is the bracket of h/Leib(h).  It is
+    antisymmetric, as [x, y] + [y, x] lies in Leib(h), and it satisfies
+    the Leibniz identity as the image of h.
     """
 
     __slots__ = ("algebra", "kernel", "complement", "projection", "lie")
@@ -194,6 +204,7 @@ class QuotientData(_Frozen):
             nq,
             cq,
             labels=tuple(algebra.label(i) for i in comp) if algebra.labels else None,
+            check=False,
         )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "kernel", kernel)
@@ -206,9 +217,10 @@ class QuotientData(_Frozen):
 def quotient_data(a: LeibnizAlgebra) -> QuotientData:
     """The canonical Lie quotient of ``a``, built once per algebra.
 
-    The quotient is validated as a Lie algebra on construction; for an
-    algebra that is already Lie it is an equal algebra with the identity
-    projection.  Algebras are immutable, so the result can be shared.
+    The quotient is a Lie algebra by the proof in ``QuotientData``; for
+    an algebra that is already Lie it is an equal algebra with the
+    identity projection.  Algebras are immutable, so the result can be
+    shared.
     """
     return QuotientData(a)
 
@@ -217,10 +229,8 @@ class LeftModule(_Frozen):
     """A left module over a Leibniz (or Lie) algebra.
 
     ``action[i]`` is the matrix of b_i acting on the module.  The axiom
-    ``rho([b_i, b_j]) = [rho(b_i), rho(b_j)]`` is checked when the matrices
-    come from outside the library.  A module that the library derives from
-    modules and algebras it holds is built with ``check=False`` by a
-    construction whose docstring carries the proof.
+    ``rho([b_i, b_j]) = [rho(b_i), rho(b_j)]`` is checked unless
+    ``check=False``, by the rule of the module docstring.
     """
 
     __slots__ = ("algebra", "dim", "action")
@@ -249,9 +259,16 @@ class LeftModule(_Frozen):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
 
+def _zero_module(g: LeibnizAlgebra, dim: int) -> LeftModule:
+    """The module of dimension ``dim`` on which ``g`` acts by zero,
+    unchecked: zero matrices satisfy rho([x, y]) = 0 = [rho(x), rho(y)]."""
+    zero = Mat.zero(dim, dim)
+    return LeftModule(g, dim, [zero] * g.dim, check=False)
+
+
 def adjoint_module(g: LieAlgebra) -> LeftModule:
     """A Lie algebra acting on itself by left multiplication, unchecked: the
-    left Leibniz identity ``g`` was checked with is its module axiom."""
+    left Leibniz identity of ``g`` is its module axiom."""
     return LeftModule(g, g.dim, [g.left_mult(i) for i in range(g.dim)], check=False)
 
 
@@ -276,11 +293,17 @@ def hemi_semidirect(g: LieAlgebra, m: LeftModule) -> LeibnizAlgebra:
 
     On M + g the bracket is [(a, x), (b, y)] = (x.b, [x, y]); the module
     coordinates come first, then the Lie algebra coordinates.  The
-    result is a genuine (typically non-Lie) Leibniz algebra; its squares
-    all land in the module summand, which is asserted here.
+    result is a genuine (typically non-Lie) Leibniz algebra, built
+    unchecked: on (a, x), (b, y), (c, z) the left Leibniz identity reads
+    x.(y.c) = [x, y].c + y.(x.c) in the first slot, the module axiom,
+    and is the Jacobi identity of g in the second.  Its squares
+    (x.a, [x, x]) = (x.a, 0) all land in the module summand; a ``g``
+    with a nonzero square [b_x, b_x] of a basis element is refused.
     """
     if m.algebra != g:
         raise ModuleAxiomError("module is not over the given Lie algebra")
+    if any(any(g.c[x][x]) for x in range(g.dim)):
+        raise AlgebraAxiomError("square escapes the module summand")
     dm, dg = m.dim, g.dim
     n = dm + dg
     zero_row = (_ZERO,) * n
@@ -294,12 +317,7 @@ def hemi_semidirect(g: LieAlgebra, m: LeftModule) -> LeibnizAlgebra:
     labels = None
     if g.labels is not None:
         labels = tuple(f"m{i}" for i in range(dm)) + tuple(g.labels)
-    out = LeibnizAlgebra(n, c, labels=labels)
-    for i in range(n):
-        sq = out.c[i][i]
-        if any(sq[dm + t] for t in range(dg)):
-            raise AlgebraAxiomError("square escapes the module summand")
-    return out
+    return LeibnizAlgebra(n, c, labels=labels, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ A bimodule carries a left and a right action subject to
 
 so the left action alone is a left module.  ``symmetric`` and
 ``antisymmetric`` build the two standard bimodules attached to a left
-module (right action minus the left, respectively zero).
+module (right action minus the left, respectively zero).  As for
+algebras and modules (``algebra.py``), a bimodule is checked when its
+matrices come from outside the library, and one that the library
+derives is built with ``check=False`` by a construction whose docstring
+carries the proof.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ _KINDS = (KIND_TRIVIAL, KIND_SYMMETRIC, KIND_ANTISYMMETRIC)
 
 class Bimodule(_Frozen):
     """An exact Leibniz bimodule; the three axioms are checked on
-    construction unless ``check=False``."""
+    construction unless ``check=False``, by the rule of the module
+    docstring."""
 
     __slots__ = ("algebra", "dim", "left", "right")
     _fields = __slots__
@@ -104,7 +109,9 @@ def _axiom_failure(b: Bimodule) -> str | None:
 
 
 def check_bimodule(b: Bimodule) -> bool:
-    """Whether the three bimodule axioms hold (for use with check=False)."""
+    """Whether the three bimodule axioms hold: the check of a bimodule
+    built with ``check=False``, and the reference the tests hold the
+    derived constructions to."""
     return _axiom_failure(b) is None
 
 
@@ -112,23 +119,28 @@ def symmetric(h: LeibnizAlgebra, m: LeftModule) -> Bimodule:
     """The symmetric bimodule on ``m``: right action = minus the left.
 
     ``m`` may be given over ``h`` or over its Lie quotient; the lift
-    along the quotient projection is applied automatically.
+    along the quotient projection is applied automatically.  Built
+    unchecked: with R = -L, (LML) and (MLL) both reduce to (LLM), the
+    module axiom of the lifted module.
     """
     lifted = lift_module(h, m)
-    return Bimodule(h, m.dim, lifted.action, [(-a) for a in lifted.action])
+    return Bimodule(h, m.dim, lifted.action, [(-a) for a in lifted.action], check=False)
 
 
 def antisymmetric(h: LeibnizAlgebra, m: LeftModule) -> Bimodule:
-    """The antisymmetric bimodule on ``m``: right action zero."""
+    """The antisymmetric bimodule on ``m``: right action zero.  Built
+    unchecked: (LLM) is the module axiom of the lifted module, and with
+    R = 0, (LML) and (MLL) both read 0 = 0."""
     lifted = lift_module(h, m)
     zero = Mat.zero(m.dim, m.dim)
-    return Bimodule(h, m.dim, lifted.action, [zero] * h.dim)
+    return Bimodule(h, m.dim, lifted.action, [zero] * h.dim, check=False)
 
 
 def trivial_bimodule(h: LeibnizAlgebra) -> Bimodule:
-    """The one-dimensional bimodule with both actions zero."""
+    """The one-dimensional bimodule with both actions zero, unchecked:
+    with L = R = 0 all three axioms read 0 = 0."""
     zero = Mat.zero(1, 1)
-    return Bimodule(h, 1, [zero] * h.dim, [zero] * h.dim)
+    return Bimodule(h, 1, [zero] * h.dim, [zero] * h.dim, check=False)
 
 
 def _simple_bimodule(h: LeibnizAlgebra, kind: str, m: LeftModule) -> Bimodule:
@@ -154,15 +166,17 @@ def sym_quotient(b: Bimodule) -> Bimodule:
     """The symmetric quotient bimodule M / M_0 with the induced actions.
     ``restrict_and_project`` divides by the columns that span M_0 as they
     stand, in one elimination; with no algebra there are no actions to
-    induce and no columns, so the quotient is all of M."""
+    induce and no columns, so the quotient is all of M.
+
+    Built unchecked: ``restrict_and_project`` refuses unless
+    M_0 = sum_i (L_i + R_i) M is stable under every L_i and R_i, and a
+    bimodule modulo a sub-bimodule is a bimodule.  L_i + R_i maps M into
+    M_0, so it is 0 on M / M_0: the quotient is symmetric."""
     induced = restrict_and_project(b.left + b.right, SubspaceBasis.full(b.dim),
                                    _antisymmetric_span(b))
     k = b.algebra.dim
-    out = Bimodule(b.algebra, induced[0].rows if induced else b.dim, induced[:k], induced[k:])
-    for l, r in zip(out.left, out.right):
-        if l != -r:
-            raise ModuleAxiomError("symmetric quotient is not symmetric")
-    return out
+    return Bimodule(b.algebra, induced[0].rows if induced else b.dim, induced[:k], induced[k:],
+                    check=False)
 
 
 def right_invariants(b: Bimodule) -> SubspaceBasis:
@@ -249,10 +263,13 @@ class OneDimBimodule(_Frozen):
         return _simple_bimodule(h, self.kind, self.underlying_module(h))
 
     def underlying_module(self, glie: LieAlgebra) -> LeftModule:
-        """The underlying 1-dim module over the (1-dim) Lie quotient."""
+        """The underlying 1-dim module over the (1-dim) Lie quotient,
+        unchecked: in a one-dimensional left Leibniz algebra
+        [e, [e, e]] = [[e, e], e] + [e, [e, e]] forces [e, e] = 0, so
+        every 1 x 1 matrix is a module."""
         if glie.dim != 1:
             raise DimensionError("expected the one-dimensional Lie algebra")
-        return LeftModule(glie, 1, [Mat(1, 1, [[self.lam]])])
+        return LeftModule(glie, 1, [Mat(1, 1, [[self.lam]])], check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ from .linear import (
     rank,
     restrict_and_project,
 )
-from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, quotient_data
+from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, _zero_module, quotient_data
 from .bimodule import Bimodule, right_invariants
 
 # The most rows a matrix of a Leibniz pass may have, and the most entries
@@ -677,8 +677,7 @@ def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
     acts by zero there, and the bases of the graded route live in the
     eigenvalue-0 block C_0^q, on which h has no action to restrict."""
     lie = quotient_data(h).lie
-    zero = [LeftModule(lie, g.dim, [Mat.zero(g.dim, g.dim)] * lie.dim, check=False)
-            for g in cohom.groups[1:]]
+    zero = [_zero_module(lie, g.dim) for g in cohom.groups[1:]]
     return [induced_module(m, cohom[0].cocycles)] + zero
 
 
@@ -760,8 +759,7 @@ def _killing_form_nondegenerate(g: LieAlgebra) -> bool:
 def _trivial_ce_dims(g: LieAlgebra, pmax: int) -> tuple:
     """dim H^p(g, K) for p = 0..pmax, from the complex with trivial
     one-dimensional coefficients, computed once per algebra and degree."""
-    trivial = LeftModule(g, 1, [Mat.zero(1, 1)] * g.dim)
-    return tuple(ce_cohomology(g, trivial, pmax).dims)
+    return tuple(ce_cohomology(g, _zero_module(g, 1), pmax).dims)
 
 
 def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:

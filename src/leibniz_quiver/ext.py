@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linear import (Mat, SubspaceBasis, _Frozen, _kernel_coordinates, kernel_basis, rank,
                      restrict_and_project)
-from .algebra import LeftModule, LeibnizAlgebra, _is_int, lift_module, quotient_data
+from .algebra import LeftModule, LeibnizAlgebra, _is_int, _zero_module, lift_module, quotient_data
 from .bimodule import (
     Bimodule,
     OneDimBimodule,
@@ -141,7 +141,7 @@ class SimpleDescriptor(_Frozen):
         """The underlying simple module of the Lie quotient (trivial or
         a weight module of sl2)."""
         if self.kind == KIND_TRIVIAL:
-            return LeftModule(glie, 1, [Mat.zero(1, 1)] * glie.dim)
+            return _zero_module(glie, 1)
         if glie != sl2():
             raise InputError("weight descriptors need an sl2 quotient")
         return simple_module(self.weight).underlying
@@ -160,8 +160,8 @@ class SimpleDescriptor(_Frozen):
 @lru_cache(maxsize=None)
 def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     """h as a module over its Lie quotient by left brackets, built once per
-    algebra and unchecked: the left Leibniz identity h was checked with is
-    the axiom for left multiplication, which kills the Leibniz kernel."""
+    algebra and unchecked: the left Leibniz identity of h is the axiom
+    for left multiplication, which kills the Leibniz kernel."""
     data = quotient_data(h)
     return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement], check=False)
 

@@ -89,8 +89,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import StabilityError
 
-Scalar = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)

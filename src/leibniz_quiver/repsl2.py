@@ -33,7 +33,9 @@ _ONE = Fraction(1)
 
 @lru_cache(maxsize=None)
 def sl2() -> LieAlgebra:
-    """The rational Lie algebra sl2 in the (e, h, f) basis."""
+    """The rational Lie algebra sl2 in the (e, h, f) basis, unchecked: the
+    table is antisymmetric, and the Jacobi identity on its one basis
+    triple reads [e, [h, f]] + [h, [f, e]] + [f, [e, h]] = -2h + 0 + 2h = 0."""
     z3 = (_ZERO, _ZERO, _ZERO)
     c = [[z3, z3, z3], [z3, z3, z3], [z3, z3, z3]]
     E, H, F = 0, 1, 2
@@ -43,7 +45,7 @@ def sl2() -> LieAlgebra:
     c[F][H] = (_ZERO, _ZERO, Fraction(2))
     c[E][F] = (_ZERO, _ONE, _ZERO)
     c[F][E] = (_ZERO, Fraction(-1), _ZERO)
-    return LieAlgebra(3, c, labels=("e", "h", "f"))
+    return LieAlgebra(3, c, labels=("e", "h", "f"), check=False)
 
 
 class SL2Module(_Frozen):
@@ -79,7 +81,12 @@ class SL2Module(_Frozen):
 
 @lru_cache(maxsize=None)
 def simple_module(m: int) -> SL2Module:
-    """The simple sl2-module of highest weight m (dimension m + 1)."""
+    """The simple sl2-module of highest weight m (dimension m + 1), in the
+    weight basis of the module docstring (Humphreys, section 7.2), built
+    unchecked.  h is diagonal, and e and f send v_k to multiples of the
+    weight vectors of weights m - 2k + 2 and m - 2k - 2, so [h, e] = 2e
+    and [h, f] = -2f; [e, f] v_k = ((k + 1)(m - k) - k(m - k + 1)) v_k =
+    (m - 2k) v_k = h v_k, the terms at k = m and k = 0 being 0."""
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
     _check_budget(f"the module V_{m}", m + 1)
@@ -88,7 +95,7 @@ def simple_module(m: int) -> SL2Module:
     h = [{k: m - 2 * k} for k in range(n)]
     f = [{}] + [{k: 1} for k in range(m)]
     mats = [Mat.from_sparse(n, n, rows) for rows in (e, h, f)]
-    return SL2Module(LeftModule(sl2(), n, mats))
+    return SL2Module(LeftModule(sl2(), n, mats, check=False))
 
 
 def tensor(u: SL2Module, v: SL2Module) -> SL2Module:

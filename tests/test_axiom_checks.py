@@ -5,23 +5,29 @@ basis pair, and ``bimodule._axiom_failure`` reduces (MLL) to
 R_j (L_i + R_i) = 0.  The two oracles below check every ordered pair
 with both products, as the axioms are written; the fast checks must
 return the same message, or None, on valid inputs and on corruptions
-of them.
+of them.  The valid inputs include every algebra, module and bimodule
+that the library builds unchecked, so the oracles also hold each of
+those constructions to the axioms its docstring proves.
 """
 
 import random
 from fractions import Fraction
 
-from leibniz_quiver.algebra import _action_failure, _commutator, adjoint_module, lift_module
+from leibniz_quiver.algebra import (LeibnizAlgebra, LieAlgebra, _action_failure, _commutator,
+                                    adjoint_module, hemi_semidirect, lift_module, quotient_data)
 from leibniz_quiver.bimodule import (
     Bimodule,
+    OneDimBimodule,
     _axiom_failure,
     antisymmetric,
     hom_module_action,
+    sym_quotient,
     symmetric,
+    trivial_bimodule,
 )
 from leibniz_quiver.cohomology import hl_module_structure
 from leibniz_quiver.ext import SimpleDescriptor, ext_base_sym, h_as_lie_module, nhat
-from leibniz_quiver.linear import Mat, lincomb
+from leibniz_quiver.linear import Mat, lincomb, solve
 from leibniz_quiver.repsl2 import direct_sum, dual, hemi_sl2, simple_module, sl2, tensor
 
 from conftest import make_trivial_bimodule
@@ -73,7 +79,7 @@ def sl2_modules():
     library builds checked or, by construction, unchecked."""
     g = sl2()
     simples = [simple_module(m) for m in range(5)]
-    yield from (v.underlying for v in simples)
+    yield from (simple_module(m).underlying for m in range(13))
     yield from (tensor(simples[m], simples[n]).underlying
                 for m in range(1, 4) for n in range(m, 4))
     yield from (hom_module_action(g, simples[m].underlying, simples[n].underlying)
@@ -92,14 +98,56 @@ def sl2_modules():
             yield from ext_base_sym(h, x, 1)  # Ker f (induced) and Coker f
 
 
+def so3():
+    """so(3, Q), the cross-product algebra: [e_i, e_(i+1)] = e_(i+2)."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        c[i][j][k], c[j][i][k] = 1, -1
+    return LieAlgebra(3, c)
+
+
+def sheared_hemi_sl2():
+    """hemi_sl2(1) in the basis b_(k+1) += b_k, whose Leibniz kernel meets
+    the complement's coordinates, as a caller would build it."""
+    h = hemi_sl2(1)
+    p = Mat.from_rows([[int(j <= i) for j in range(h.dim)] for i in range(h.dim)])
+    p_inv = solve(p, Mat.identity(h.dim))
+    cols = [p.col(i) for i in range(h.dim)]
+    return LeibnizAlgebra(h.dim, [[p_inv.apply(h.bracket(u, w)) for w in cols] for u in cols])
+
+
+def other_leibniz_algebras():
+    """The sheared hemi_sl2(1), and so(3) x_hs so(3)."""
+    return [sheared_hemi_sl2(), hemi_semidirect(so3(), adjoint_module(so3()))]
+
+
+def lie_algebras():
+    """sl2, and the Lie quotients of hemi_sl2(1..3) and of
+    ``other_leibniz_algebras``, all built unchecked."""
+    yield sl2()
+    for h in [hemi_sl2(n) for n in (1, 2, 3)] + other_leibniz_algebras():
+        yield quotient_data(h).lie
+
+
+def test_derived_lie_algebras_are_antisymmetric():
+    for g in lie_algebras():
+        assert isinstance(g, LieAlgebra)
+        assert all(x + y == 0 for i in range(g.dim) for j in range(g.dim)
+                   for x, y in zip(g.c[i][j], g.c[j][i]))
+
+
 def non_lie_actions():
-    """(algebra, action, dim) over hemi_sl2(n): ad and lifted simples."""
+    """(algebra, action, dim): ad of the algebras above, and lifted simples
+    over hemi_sl2(n)."""
     for n in (1, 2, 3):
         h = hemi_sl2(n)
         yield h, [h.left_mult(i) for i in range(h.dim)], h.dim
         for m in range(3):
             lifted = lift_module(h, simple_module(m).underlying)
             yield h, lifted.action, lifted.dim
+    for h in other_leibniz_algebras():
+        yield h, [h.left_mult(i) for i in range(h.dim)], h.dim
 
 
 def test_hemi_brackets_are_not_antisymmetric():
@@ -114,6 +162,7 @@ def test_module_check_matches_the_every_pair_oracle():
     rng = random.Random(20261018)
     inputs = [(m.algebra, m.action, m.dim) for m in sl2_modules()]
     inputs += list(non_lie_actions())
+    inputs += [(g, [g.left_mult(i) for i in range(g.dim)], g.dim) for g in lie_algebras()]
     failures = set()
     for a, rho, dim in inputs:
         assert _action_failure(a, rho, dim) is None
@@ -128,22 +177,27 @@ def test_module_check_matches_the_every_pair_oracle():
 
 
 def bimodules(rng):
-    for _ in range(20):
-        yield make_trivial_bimodule(rng)
+    """Random bimodules over the one-dimensional algebra, the library's
+    constructions over hemi_sl2(n), and the symmetric quotient of each."""
+    built = [make_trivial_bimodule(rng) for _ in range(20)]
+    built += [OneDimBimodule(kind, lam).realize()
+              for kind, lam in (("trivial", 0), ("symmetric", 2), ("antisymmetric", -1))]
     for n in (1, 2, 3):
         h = hemi_sl2(n)
+        built.append(trivial_bimodule(h))
         for m in range(3):
-            yield symmetric(h, simple_module(m).underlying)
-            yield antisymmetric(h, simple_module(m).underlying)
+            built.append(symmetric(h, simple_module(m).underlying))
+            built.append(antisymmetric(h, simple_module(m).underlying))
+    return built + [sym_quotient(b) for b in built]
 
 
 def test_bimodule_check_matches_the_every_pair_oracle():
     rng = random.Random(1018)
     failures = set()
-    for b in list(bimodules(rng)):
+    for b in bimodules(rng):
         assert _axiom_failure(b) is None
         assert axiom_failure_oracle(b) is None
-        for _ in range(6):
+        for _ in range(6 if b.dim else 0):
             left, right = b.left, b.right
             if rng.randrange(2):
                 left = corrupt(rng, left)

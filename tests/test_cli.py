@@ -357,6 +357,14 @@ def test_cohomology_rejects_invalid_bimodule(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_cohomology_names_the_failing_bimodule_axiom(capsys, tmp_path):
+    # L = 2, R = 1 over the one-dimensional algebra: R (L + R) = 3 != 0.
+    apath = write_json(tmp_path, "a.json", TRIVIAL_ALGEBRA)
+    bad = write_json(tmp_path, "b.json", {"dim": 1, "left": [[[2]]], "right": [[[1]]]})
+    assert run(capsys, "cohomology", "--algebra", apath, "--bimodule", bad, "--qmax", "1") == (
+        1, "", "error: bimodule axioms fail: (MLL) fails at basis pair (0, 0)\n")
+
+
 # ----------------------------------------------------------------- usage paths
 
 def test_usage_error_is_exit_one(capsys):

@@ -1,6 +1,7 @@
 """Package-wide checks: immutable value classes and their equality,
 imports that are read, matrix storage read only inside ``linear.py``,
-and the library names the benchmark in ``bench/`` calls or wraps."""
+the one validation rule, and the library names the benchmark in
+``bench/`` calls or wraps."""
 
 import ast
 import importlib
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import leibniz_quiver
-from leibniz_quiver.algebra import LeftModule, quotient_data, trivial_algebra
+from leibniz_quiver.algebra import (LeftModule, LeibnizAlgebra, LieAlgebra, hemi_semidirect,
+                                    quotient_data, trivial_algebra)
 from leibniz_quiver.bimodule import Bimodule, OneDimBimodule, trivial_bimodule
 from leibniz_quiver.cohomology import CochainComplex, CohomologyResult, DegreeGroup
+from leibniz_quiver.errors import AlgebraAxiomError, ModuleAxiomError
 from leibniz_quiver.ext import CollapseCertificate, E2Page, ExtResult, SimpleDescriptor
 from leibniz_quiver.linear import Mat, SubspaceBasis
 from leibniz_quiver.quiver import Quiver
@@ -116,6 +119,77 @@ def test_only_linear_reads_matrix_storage(path):
     # through linear.py, so the storage format can change in one place.
     tree = ast.parse((PACKAGE / path).read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_rows"] == []
+
+
+def unchecked_sites(source: str) -> list:
+    """The enclosing function of each call that passes ``check=False``,
+    as a dotted name within the module."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and any(
+                    k.arg == "check" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in child.keywords):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_unchecked_sites_are_found():
+    source = ("def f():\n    return g(h(check=False), check=True)\n"
+              "class C:\n    def m(self):\n        return g(check=False)\n")
+    assert unchecked_sites(source) == ["f", "C.m"]
+
+
+# Every construction that the library builds with check=False, each with
+# the proof in its docstring that the result satisfies the axioms.  A new
+# unchecked construction is named here and proved there.
+UNCHECKED = sorted([
+    "algebra.trivial_algebra", "algebra.QuotientData.__init__", "algebra._zero_module",
+    "algebra.adjoint_module", "algebra.lift_module", "algebra.hemi_semidirect",
+    "bimodule.symmetric", "bimodule.antisymmetric", "bimodule.trivial_bimodule",
+    "bimodule.sym_quotient", "bimodule.hom_module_action",
+    "bimodule.OneDimBimodule.underlying_module",
+    "cohomology.induced_module", "ext.h_as_lie_module", "ext._cokernel_module",
+    "repsl2.sl2", "repsl2.simple_module", "repsl2.direct_sum",
+    "toral._transport", "toral._transport",
+])
+
+
+def test_every_unchecked_construction_is_listed():
+    got = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+           for site in unchecked_sites(path.read_text())]
+    assert sorted(got) == UNCHECKED
+
+
+def test_outside_input_is_refused_by_each_value_class():
+    one, two = Mat.identity(1), Mat.from_rows([[2]])
+    jacobi_fails = [[[0] * 3 for _ in range(3)] for _ in range(3)]  # [b0, b1] = b2, [b0, b2] = b0
+    jacobi_fails[0][1][2], jacobi_fails[1][0][2] = 1, -1
+    jacobi_fails[0][2][0], jacobi_fails[2][0][0] = 1, -1
+    squares = LeibnizAlgebra(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])  # [b0, b0] = b1, not Lie
+    cases = [
+        (lambda: LeibnizAlgebra(1, [[[1]]]), AlgebraAxiomError,
+         "structure constants violate the left Leibniz identity"),
+        (lambda: LieAlgebra(3, jacobi_fails), AlgebraAxiomError,
+         "structure constants violate the left Leibniz identity"),
+        (lambda: LeftModule(sl2(), 1, [one] * 3), ModuleAxiomError,
+         "rho([b0, b1]) differs from the commutator"),
+        (lambda: Bimodule(trivial_algebra(), 1, [two], [one]), ModuleAxiomError,
+         "(MLL) fails at basis pair (0, 0)"),
+        (lambda: hemi_semidirect(squares, LeftModule(squares, 1, [Mat.zero(1, 1)] * 2)),
+         AlgebraAxiomError, "square escapes the module summand"),
+    ]
+    for build, error, text in cases:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == text
 
 
 def test_benchmark_names_resolve_and_its_first_jobs_pass(monkeypatch):
