@@ -35,7 +35,7 @@ from .ext import (EXT1_SOURCE_KINDS, EXT1_TARGET_KINDS, SimpleDescriptor, ext1_h
                   ext_dims, ext_simple_closed, ext_trivial_closed)
 from .linear import parse_rational
 from .quiver import quiver_hemi, quiver_trivial, to_dot, to_json
-from .repsl2 import simple_module, sl2
+from .repsl2 import hemi_sl2, simple_module, sl2
 
 
 class _UsageError(Exception):
@@ -231,8 +231,9 @@ def _cmd_ext_hemi(args, out) -> int:
     if args.method in ("oracle", "both"):
         if src.kind in EXT1_SOURCE_KINDS and dst.kind in EXT1_TARGET_KINDS:
             results["oracle"] = ext1_hemi_oracle(args.n, dst.weight).multiplicity(src.weight)
-        else:
-            results["oracle"] = 0
+        else:  # the certified degree-1 spectral row
+            h = hemi_sl2(args.n)
+            results["oracle"] = ext_dims(h, src, dst.realize(h), 1).dims[1]
     return _report(args, out, src, dst, results, lambda k: [k])
 
 

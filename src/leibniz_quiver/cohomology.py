@@ -770,8 +770,9 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     unless its Killing form is nondegenerate (Cartan's criterion), a
     check made once per algebra, as is H^*(g, K) per algebra and pmax.
     A zero-dimensional M has M^g = 0 without an elimination; H^*(g, K)
-    is still read, so its degree range is still checked.  Useful as a
-    fast cross-check against the full complex.
+    is still read, so its degree range is still checked.  This is the
+    route the E2 pages of ``ext`` take over a semisimple Lie quotient;
+    over any other they take the full complex.
     """
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "

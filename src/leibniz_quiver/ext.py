@@ -7,7 +7,11 @@ Two standing tools:
   where f: X -> Hom(h, HL^0) sends m to x |-> x.m + m.x;
 * two first-quadrant spectral sequences converging to Ext(Y^a, X) and
   Ext(Z^s, X), with E2 terms given by Lie-algebra cohomology of the
-  quotient with Hom coefficient modules.
+  quotient with Hom coefficient modules.  One rule picks the route of
+  every column: through invariants (``ce_dims_via_invariants``) when
+  the Killing form of the quotient is nondegenerate, so that the
+  quotient is semisimple, and through the Chevalley-Eilenberg complex
+  (``ce_cohomology``) over any other quotient.
 
 Nothing here assumes the sequences collapse: a certificate is computed
 from the E2 zero pattern and degreewise dimensions are only assembled
@@ -41,8 +45,9 @@ from .bimodule import (
     _simple_bimodule,
     hom_module_action,
 )
-from .cohomology import (_check_budget, _check_degrees, ce_cohomology, ce_dims_via_invariants,
-                         hl_module_structure, hl_modules, induced_module, leibniz_cohomology)
+from .cohomology import (_check_budget, _check_degrees, _killing_form_nondegenerate, ce_cohomology,
+                         ce_dims_via_invariants, hl_module_structure, hl_modules, induced_module,
+                         leibniz_cohomology)
 from .repsl2 import SL2Module, WeightMultiset, decompose, hemi_sl2, sl2, simple_module
 
 
@@ -238,35 +243,37 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
 
 
 def _page_from_columns(h: LeibnizAlgebra, src: LeftModule, carriers: Sequence[LeftModule],
-                       pmax: int, fast: bool) -> E2Page:
-    """The page whose column q is H^*(h_Lie, Hom(src, carriers[q]))."""
+                       pmax: int) -> E2Page:
+    """The page whose column q is H^*(h_Lie, Hom(src, carriers[q])).
+
+    One route rule: when the Killing form of h_Lie is nondegenerate,
+    h_Lie is semisimple (Cartan's criterion) and each column is
+    H^*(h_Lie, K) (x) Hom(src, carriers[q])^h_Lie by Whitehead's lemmas
+    (``ce_dims_via_invariants``); over any other h_Lie each column comes
+    from its Chevalley-Eilenberg complex (``ce_cohomology``).
+    """
     glie = quotient_data(h).lie
     coeffs = [hom_module_action(glie, src, w) for w in carriers]
-    cols = [ce_dims_via_invariants(glie, w, pmax) if fast else ce_cohomology(glie, w, pmax).dims
-            for w in coeffs]
-    dims = [[col[p] for col in cols] for p in range(pmax + 1)]
-    return E2Page(pmax, len(coeffs) - 1, dims)
+    semisimple = _killing_form_nondegenerate(glie)
+    cols = [ce_dims_via_invariants(glie, w, pmax) if semisimple
+            else ce_cohomology(glie, w, pmax).dims for w in coeffs]
+    return E2Page(pmax, len(coeffs) - 1, [[col[p] for col in cols] for p in range(pmax + 1)])
 
 
-def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int,
-             *, fast: bool = False) -> E2Page:
+def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int) -> E2Page:
     """E2 of the sequence converging to Ext(Y^a, X):
 
         E2^{pq} = H^p(h_Lie, Hom(Y, HL^q(h, X))).
-
-    ``fast`` computes CE dimensions through the invariants shortcut,
-    which refuses an h_Lie that is not semisimple (sl2 passes).
     """
-    return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax, fast)
+    return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax)
 
 
-def e2_second(h: LeibnizAlgebra, z: LeftModule, x: Bimodule, pmax: int, qmax: int,
-              *, fast: bool = False) -> E2Page:
+def e2_second(h: LeibnizAlgebra, z: LeftModule, x: Bimodule, pmax: int, qmax: int) -> E2Page:
     """E2 of the sequence converging to Ext(Z^s, X):
 
         E2^{pq} = H^p(h_Lie, Hom(Z, ext_base_sym(h, X, qmax)[q])).
     """
-    return _page_from_columns(h, z, ext_base_sym(h, x, qmax), pmax, fast)
+    return _page_from_columns(h, z, ext_base_sym(h, x, qmax), pmax)
 
 
 def certify_collapse(page: E2Page) -> CollapseCertificate:
@@ -304,15 +311,20 @@ def ext_dims(h: LeibnizAlgebra, m_kind, n_bimodule: Bimodule, nmax: int,
     first sequence, symmetric sources through the second.  Raises
     CollapseNotCertifiedError when the E2 zero pattern does not force
     collapse.
+
+    Each column of the page takes the one route that ``e2_first`` and
+    ``e2_second`` pick from the Lie quotient, so ``fast`` selects
+    nothing; it is accepted and ignored so that callers written when it
+    chose the invariants route keep working.
     """
     if nmax < 0:
         raise DimensionError("nmax must be nonnegative")
     data = quotient_data(h)
     src = m_kind.underlying_module(data.lie)
     if m_kind.kind == KIND_SYMMETRIC:
-        page = e2_second(h, src, n_bimodule, data.lie.dim, nmax, fast=fast)
+        page = e2_second(h, src, n_bimodule, data.lie.dim, nmax)
     else:
-        page = e2_first(h, src, n_bimodule, data.lie.dim, nmax, fast=fast)
+        page = e2_first(h, src, n_bimodule, data.lie.dim, nmax)
     return assemble_ext(page, nmax)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -68,6 +69,16 @@ def test_ext_trivial_json_document(capsys):
         ]}}
 
 
+@pytest.mark.parametrize("src, nmax, message", [
+    ("K:1", "1", "the trivial bimodule takes no scalar"),
+    ("M^a", "1", "M^a needs a nonzero scalar, e.g. M^a:1"),
+    ("K", "-1", "nmax must be nonnegative"),
+])
+def test_ext_trivial_refusals_name_the_input(capsys, src, nmax, message):
+    assert run(capsys, "ext", "trivial", "--src", src, "--dst", "K", "--nmax", nmax) == (
+        1, "", f"error: {message}\n")
+
+
 def test_ext_trivial_bad_descriptor(capsys):
     code, _, err = run(capsys, "ext", "trivial", "--src", "Q", "--dst", "K",
                        "--nmax", "1")
@@ -125,7 +136,8 @@ def test_ext_hemi_json_document(capsys):
 
 
 def test_ext_hemi_outside_the_degree_one_kinds_is_zero_by_both_methods(capsys):
-    # V_1^a -> V_1^a is not a pair the oracle computes; both routes say 0.
+    # V_1^a -> V_1^a lies outside the kinds of N-hat, so the oracle is the
+    # certified degree-1 spectral row; it and the closed form both say 0.
     argv = ("ext", "hemi", "--n", "1", "--src", "V1^a", "--dst", "V1^a", "--method", "both")
     assert run(capsys, *argv) == (0, "0\n0\n", "")
     code, out, err = run(capsys, *argv, "--format", "json")
@@ -133,6 +145,23 @@ def test_ext_hemi_outside_the_degree_one_kinds_is_zero_by_both_methods(capsys):
     assert json.loads(out) == {"ext": {"pairs": [
         {"src": "V_1^a", "dst": "V_1^a", "dims": [0], "certified": None}
     ]}}
+
+
+def test_ext_hemi_oracle_outside_the_degree_one_kinds_is_the_spectral_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ext_dims", lambda *args: SimpleNamespace(dims=(0, 1)))
+    assert run(capsys, "ext", "hemi", "--n", "1", "--src", "V1^a", "--dst", "V1^a",
+               "--method", "both") == (2, "0\n1\n", "error: closed 0 != oracle 1\n")
+
+
+def test_ext_hemi_takes_v0_as_the_trivial_vertex(capsys):
+    assert run(capsys, "ext", "hemi", "--n", "1", "--src", "V0", "--dst", "V1^a",
+               "--method", "both") == (0, "1\n1\n", "")
+
+
+def test_ext_hemi_oracle_outside_the_degree_one_kinds_is_refused_past_the_budget(capsys):
+    assert run(capsys, "ext", "hemi", "--n", "1", "--src", "V1^a", "--dst", "V3000000^s",
+               "--method", "oracle") == (
+        1, "", "error: the module V_3000000 has dimension 3000001, above the budget of 50000\n")
 
 
 def test_ext_hemi_oracle_divergence_is_exit_two(capsys, monkeypatch):

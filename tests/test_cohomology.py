@@ -127,6 +127,16 @@ def test_a_cocycle_basis_missing_a_coboundary_is_refused(monkeypatch, drop):
         complex_()
 
 
+def test_a_bimodule_that_breaks_the_grading_is_refused():
+    # V_1^a over hemi_sl2(1) with R_0 replaced by the identity, built
+    # unchecked: R_0 no longer raises eigenvalues by the weight of b_0.
+    h = hemi_sl2(1)
+    v = antisymmetric(h, simple_module(1).underlying)
+    bad = Bimodule(h, v.dim, v.left, [Mat.identity(v.dim), *v.right[1:]], check=False)
+    with pytest.raises(ComplexError, match="^the bimodule does not respect the grading$"):
+        leibniz_cohomology(h, bad, 1)
+
+
 class _CountedRows(list):
     """A row list that counts the rows an elimination reads from it."""
 
