@@ -120,9 +120,28 @@ T - a drops a from T.  The bracket terms apply rho to no value of f, so
 they are delta_p on the g-slots and I_M on M; the module term at T with
 a = t_i is (-1)^i rho(b_a) f(T - a), and (-1)^i is eps_a at (T, T - a).
 
-Both complexes are read in one pass per complex (``CochainComplex``): each
-differential is scaled to integers once, checked against the coboundaries
-and eliminated, so d.d = 0 is verified on construction.
+Both complexes are read in one pass per complex (``CochainComplex``) on
+integer rows, which checks each differential against the coboundaries
+and eliminates it, so d.d = 0 is verified on construction.  The Leibniz
+pass builds those rows itself.  With E the lcm of every denominator in
+h.c, m.left and m.right (``_integer_tables``), it builds E A^(q)_a and
+E d_q by the recursion above from E c, E L_a and E R_a, and that is
+exact: A^(0)_a = L_a, each lift adds I (x) A^(q-1)_a and
+-ad(b_a)^T (x) I, d_0 = -[R_a] and d_q = [A^(q)_a] - I (x) d_(q-1), so
+every entry of A^(q)_a and of d_q is a sum of entries of L, R and c
+with signs, E times it is an integer, and the recursion, being linear,
+builds E d_q from the scaled tables step for step.  The weights' D
+divides E.  A positive scalar changes no kernel, no pivot column, no
+probe decision and no content-reduced echelon row of the elimination
+(the ``linear`` docstring: every row it reduces is a positive multiple
+of the row it reduces from the unscaled matrix), so every basis is the
+one the Fractions would give.  Fractions are made only where a caller
+reads them: the cocycle bases, by back-substitution; the coboundary
+bases, the pivot columns of E d_q divided by E; and
+``leibniz_differential``, ``cochain_action`` and the ``differentials``
+of a Leibniz complex, divided by E when they are read.  A complex given
+as Mats, as the CE complex is, has each differential scaled once, by
+the lcm of its denominators, and takes the same pass.
 """
 
 from __future__ import annotations
@@ -132,7 +151,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import ComplexError, DimensionError, InputError
@@ -140,12 +159,14 @@ from .linear import (
     Mat,
     SubspaceBasis,
     _Frozen,
-    _column_basis,
+    _basis,
     _common_int_rows,
     _common_ints,
+    _fraction_rows,
     _int_kernel_and_pivots,
     _int_product,
-    _kernel_coordinates,
+    _int_rows,
+    _read_off,
     _sum,
     _trace_form,
     _wrap,
@@ -178,25 +199,29 @@ class CochainComplex(_Frozen):
     complex that exists has been verified, and ``cohomology_of_complex``
     returns the groups that the pass stored.
 
-    The pass handles each degree q once, with B_(q-1), the coboundary
-    basis of degree q, from the degree before (empty in degree 0):
+    The pass (``_build``) reads in each degree q the integer rows of
+    c_q d_q for a constant c_q > 0: E for a Leibniz complex, whose blocks
+    are built in integers (module docstring), and the lcm of the
+    denominators of d_q for a complex given as Mats, each scaled once
+    here.  It handles each degree once, with B_(q-1), the coboundary
+    basis of degree q (empty in degree 0), and the integer rows of
+    c_(q-1) B_(q-1), the pivot columns of c_(q-1) d_(q-1):
 
-      1. it scales d_q to integers once, its rows times one common
-         denominator, the lcm of all its denominators;
-      2. it checks d_q . B_(q-1) = 0 in integers, with B scaled the same
-         way: the rows of a right factor are added together, so they
-         need the common denominator, and one scale per row would change
-         the matrix ([1/2; -1/3] scales to [3; -2], but to [1; -1] one
-         row at a time, and [1 1] times the latter is 0).  A factor
-         scaled by a nonzero constant scales the product, so it is zero
-         exactly when its integer version is;
-      3. it eliminates d_q from the same integer rows, for its cocycles
-         Z_q and its pivot columns, under the bound
+      1. it checks d_q . B_(q-1) = 0 as the product of those two integer
+         matrices.  A factor scaled by a positive constant scales the
+         product, so it is zero exactly when the rational one is; and
+         each factor is scaled as a whole: one scale per row would
+         change the matrix ([1/2; -1/3] scales to [3; -2], but to
+         [1; -1] one row at a time, and [1 1] times the latter is 0);
+      2. it eliminates a copy of the rows, for the cocycles Z_q and the
+         pivot columns, under the bound
 
              rank d_q <= dim C^q - rank d_(q-1);
 
-      4. it certifies B_(q-1) in Z_q (below) and stores the group;
-      5. the pivot columns of d_q are B_q, for the next degree.
+      3. it certifies B_(q-1) in Z_q against the same integer columns
+         (below) and stores the group;
+      4. the pivot columns of c_q d_q are c_q B_q, for the next degree,
+         and divided by c_q they are B_q.
 
     Why d_q . B_(q-1) = 0 is all of d_q . d_(q-1) = 0: B_(q-1) is the
     pivot columns of d_(q-1), and they span im d_(q-1) once the
@@ -221,16 +246,17 @@ class CochainComplex(_Frozen):
     ``_int_kernel_and_pivots``, the identity at the free columns of d_q, so
     the coordinates of B in Z can only be B's own rows there, and B lies
     in the span of Z exactly when Z B[free] = B: one integer product
-    (``linear._kernel_coordinates``).  A pass is a proof, since the
+    (``linear._read_off``) of Z scaled to integers and the rows of
+    c_(q-1) B_(q-1) that step 1 read.  A pass is a proof, since the
     product writes each coboundary as a combination of the cocycles
     returned; a wrong cocycle basis can only fail it.
 
-    The elimination consumes the integer rows of d_q, and those of B
-    live only for the product, so no integer rows outlive the degree
-    they are made in.
+    The elimination consumes its copy of the rows.  The rows themselves
+    stay with the complex: ``differentials`` returns the Mats given, or,
+    for a Leibniz complex, its integer blocks divided by E.
     """
 
-    __slots__ = ("dims", "differentials", "_groups")
+    __slots__ = ("dims", "_differentials", "_groups")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[Mat]):
         dims = tuple(dims)
@@ -241,23 +267,42 @@ class CochainComplex(_Frozen):
             if d.cols != dims[q] or d.rows != dims[q + 1]:
                 raise ComplexError(f"differential {q} has shape {d.rows}x{d.cols}, "
                                    f"expected {dims[q + 1]}x{dims[q]}")
+        self._build(dims, differentials, map(_common_int_rows, differentials))
+
+    @property
+    def differentials(self) -> tuple:
+        """d_q from degree q to degree q + 1, for each q: the Mats given
+        to the constructor, or, for a Leibniz complex, its integer blocks
+        of E d_q divided by E (module docstring), anew on each read."""
+        return tuple(d if isinstance(d, Mat) else
+                     _wrap(self.dims[q + 1], self.dims[q], _fraction_rows(*d))
+                     for q, d in enumerate(self._differentials))
+
+    def _build(self, dims: tuple, differentials, scaled) -> None:
+        """Set the spaces ``dims``, the ``differentials`` and the groups
+        of the one pass (class docstring) over ``scaled``, which yields,
+        degree by degree, the integer rows of c_q d_q and the constant
+        c_q > 0.  The rows are read and never changed, as the elimination
+        consumes a copy, and ``differentials`` is read after the pass, so
+        a list that ``scaled`` fills as it goes may be given."""
         groups = []
-        coboundaries = SubspaceBasis.empty(dims[0])
-        last = len(differentials) - 1
-        for q, d in enumerate(differentials):
-            rows = _common_int_rows(d)[0]
-            if coboundaries.dim and any(any(row.values()) for row in _int_product(
-                    rows, _common_int_rows(coboundaries.matrix())[0])):
+        coboundaries, brows = SubspaceBasis.empty(dims[0]), [{}] * dims[0]
+        for q, (rows, den) in enumerate(scaled):
+            if coboundaries.dim and any(any(acc.values()) for acc in _int_product(rows, brows)):
                 raise ComplexError(f"d({q}) . d({q - 1}) is nonzero")
-            cocycles, pivots = _int_kernel_and_pivots(rows, dims[q], dims[q] - coboundaries.dim)
-            if _kernel_coordinates(cocycles.matrix(), coboundaries.matrix()) is None:
+            cocycles, pivots = _int_kernel_and_pivots([dict(r) for r in rows], dims[q],
+                                                      dims[q] - coboundaries.dim)
+            zrows, dz = _common_int_rows(cocycles.matrix())
+            if not (found := _read_off(zrows, cocycles.dim, dz, brows)) or found[1]:
                 raise ComplexError(f"coboundaries escape cocycles in degree {q}")
             groups.append(DegreeGroup(cocycles.dim - coboundaries.dim, cocycles, coboundaries))
-            if q < last:
-                coboundaries = _column_basis(d, pivots)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "differentials", differentials)
-        object.__setattr__(self, "_groups", tuple(groups))
+            if q < len(dims) - 2:  # the pivot columns of c_q d_q; B_q = those of d_q
+                at = {j: k for k, j in enumerate(pivots)}
+                brows = [{at[j]: v for j, v in row.items() if j in at} for row in rows]
+                coboundaries = _basis(_wrap(dims[q + 1], len(pivots), _fraction_rows(brows, den)))
+        for name, value in (("dims", dims), ("_differentials", tuple(differentials)),
+                            ("_groups", tuple(groups))):
+            object.__setattr__(self, name, value)
 
 
 class DegreeGroup(_Frozen):
@@ -438,36 +483,50 @@ class _Grading:
         return out
 
 
-def _degree_zero(g: _Grading, mats: Sequence[Mat], nu, negate: bool) -> list:
-    """Per basis element b_a of h, the block of ``mats[a]`` (negated if
-    ``negate``) from eigenvalue nu of M to nu + alpha_a, as block-local
-    rows.  Both L_a and R_a raise eigenvalues by alpha_a (the bimodule
-    axioms (LLM) and (LML) with x = b); ComplexError if an entry says
-    otherwise."""
+def _integer_tables(h: LeibnizAlgebra, m: Bimodule) -> tuple:
+    """(E, minus, left, right) for a Leibniz pass: E the lcm of every
+    denominator in h.c, m.left and m.right, ``minus[a][t]`` the terms
+    (s, -E [b_a, b_t]_s) with a nonzero entry, and ``left[a]`` and
+    ``right[a]`` the integer rows of E L_a and E R_a.  Every block the
+    pass builds from them is E times the block of d_q or A^(q) (module
+    docstring)."""
+    den = lcm(*[x.denominator for plane in h.c for row in plane for x in row],
+              *[x.denominator for a in m.left + m.right for i in range(a.rows)
+                for _, x in a.nonzeros(i)])
+    minus = [[[(s, -x.numerator * (den // x.denominator)) for s, x in enumerate(row) if x]
+              for row in plane] for plane in h.c]
+    return den, minus, [_int_rows(a, den) for a in m.left], [_int_rows(a, den) for a in m.right]
+
+
+def _degree_zero(g: _Grading, mats: Sequence[list], nu, negate: bool) -> list:
+    """Per basis element b_a of h, the block of the integer rows
+    ``mats[a]`` (negated if ``negate``) from eigenvalue nu of M to
+    nu + alpha_a, as block-local rows.  Both L_a and R_a raise
+    eigenvalues by alpha_a (the bimodule axioms (LLM) and (LML) with
+    x = b); ComplexError if an entry says otherwise."""
     out = []
-    for mat, a in zip(mats, g.alpha):
-        rows = []
+    for rows, a in zip(mats, g.alpha):
+        block = []
         for j in g.members.get(nu + a, ()):
             row = {}
-            for k, x in mat.nonzeros(j):
+            for k, x in rows[j].items():
                 if g.mu[k] != nu:
                     raise ComplexError("the bimodule does not respect the grading")
                 row[g.pos[k]] = -x if negate else x
-            rows.append(row)
-        out.append(rows)
+            block.append(row)
+        out.append(block)
     return out
 
 
-def _lift_actions(h: LeibnizAlgebra, g: _Grading, q: int, below: dict) -> dict:
+def _lift_actions(minus: list, g: _Grading, q: int, below: dict) -> dict:
     """The blocks of A^(q)_a = I_h (x) A^(q-1)_a - ad(b_a)^T (x) I at the
     nonempty eigenvalues nu of ``g.need[q]``, from ``below``, those of
-    A^(q-1)_a: ``{nu: [rows of A^(q)_a from nu to nu + alpha_a, for each
-    a]}``.  The run of first slot t holds A^(q-1)_a at nu + alpha_t, and
-    -[b_a, b_t]_s times the identity into the run of slot s, whose block
-    is the same because ad(b) is a derivation."""
+    A^(q-1)_a, and ``minus`` of ``_integer_tables``: ``{nu: [rows of
+    A^(q)_a from nu to nu + alpha_a, for each a]}``.  The run of first
+    slot t holds A^(q-1)_a at nu + alpha_t, and -[b_a, b_t]_s times the
+    identity into the run of slot s, whose block is the same because
+    ad(b) is a derivation."""
     alpha, sizes = g.alpha, g.sizes[q - 1]
-    minus = [[[(s, -x) for s, x in enumerate(row) if x] for row in plane]
-             for plane in h.c]  # minus[a][t]: the terms (s, -[b_a, b_t]_s)
     out = {}
     for nu in g.need[q]:
         if not g.sizes[q][nu]:
@@ -497,52 +556,50 @@ def _lift_actions(h: LeibnizAlgebra, g: _Grading, q: int, below: dict) -> dict:
     return out
 
 
-def _differential_blocks(m: Bimodule, g: _Grading, q: int, actions: dict | None,
+def _differential_blocks(right: list, g: _Grading, q: int, actions: dict | None,
                          below: dict | None) -> dict:
-    """``{nu: d_q at nu}`` for nu in ``g.need[q]``.  Row block a at nu is
-    -R_a for q = 0 and otherwise A^(q)_a at nu, whose rows in ``actions``
-    it takes over, plus -d_(q-1) at nu + alpha_a (from ``below``) shifted
-    into the run of first slot a.  Each block of -d_(q-1) is negated
-    once, and its row blocks share the negated entries."""
-    out, negated = {}, {}
+    """``{nu: rows of d_q at nu}`` for nu in ``g.need[q]``.  Row block a
+    at nu is -R_a (``right`` of ``_integer_tables``) for q = 0 and
+    otherwise A^(q)_a at nu, whose rows in ``actions`` it takes over,
+    minus d_(q-1) at nu + alpha_a (from ``below``) shifted into the run
+    of first slot a."""
+    out = {}
     for nu in g.need[q]:
         if q == 0:
-            rows = [row for block in _degree_zero(g, m.right, nu, True) for row in block]
+            rows = [row for block in _degree_zero(g, right, nu, True) for row in block]
         else:
             rows = []
             own = actions.get(nu)
             for a, (shift, at) in enumerate(zip(g.offsets(q, nu), g.alpha)):
                 block = own[a] if own else [{} for _ in range(g.sizes[q][nu + at])]
-                sub = negated.get(nu + at)
-                if sub is None and nu + at in below:
-                    sub = negated[nu + at] = -below[nu + at]
-                if sub is not None:
-                    for i, row in enumerate(block):
-                        for j, x in sub.nonzeros(i):
-                            k = j + shift
-                            v = row.get(k)
-                            if v is None:
-                                row[k] = x
-                            elif v := v + x:
-                                row[k] = v
-                            else:
-                                del row[k]
+                for row, sub in zip(block, below.get(nu + at, ())):
+                    for j, x in sub.items():
+                        k = j + shift
+                        v = row.get(k)
+                        if v is None:
+                            row[k] = -x
+                        elif v := v - x:
+                            row[k] = v
+                        else:
+                            del row[k]
                 rows += block
-        out[nu] = _wrap(g.sizes[q + 1][nu], g.sizes[q][nu], rows)
+        out[nu] = rows
     return out
 
 
 def _block_differentials(h: LeibnizAlgebra, m: Bimodule, g: _Grading, top: int):
-    """Yield the blocks of d_0, ..., d_top (``_differential_blocks``) in
-    one upward pass.  A^(q) is lifted to A^(q+1) before d_q takes over
+    """Yield (E, the blocks of E d_q) for q = 0, ..., top, the blocks as
+    ``_differential_blocks`` gives them from ``_integer_tables(h, m)``,
+    in one upward pass.  A^(q) is lifted to A^(q+1) before d_q takes over
     its rows, and each degree's blocks are dropped once the next degree
     is built."""
-    actions = {nu: _degree_zero(g, m.left, nu, False) for nu in g.need[0] if g.sizes[0][nu]}
+    den, minus, left, right = _integer_tables(h, m)
+    actions = {nu: _degree_zero(g, left, nu, False) for nu in g.need[0] if g.sizes[0][nu]}
     blocks = None
     for q in range(top + 1):
-        lifted = _lift_actions(h, g, q + 1, actions) if q < top else None
-        blocks = _differential_blocks(m, g, q, actions, blocks)
-        yield blocks
+        lifted = _lift_actions(minus, g, q + 1, actions) if q < top else None
+        blocks = _differential_blocks(right, g, q, actions, blocks)
+        yield den, blocks
         actions = lifted
 
 
@@ -588,16 +645,27 @@ def leibniz_differential(h: LeibnizAlgebra, m: Bimodule, n: int) -> Mat:
     """Matrix of d: CL^n -> CL^(n+1), refused as ``leibniz_complex(h, m, n)`` is."""
     if n < 0:
         raise DimensionError(f"cochain degree {n} is negative")
-    for blocks in _block_differentials(h, m, _checked_grading(h, m, n)[2], n):
+    g = _checked_grading(h, m, n)[2]
+    for den, blocks in _block_differentials(h, m, g, n):
         pass
-    return blocks[0]
+    return _wrap(g.sizes[n + 1][0], g.sizes[n][0], _fraction_rows(blocks[0], den))
 
 
 def _zero_block_complex(h: LeibnizAlgebra, m: Bimodule, g: _Grading,
                         qmax: int) -> CochainComplex:
-    """The eigenvalue-0 blocks of CL^0 -> ... -> CL^(qmax+1), verified."""
-    diffs = [blocks[0] for blocks in _block_differentials(h, m, g, qmax)]
-    return CochainComplex([g.sizes[q][0] for q in range(qmax + 2)], diffs)
+    """The eigenvalue-0 blocks of CL^0 -> ... -> CL^(qmax+1), verified by
+    the one pass of ``CochainComplex`` on their integer rows, each block
+    built as the pass reaches its degree."""
+    kept = []
+
+    def scaled():
+        for den, blocks in _block_differentials(h, m, g, qmax):
+            kept.append((blocks[0], den))
+            yield kept[-1]
+
+    cx = object.__new__(CochainComplex)
+    cx._build(tuple(g.sizes[q][0] for q in range(qmax + 2)), kept, scaled())
+    return cx
 
 
 def leibniz_complex(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> CochainComplex:
@@ -650,11 +718,12 @@ def cochain_action(h: LeibnizAlgebra, m: Bimodule, q: int) -> list:
     if q < 0:
         raise DimensionError(f"cochain degree {q} is negative")
     g = _checked_grading(h, m, q - 1)[2]
-    actions = {0: _degree_zero(g, m.left, 0, False)}
+    den, minus, left, _ = _integer_tables(h, m)
+    actions = {0: _degree_zero(g, left, 0, False)}
     for p in range(1, q + 1):
-        actions = _lift_actions(h, g, p, actions)
+        actions = _lift_actions(minus, g, p, actions)
     size = g.sizes[q][0]
-    return [_wrap(size, size, rows) for rows in actions.get(0, [[]] * h.dim)]
+    return [_wrap(size, size, _fraction_rows(rows, den)) for rows in actions.get(0, [[]] * h.dim)]
 
 
 def induced_module(m: Bimodule, sub: SubspaceBasis) -> LeftModule:

@@ -10,9 +10,15 @@ views (``row``, ``col``, ``m[i, j]``, ``row_lists``) remain available,
 and ``nonzeros(i)`` yields the (column, value) pairs of one row.
 
 Ranks, kernels, solutions and quotients all go through one elimination
-core.  The matrix is scaled to integers by the lcm of all its
-denominators, which changes neither the row space nor the null space.
-The rows are then reduced one at a time, fraction-free, against a map
+core, on integer rows: a matrix scaled by the lcm of all its
+denominators (``_common_int_rows``), or rows built in integers as a
+known positive multiple of the matrix, as the Leibniz pass builds its
+blocks.  A positive scalar changes neither the row space nor the null
+space, nor any step below: every row the elimination reduces is a
+positive multiple of the row it would reduce from the matrix unscaled,
+so the same rows cancel, the same probes are drawn and decide alike,
+and each echelon row, divided by the gcd of its entries, is the same.
+The rows are reduced one at a time, fraction-free, against a map
 from pivot column to echelon row: while the row's leading column
 already has an echelon row with leading entry p, and the row has entry
 q there, the row becomes (p/g) * row - (q/g) * echelon row with
@@ -431,10 +437,25 @@ def _common_int_rows(m: Mat) -> tuple:
     integer scaling of the package, for eliminations and products alike,
     which ``_common_ints`` applies to a flat sequence."""
     den = lcm(*[x.denominator for r in m._rows for x in r.values()])
-    if den == 1:  # an integer matrix, as most differentials are: no scaling
-        return [{j: x.numerator for j, x in r.items()} for r in m._rows], den
-    return [{j: x.numerator * (den // x.denominator) for j, x in r.items()}
-            for r in m._rows], den
+    return _int_rows(m, den), den
+
+
+def _int_rows(m: Mat, den: int) -> list:
+    """Fresh ``{column: int}`` rows of ``den * m``, for ``den`` a multiple
+    of every denominator of ``m``."""
+    if den == 1:  # an integer matrix, as most are: no scaling
+        return [{j: x.numerator for j, x in r.items()} for r in m._rows]
+    return [{j: x.numerator * (den // x.denominator) for j, x in r.items()} for r in m._rows]
+
+
+def _fraction_rows(rows: Iterable[Mapping], den: int):
+    """The rows of the matrix whose rows times ``den`` are the integer
+    ``rows``, which hold no stored zero: the way back from integer rows
+    to the entries of a ``Mat``.  Equal entries share one Fraction, as
+    they do in a matrix built from the entries of another."""
+    made = {}
+    return ({j: made.get(v) or made.setdefault(v, Fraction(v, den)) for j, v in row.items()}
+            for row in rows)
 
 
 def _common_ints(values: Iterable) -> tuple:
@@ -730,12 +751,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 def image_basis(m: Mat) -> "SubspaceBasis":
     """Basis of the column span: the pivot columns of ``m`` themselves."""
-    return _column_basis(m, _forward_eliminate(_common_int_rows(m)[0], m.cols)[1])
-
-
-def _column_basis(m: Mat, pivots: Sequence[int]) -> "SubspaceBasis":
-    """``image_basis(m)`` from the pivot columns of ``m``."""
-    return _basis(_columns(m, pivots))
+    return _basis(_columns(m, _forward_eliminate(_common_int_rows(m)[0], m.cols)[1]))
 
 
 def _columns(m: Mat, idx: Sequence[int]) -> Mat:

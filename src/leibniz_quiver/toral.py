@@ -83,35 +83,42 @@ def split_toral(h: LeibnizAlgebra, m: Bimodule) -> tuple | None:
         spaces = {lam: e.matrix() for lam, e in on_h}
         zero = spaces.pop(0)
         p = Mat.hstack([zero, *spaces.values()])
-        c = solve(p, Mat.from_cols([lift], rows=h.dim)).col(0)[:zero.cols]
-        # x = zero c is not 0: else lift lies in the image of the
-        # diagonalizable ad(lift), and v = [v, y] in both the kernel and
-        # the image of the diagonalizable ad(v) on the quotient.  The
-        # columns of zero are independent, so zero_i lies in span(x,
-        # zero_<i) only at the last nonzero i of c: [x | zero off i] is x
-        # extended by the pivot columns of [x | zero].
+        pinv = solve(p, Mat.identity(h.dim))
+        c = pinv.apply(lift)[:zero.cols] + (0,) * (h.dim - zero.cols)
+        # x = p c, in the span of zero, is not 0: else lift lies in the
+        # image of the diagonalizable ad(lift), and v = [v, y] in both the
+        # kernel and the image of the diagonalizable ad(v) on the
+        # quotient.  The columns of zero are independent, so zero_i lies
+        # in span(x, zero_<i) only at the last nonzero i of c: [x | p off
+        # i] is x extended by the pivot columns of [x | zero], then the
+        # other eigenspaces.
         last = max(i for i, v in enumerate(c) if v)
-        p = Mat.hstack([Mat.from_cols([zero.apply(c)], rows=h.dim),
-                        _columns(zero, [i for i in range(zero.cols) if i != last]),
-                        *spaces.values()])
+        rest = [i for i in range(h.dim) if i != last]
+        # That basis is p T, T sending e_0 to c and the other unit vectors
+        # to those of rest, so (p T)^-1 = T^-1 p^-1, where T^-1 y has
+        # y_last / c_last first and then y_i - c_i y_last / c_last for i in rest.
+        tinv = Mat.from_sparse(h.dim, h.dim, [{last: 1 / c[last]}]
+                               + [{i: 1, last: -c[i] / c[last]} for i in rest])
+        p = Mat.hstack([Mat.from_cols([p.apply(c)], rows=h.dim), _columns(p, rest)])
         q = Mat.hstack([Mat.zero(m.dim, 0)] + [e.matrix() for _, e in on_m])
-        return _transport(h, m, p, q)
+        return _transport(h, m, p, q, tinv * pinv)
     return None
 
 
-def _transport(h: LeibnizAlgebra, m: Bimodule, p: Mat, q: Mat) -> tuple:
+def _transport(h: LeibnizAlgebra, m: Bimodule, p: Mat, q: Mat, pinv: Mat) -> tuple:
     """h and m in the bases given by the columns of the invertible p (of
-    h) and q (of M).  This is transport of structure: p and q are
-    isomorphisms from the new coordinates to the old, the new ad(b_i),
-    L(b_i) and R(b_i) are p^-1 ad(p_i) p, q^-1 L(p_i) q and q^-1 R(p_i) q
-    for the columns p_i of p, so every identity that h and m satisfy
-    holds for the new tables, which are built unchecked."""
+    h), whose inverse is ``pinv``, and q (of M).  This is transport of
+    structure: p and q are isomorphisms from the new coordinates to the
+    old, the new ad(b_i), L(b_i) and R(b_i) are p^-1 ad(p_i) p,
+    q^-1 L(p_i) q and q^-1 R(p_i) q for the columns p_i of p, so every
+    identity that h and m satisfy holds for the new tables, which are
+    built unchecked."""
     n = h.dim
     # ad(b_0), ..., ad(b_(n-1)) stacked: row k of ad(b_a) holds the
     # [b_a, b_j]_k, and column j of the new ad(b_i) is [b_i, b_j].
     ads = _wrap(n * n, n, ({j: h.c[a][j][k] for j in range(n) if h.c[a][j][k]}
                           for a in range(n) for k in range(n)))
-    ads = _conjugates(ads, p, p, solve(p, Mat.identity(n)))
+    ads = _conjugates(ads, p, p, pinv)
     h2 = LeibnizAlgebra(n, [[a.col(j) for j in range(n)] for a in ads], check=False)
     qinv = solve(q, Mat.identity(m.dim))
     return h2, Bimodule(h2, m.dim, _conjugates(Mat.vstack(m.left), p, q, qinv),
