@@ -32,6 +32,49 @@ On a cocycle z it leaves the coboundary d_(q-1)(i_a z): h acts by zero
 on HL^q for every q >= 1, and only HL^0, the right invariants of M,
 keeps a nonzero (left) action.
 
+Over a semisimple Lie quotient g = h / Leib(h) Cartan's formula gives
+every HL^q in closed form, with no complex (Leib(h), the span of the
+squares, is recalled below):
+
+    HL^0 = M^R,    dim HL^1 = dim Hom_g(h, M^R) - dim M^g + dim(M^g n M^R),
+    HL^q = 0 for q >= 2,
+
+with M^R the right invariants, M^g the invariants of the left action
+and g acting on h by ad and on M^R by L.
+
+  1. Leib(h) acts by zero on every CL^q: for x in Leib(h), L_x = 0 and
+     ad(x) = 0, so A^(q)_x = 0 by the recursion.  So h acts on CL^q
+     through g, and with g semisimple each CL^q is a semisimple g-module
+     (Weyl).  d is equivariant: d_q A^(q)_a = d_q i_a d_q = A^(q+1)_a d_q
+     by Cartan's formula for q >= 1, and for q = 0 by (LML), as in the
+     grading argument below.
+  2. g acts by zero on HL^q for q >= 1 (above).  Taking invariants is
+     exact on semisimple modules, and d is equivariant, so the invariant
+     cocycles modulo d of the invariant cochains are (HL^q)^g = HL^q:
+     HL^q = H^q((CL^.)^g) for q >= 1.
+  3. Split off the first slot, CL^q = Hom(h, CL^(q-1)): by the recursion
+     A^(q)_a is the Hom action (x . f)(y) = x . f(y) - f([x, y]), so
+     (CL^q)^g = Hom_g(h, CL^(q-1)), and on such an f row block a of d_q
+     is A^(q)_a f - d_(q-1) i_a f = -d_(q-1)(f(b_a)): d_q f = -d_(q-1) o f.
+     At q = 1 the cocycles are Hom_g(h, ker d_0) = Hom_g(h, M^R) and the
+     coboundaries are d_0(M^g), of dimension dim M^g - dim(M^g n M^R),
+     ker d_0 being M^R.  That is the formula for HL^1.
+  4. Hom_g(h, -) is exact on semisimple modules, so for q >= 2 the
+     cohomology of Hom_g(h, CL^(.-1)) in degree q is
+     HL^q = Hom_g(h, HL^(q-1)).  HL^(q-1) is a trivial g-module (step 2),
+     and an equivariant map into one kills every x . y = [x, y]:
+     HL^q = Hom(h / [h, h], HL^(q-1)).
+  5. h is perfect: g = [g, g] as g is semisimple, so h = [h, h] + Leib(h),
+     and every square [y, y] lies in [h, h].  Hence HL^q = 0 for q >= 2.
+
+The zeros are a theorem, as the Whitehead identity behind
+``ce_dims_via_invariants`` is.  ``_hl_row`` takes this route when the
+Killing form of g is nondegenerate, which by Cartan's criterion says
+that g is semisimple, the rule of the E2 columns of ``ext``: M^R from
+``right_invariants``, M^g and (M^R)^g = M^g n M^R from one kernel each,
+and Hom_g(h, M^R) as the invariants of the one Hom construction,
+``hom_module_action`` of ``h_as_lie_module`` and HL^0.
+
 Cartan's formula also cuts the complex down above degree 0.  The
 argument needs no particular basis, only an element b of h with
 [b, b] = 0 whose ad(b) and L_b are diagonalizable over Q.  Write h in
@@ -176,7 +219,7 @@ from .linear import (
     restrict_and_project,
 )
 from .algebra import LeftModule, LeibnizAlgebra, LieAlgebra, _zero_module, quotient_data
-from .bimodule import Bimodule, right_invariants
+from .bimodule import Bimodule, hom_module_action, right_invariants
 
 # The most rows a matrix of a Leibniz pass may have, and the most entries
 # of its weight table (``_checked_grading``): HL^5(hemi_sl2(2), V_2^a)
@@ -603,28 +646,33 @@ def _block_differentials(h: LeibnizAlgebra, m: Bimodule, g: _Grading, top: int):
         actions = lifted
 
 
+def _check_pass(h: LeibnizAlgebra, m: Bimodule, top: int) -> None:
+    """The checks every Leibniz entry point makes past its sign check,
+    before any matrix is built, for the degrees up to top + 1: the run
+    of degrees 0..top+1, the algebra of m, then the bimodule M against
+    COCHAIN_BUDGET (CL^0, which every route reads whole)."""
+    _check_degrees(top + 1)
+    if m.algebra != h:
+        raise DimensionError("bimodule is not over the given algebra")
+    _check_budget("the cochain space CL^0", m.dim)
+
+
 def _checked_grading(h: LeibnizAlgebra, m: Bimodule, top: int,
                      graded: bool = False) -> tuple:
     """(h, m, g): the grading g of a pass that builds d_0, ..., d_top, and
-    the algebra and bimodule it grades, after the checks every Leibniz
-    entry point makes past its sign check, before any matrix is built.
+    the algebra and bimodule it grades, after the checks of ``_check_pass``.
     The rule is the same on every route, and it counts only what the
-    pass builds: the run of degrees 0..top+1 and the algebra of m first,
-    then against COCHAIN_BUDGET the bimodule M (CL^0, which the search,
-    ``_degree_zero`` and ``right_invariants`` read whole), the entries of
-    the weight table (counted by ``_Grading`` as it builds them) and the
-    rows of each d_q's blocks.  Ungraded, the one block of d_q is all of
-    CL^(q+1).
+    pass builds: past those checks, against COCHAIN_BUDGET, the entries
+    of the weight table (counted by ``_Grading`` as it builds them) and
+    the rows of each d_q's blocks.  Ungraded, the one block of d_q is all
+    of CL^(q+1).
 
     Graded, the pass is graded by one rule, ``_weights``: on h and m
     themselves or, where it finds no basis element, on the pair that
     ``toral.split_toral`` returns, h and m in the eigenbases of a split
     toral element, which are then returned in their place.  With neither,
     and whenever ``graded`` is False, the pass is ungraded."""
-    _check_degrees(top + 1)
-    if m.algebra != h:
-        raise DimensionError("bimodule is not over the given algebra")
-    _check_budget("the cochain space CL^0", m.dim)
+    _check_pass(h, m, top)
     alpha, mu = (0,) * h.dim, (0,) * m.dim
     if graded and h.dim:
         alpha, mu = _weights(h, m)
@@ -750,10 +798,62 @@ def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
     return [induced_module(m, cohom[0].cocycles)] + zero
 
 
+@lru_cache(maxsize=None)
+def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
+    """h as a module over its Lie quotient by left brackets, built once per
+    algebra and unchecked: the left Leibniz identity of h is the axiom
+    for left multiplication, which kills the Leibniz kernel."""
+    data = quotient_data(h)
+    return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement], check=False)
+
+
+def _invariants_dim(mats: Sequence[Mat], n: int) -> int:
+    """dim of the common kernel of ``mats`` in K^n, the invariants of the
+    action they give; 0 with no elimination when n = 0."""
+    return intersect_kernels(mats, n).dim if n else 0
+
+
+def _hl_row(h: LeibnizAlgebra, m: Bimodule, top: int) -> tuple:
+    """(z0, [HL^0(h, m), ..., HL^top(h, m)]): the HL^0 cocycle basis
+    ``right_invariants(m)`` and the groups as modules over the Lie
+    quotient g of h, for top >= -1, after the checks of ``_check_pass``.
+    With top = -1 there is only z0, and no complex on any route.
+
+    One route rule, that of the E2 columns of ``ext``: when the Killing
+    form of g is nondegenerate, g is semisimple (Cartan's criterion) and
+    the groups are the closed form of the module docstring.  HL^0 is the
+    left action induced on M^R, HL^1 the zero-action module of the
+    dimension the formula gives, and every group above it is zero.  For
+    top >= 1 the route builds Hom(h, M^R), and counts its dim h * dim M^R
+    cochains against COCHAIN_BUDGET first.  Over any other g the groups
+    are ``hl_modules(h, m, leibniz_cohomology(h, m, top))``."""
+    _check_pass(h, m, top)
+    if top < 0:
+        return right_invariants(m), []
+    data = quotient_data(h)
+    if not _killing_form_nondegenerate(data.lie):
+        cohom = leibniz_cohomology(h, m, top)
+        return cohom[0].cocycles, hl_modules(h, m, cohom)
+    z0 = right_invariants(m)
+    groups = [induced_module(m, z0)]
+    if top:
+        _check_budget("the space Hom(h, HL^0)", h.dim * z0.dim)
+        hom = hom_module_action(data.lie, h_as_lie_module(h), groups[0])
+        hl1 = (_invariants_dim(hom.action, hom.dim)
+               - _invariants_dim([m.left[i] for i in data.complement], m.dim)
+               + _invariants_dim(groups[0].action, z0.dim))
+        groups += [_zero_module(data.lie, hl1)] + [_zero_module(data.lie, 0)] * (top - 1)
+    return z0, groups
+
+
 def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
     """[HL^0(h, m), ..., HL^qmax(h, m)] as modules over the Lie quotient
-    of h, from the verified complex of ``leibniz_cohomology(h, m, qmax)``."""
-    return hl_modules(h, m, leibniz_cohomology(h, m, qmax))
+    of h, by the one route rule of ``_hl_row``: the closed form over a
+    semisimple quotient, and the verified complex of
+    ``leibniz_cohomology(h, m, qmax)`` over any other."""
+    if qmax < 0:
+        raise DimensionError("qmax must be nonnegative")
+    return _hl_row(h, m, qmax)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +946,7 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
-    inv = intersect_kernels(m.action, m.dim).dim if m.dim else 0  # dim M^g
+    inv = _invariants_dim(m.action, m.dim)  # dim M^g
     return [b * inv for b in _trivial_ce_dims(g, pmax)]
 
 

@@ -8,10 +8,13 @@ Two standing tools:
 * two first-quadrant spectral sequences converging to Ext(Y^a, X) and
   Ext(Z^s, X), with E2 terms given by Lie-algebra cohomology of the
   quotient with Hom coefficient modules.  One rule picks the route of
-  every column: through invariants (``ce_dims_via_invariants``) when
-  the Killing form of the quotient is nondegenerate, so that the
-  quotient is semisimple, and through the Chevalley-Eilenberg complex
-  (``ce_cohomology``) over any other quotient.
+  every column and of every row: when the Killing form of the quotient
+  is nondegenerate, so that the quotient is semisimple, each column is
+  read through invariants (``ce_dims_via_invariants``) and the rows
+  HL^q from the closed form of ``cohomology._hl_row`` (the proof is in
+  the ``cohomology`` module docstring); over any other quotient each
+  column comes from the Chevalley-Eilenberg complex (``ce_cohomology``)
+  and the rows from the Leibniz complex (``leibniz_cohomology``).
 
 Nothing here assumes the sequences collapse: a certificate is computed
 from the E2 zero pattern and degreewise dimensions are only assembled
@@ -23,7 +26,6 @@ independent of the linear-algebra stack so they can serve as oracles.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -45,9 +47,9 @@ from .bimodule import (
     _simple_bimodule,
     hom_module_action,
 )
-from .cohomology import (_check_budget, _check_degrees, _killing_form_nondegenerate, ce_cohomology,
-                         ce_dims_via_invariants, hl_module_structure, hl_modules, induced_module,
-                         leibniz_cohomology)
+from .cohomology import (_check_budget, _check_degrees, _hl_row, _killing_form_nondegenerate,
+                         ce_cohomology, ce_dims_via_invariants, h_as_lie_module,
+                         hl_module_structure, induced_module)
 from .repsl2 import SL2Module, WeightMultiset, decompose, hemi_sl2, sl2, simple_module
 
 
@@ -162,15 +164,6 @@ class SimpleDescriptor(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
-    """h as a module over its Lie quotient by left brackets, built once per
-    algebra and unchecked: the left Leibniz identity of h is the axiom
-    for left multiplication, which kills the Leibniz kernel."""
-    data = quotient_data(h)
-    return LeftModule(data.lie, h.dim, [h.left_mult(i) for i in data.complement], check=False)
-
-
 def _cokernel_module(hom: LeftModule, f: Mat) -> LeftModule:
     """Coker f = hom / span f with the induced action, for a map f into
     hom given as it is, dependent columns and all; its image must be a
@@ -196,8 +189,9 @@ def _into_hom(stacked: Mat, k: int, dx: int) -> Mat:
 
 def base_change_map(h: LeibnizAlgebra, x: Bimodule, z0: SubspaceBasis) -> Mat:
     """The map f: X -> Hom(h, HL^0(h, X)), f(m)(y) = y.m + m.y, with
-    HL^0 in the coordinates of its cocycle basis ``z0`` (the degree-0
-    cocycles of ``leibniz_cohomology(h, x, ...)``).
+    HL^0 in the coordinates of its cocycle basis ``z0``, the right
+    invariants ``right_invariants(x)``, which are the degree-0 cocycles
+    of ``leibniz_cohomology(h, x, ...)`` on every route.
 
     ``z0`` is a kernel basis, so f is read off it with no elimination
     (``linear._kernel_coordinates``).  The values of f land in HL^0
@@ -221,19 +215,22 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
     are the counts.
 
     q = 0 is Ker(f), q = 1 is Coker(f), and q >= 2 is the full Hom
-    space Hom(h, HL^(q-1)(h, X)) with the usual action, all from one
-    ``leibniz_cohomology(h, x, max(qmax - 1, 0))``, whose degree-0
-    cocycles also give f.
+    space Hom(h, HL^(q-1)(h, X)) with the usual action.  The degree-0
+    cocycles z0 that give f and the carriers HL^0..HL^(qmax-1) come from
+    one ``cohomology._hl_row(h, x, qmax - 1)``, which follows the route
+    rule of the E2 columns: the closed form over a semisimple Lie
+    quotient, the complex over any other.  qmax = 0 reads only z0, with
+    no complex on any route.
     """
     if qmax < 0:
         raise DimensionError("degree must be nonnegative")
-    cohom = leibniz_cohomology(h, x, max(qmax - 1, 0))
-    f = base_change_map(h, x, cohom[0].cocycles)
+    z0, carriers = _hl_row(h, x, qmax - 1)
+    f = base_change_map(h, x, z0)
     ker = induced_module(x, kernel_basis(f))
     if qmax == 0:
         return [ker]
     hmod = h_as_lie_module(h)
-    homs = [hom_module_action(hmod.algebra, hmod, w) for w in hl_modules(h, x, cohom)]
+    homs = [hom_module_action(hmod.algebra, hmod, w) for w in carriers]
     return [ker, _cokernel_module(homs[0], f)] + homs[1:]
 
 
@@ -246,11 +243,14 @@ def _page_from_columns(h: LeibnizAlgebra, src: LeftModule, carriers: Sequence[Le
                        pmax: int) -> E2Page:
     """The page whose column q is H^*(h_Lie, Hom(src, carriers[q])).
 
-    One route rule: when the Killing form of h_Lie is nondegenerate,
-    h_Lie is semisimple (Cartan's criterion) and each column is
-    H^*(h_Lie, K) (x) Hom(src, carriers[q])^h_Lie by Whitehead's lemmas
-    (``ce_dims_via_invariants``); over any other h_Lie each column comes
-    from its Chevalley-Eilenberg complex (``ce_cohomology``).
+    One route rule, the one that gave the carriers: when the Killing
+    form of h_Lie is nondegenerate, h_Lie is semisimple (Cartan's
+    criterion) and each column is H^*(h_Lie, K) (x)
+    Hom(src, carriers[q])^h_Lie by Whitehead's lemmas
+    (``ce_dims_via_invariants``), the carriers having come from the
+    closed form of ``cohomology._hl_row``; over any other h_Lie each
+    column comes from its Chevalley-Eilenberg complex (``ce_cohomology``),
+    and the carriers from the Leibniz complex.
     """
     glie = quotient_data(h).lie
     coeffs = [hom_module_action(glie, src, w) for w in carriers]
@@ -264,6 +264,11 @@ def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int
     """E2 of the sequence converging to Ext(Y^a, X):
 
         E2^{pq} = H^p(h_Lie, Hom(Y, HL^q(h, X))).
+
+    The rows HL^q are ``hl_module_structure(h, x, qmax)``, by the route
+    rule of the columns: the closed form over a semisimple Lie quotient,
+    where every row above q = 1 is zero, and the Leibniz complex over
+    any other.
     """
     return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax)
 

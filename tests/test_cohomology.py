@@ -54,9 +54,10 @@ from leibniz_quiver.errors import ComplexError, DimensionError, InputError
 from leibniz_quiver.ext import SimpleDescriptor, ext_dims, ext_trivial_closed
 from leibniz_quiver.linear import (Mat, SubspaceBasis, image_basis, kernel_basis, rank,
                                    restrict_and_project, solve)
-from leibniz_quiver.repsl2 import SL2Module, decompose, hemi_sl2, simple_module, sl2, tensor
+from leibniz_quiver.repsl2 import (SL2Module, decompose, direct_sum, hemi_sl2, simple_module, sl2,
+                                   tensor)
 
-from conftest import basis_vector, make_trivial_bimodule, one_dim_module
+from conftest import _diag_join, _unimodular, basis_vector, make_trivial_bimodule, one_dim_module
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -283,14 +284,15 @@ def test_one_bounded_elimination_per_block_differential(monkeypatch):
 
 
 def test_ext_where_the_bound_is_never_reached(monkeypatch):
-    # Ext^3(V_1^a, V_1^a) = H^3(sl2, Hom(V_1, HL^0)) = 1 over hemi_sl2(1).
-    # HL^0 and HL^1 of V_1^a are nonzero, so the bounds on d_0 (on all of
-    # M) and on the eigenvalue-0 block of d_1 exceed their ranks and those
-    # eliminations read every row.
+    # HL^0 and HL^1 of V_1^a over hemi_sl2(1), which the row of
+    # Ext(V_1^a, V_1^a) reads, are nonzero, so the bounds on d_0 (on all
+    # of M) and on the eigenvalue-0 block of d_1 exceed their ranks and
+    # those eliminations read every row.  Over sl2 the Ext rows take the
+    # closed form, so the complex is driven directly.
     h, bm = _hemi1_v1a()
     complexes = _spy_complexes(monkeypatch)
     calls = _spy_eliminations(monkeypatch)
-    assert ext_dims(h, SimpleDescriptor("antisymmetric", 1), bm, 3, fast=True).dims[3] == 1
+    assert leibniz_cohomology(h, bm, 3).dims == [2, 1, 0, 0]
     monkeypatch.undo()
     # Among the eliminations given a limit, HL^0..3 of V_1^a come first:
     # the block run d_0..d_3, then ker d_0 on all of M.
@@ -953,17 +955,21 @@ def test_huge_eigenvalues_leave_the_search_at_once():
 
 def test_fast_ext_over_a_sheared_hemi_sl2(monkeypatch):
     # A weight descriptor needs sl2 in its own basis, so the source is K.
+    # The Ext rows read HL from the closed form, which needs no grading;
+    # the complex of the same sheared input is graded by the search.
     h = hemi_sl2(1)
     src = SimpleDescriptor("trivial")
     for m in (0, 1, 2):
         bm = antisymmetric(h, simple_module(m).underlying)
         want = ext_dims(h, src, bm, 4, fast=True)
         hs, ms = _sheared(h, bm)
-        found = _spy_searches(monkeypatch)
         got = ext_dims(hs, src, ms, 4, fast=True)
+        assert got.dims == want.dims and got.certificate.certified
+        found = _spy_searches(monkeypatch)
+        dims = leibniz_cohomology(hs, ms, 4).dims
         monkeypatch.undo()
         assert found and None not in found
-        assert got.dims == want.dims and got.certificate.certified
+        assert dims == leibniz_cohomology(h, bm, 4).dims
 
 
 def test_weight_descriptors_refuse_a_sheared_hemi_sl2():
@@ -978,6 +984,129 @@ def test_weight_descriptors_refuse_a_sheared_hemi_sl2():
         v1a.realize(hs)
     assert v1a.realize(h) == antisymmetric(h, simple_module(1).underlying)
     assert SimpleDescriptor("trivial").realize(hs) == trivial_bimodule(hs)
+
+
+# ------------------------------------ the closed form over a semisimple quotient
+
+def _adjoint_bimodule(h):
+    """h as a bimodule over itself, L_a = [b_a, -] and R_a = [-, b_a],
+    built checked."""
+    right = [Mat.from_sparse(h.dim, h.dim, [{j: h.c[j][a][k] for j in range(h.dim) if h.c[j][a][k]}
+                                            for k in range(h.dim)]) for a in range(h.dim)]
+    return Bimodule(h, h.dim, [h.left_mult(a) for a in range(h.dim)], right)
+
+
+def _closed_route_cases():
+    cases = {}
+    for n in (1, 2, 3):
+        h = hemi_sl2(n)
+        for w in range(4):
+            for tag, make in (("a", antisymmetric), ("s", symmetric)):
+                cases[f"n={n} V_{w}^{tag}"] = (h, make(h, simple_module(w).underlying))
+    for n in (1, 2):
+        cases[f"n={n} adjoint"] = (hemi_sl2(n), _adjoint_bimodule(hemi_sl2(n)))
+    h = hemi_semidirect(sl2(), direct_sum(simple_module(1), simple_module(1)).underlying)
+    for w in range(3):
+        for tag, make in (("a", antisymmetric), ("s", symmetric)):
+            cases[f"V_1+V_1 V_{w}^{tag}"] = (h, make(h, simple_module(w).underlying))
+    cases["V_1+V_1 adjoint"] = (h, _adjoint_bimodule(h))
+    h = hemi_sl2(1)
+    v1v2 = tensor(simple_module(1), simple_module(2)).underlying
+    for tag, make in (("a", antisymmetric), ("s", symmetric)):
+        cases[f"n=1 V_1xV_2^{tag}"] = (h, make(h, v1v2))
+    # The route needs no grading: sheared inputs, and so(3) x_hs so(3),
+    # which no element grades.
+    for w, tag, make in ((1, "a", antisymmetric), (1, "s", symmetric), (2, "a", antisymmetric)):
+        cases[f"n=1 sheared V_{w}^{tag}"] = _sheared(h, make(h, simple_module(w).underlying))
+    cases["n=1 sheared adjoint"] = _sheared(h, _adjoint_bimodule(h))
+    so3 = _so3()
+    h = hemi_semidirect(so3, adjoint_module(so3))
+    for name, bm in (("ad^a", antisymmetric(h, adjoint_module(so3))),
+                     ("ad^s", symmetric(h, adjoint_module(so3))),
+                     ("K", trivial_bimodule(h)), ("adjoint", _adjoint_bimodule(h))):
+        cases[f"so3 {name}"] = (h, bm)
+    return cases
+
+
+_CLOSED_ROUTE_CASES = _closed_route_cases()
+
+
+def _check_closed_route(h, m, qmax, monkeypatch):
+    """hl_module_structure, which takes the closed form over these
+    semisimple quotients and builds no block differential, against the
+    modules of the verified complex."""
+    built = []
+    real = cohomology._block_differentials
+    monkeypatch.setattr(cohomology, "_block_differentials",
+                        lambda *args: built.append(args) or real(*args))
+    closed = hl_module_structure(h, m, qmax)
+    assert built == []
+    complex_route = hl_modules(h, m, leibniz_cohomology(h, m, qmax))
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert closed == complex_route
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_ROUTE_CASES))
+def test_closed_route_matches_the_complex(name, monkeypatch):
+    # HL^0 = M^R, dim HL^1 = dim Hom_g(h, M^R) - dim M^g + dim(M^g n M^R)
+    # and HL^q = 0 for q >= 2 (cohomology.py docstring), to q = 3; the
+    # adjoint bimodules are not semisimple, as Leib(h) is a sub-bimodule.
+    h, m = _CLOSED_ROUTE_CASES[name]
+    _check_closed_route(h, m, 3, monkeypatch)
+
+
+_SUMMANDS = st.sampled_from([("a", 0), ("a", 1), ("a", 2), ("s", 1), ("s", 2), ("adjoint", 0)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 2), parts=st.lists(_SUMMANDS, min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+def test_closed_route_matches_the_complex_on_direct_sums(n, parts, seed):
+    # Direct sums of simple and adjoint bimodules over hemi_sl2(n), in a
+    # random unimodular basis, so that no basis element grades them.
+    h = hemi_sl2(n)
+    summands = [_adjoint_bimodule(h) if kind == "adjoint" else
+                (antisymmetric if kind == "a" else symmetric)(h, simple_module(w).underlying)
+                for kind, w in parts]
+    dim = sum(b.dim for b in summands)
+    p = _unimodular(random.Random(seed), dim)
+    p_inv = solve(p, Mat.identity(dim))
+
+    def join(mats):
+        return p * _diag_join(mats) * p_inv
+
+    m = Bimodule(h, dim, [join([b.left[a] for b in summands]) for a in range(h.dim)],
+                 [join([b.right[a] for b in summands]) for a in range(h.dim)])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_closed_route(h, m, 3, monkeypatch)
+
+
+def test_the_closed_route_checks_as_the_complex_does(monkeypatch):
+    # The sign, the run of degrees, the algebra and CL^0, with the texts of
+    # the complex, then Hom(h, HL^0), all before any block is built.
+    built = []
+    monkeypatch.setattr(cohomology, "_block_differentials", lambda *args: built.append(args))
+    h, other = hemi_sl2(2), _hemi1_v1a()[1]
+    with pytest.raises(DimensionError, match="^qmax must be nonnegative$"):
+        hl_module_structure(h, other, -1)
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 3)
+    with pytest.raises(InputError, match="^the degree range 0..4 has 5 degrees"):
+        hl_module_structure(h, other, 3)
+    with pytest.raises(DimensionError, match="^bimodule is not over the given algebra$"):
+        hl_module_structure(h, other, 1)
+    h = hemi_sl2(1)
+    bm = antisymmetric(h, simple_module(3).underlying)  # Hom(h, HL^0 = V_3) has 5 * 4 cochains
+    with pytest.raises(InputError, match="^the cochain space CL\\^0 has dimension 4, "):
+        hl_module_structure(h, bm, 1)
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 19)
+    with pytest.raises(InputError, match="^the space Hom\\(h, HL\\^0\\) has dimension 20, "
+                                         "above the budget of 19$"):
+        hl_module_structure(h, bm, 1)
+    assert [x.dim for x in hl_module_structure(h, bm, 0)] == [4]  # builds no Hom
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 20)
+    assert [x.dim for x in hl_module_structure(h, bm, 6)] == [4, 0, 0, 0, 0, 0, 0]
+    assert built == []
 
 
 # --------------------------------------------------------------- CE cohomology

@@ -406,24 +406,38 @@ def test_base_change_map_refuses_a_bimodule_that_breaks_the_axioms():
         ext_dims(one, OneDimBimodule("symmetric", 1), bad, 2)
 
 
-def test_ext_job_builds_at_most_four_differentials(monkeypatch):
-    # One complex per Ext job: the first sequence reads HL^0..3, so its
-    # complex runs to d_3; the second reads HL^0..2, from one complex to
-    # d_2 that also gives the HL^0 cocycles of the map f.
-    real = cohomology._block_differentials
+def _spy_block_differentials(monkeypatch) -> list:
+    """Record the top degree of every Leibniz complex that is built."""
     built = []
+    real = cohomology._block_differentials
 
-    def counting(h, m, grading, top):
+    def recording(h, m, grading, top):
         built.append(top)
         return real(h, m, grading, top)
 
-    monkeypatch.setattr(cohomology, "_block_differentials", counting)
+    monkeypatch.setattr(cohomology, "_block_differentials", recording)
+    return built
+
+
+def test_ext_job_builds_at_most_four_differentials(monkeypatch):
+    # Over hemi_sl2(1), whose Lie quotient sl2 is semisimple, the rows come
+    # from the closed form and no job builds a differential.  Over the
+    # one-dimensional algebra there is one complex per Ext job: the first
+    # sequence reads HL^0..3, so its complex runs to d_3; the second reads
+    # HL^0..2, from one complex to d_2 that also gives the HL^0 cocycles
+    # of the map f.
+    built = _spy_block_differentials(monkeypatch)
     h = hemi_sl2(1)
     target = antisymmetric(h, simple_module(1).underlying)
     for kind, weight in ((KIND_TRIVIAL, 0), (KIND_ANTISYMMETRIC, 1), (KIND_SYMMETRIC, 1)):
-        built.clear()
         assert ext_dims(h, SimpleDescriptor(kind, weight), target, 3, fast=True).dims
-        assert built == ([2] if kind == KIND_SYMMETRIC else [3])
+    assert built == []
+    one = trivial_algebra()
+    target = ANTI1.realize()
+    for src in (TRIV, ANTI1, SYM1):
+        built.clear()
+        assert ext_dims(one, src, target, 3).dims
+        assert built == ([2] if src.kind == KIND_SYMMETRIC else [3])
 
 
 # ------------------------------------------------------------- closed degree 2
@@ -600,3 +614,53 @@ def test_the_route_of_every_column_follows_the_lie_quotient(monkeypatch):
     for src, dst in product([OneDimBimodule("trivial"), OneDimBimodule("symmetric", 1),
                              OneDimBimodule("antisymmetric", 1)], repeat=2):
         assert ext_dims(one, src, dst.realize(), 3).certificate.certified
+
+
+def test_the_route_of_every_row_follows_the_lie_quotient(monkeypatch):
+    # The rows follow the rule of the columns: over sl2 the benchmark's six
+    # rows read HL from the closed form and build no block differential;
+    # over the one-dimensional algebra every row builds its complex, to
+    # d_3 for the first sequence and to d_2 for the second.
+    built = _spy_block_differentials(monkeypatch)
+    h = hemi_sl2(1)
+    for skind, sw, dkind, dw in EXT_ROWS:
+        assert ext_dims(h, SimpleDescriptor(skind, sw), SimpleDescriptor(dkind, dw).realize(h),
+                        3).certificate.certified
+    assert built == []
+    one = trivial_algebra()
+    for src, dst in product([TRIV, SYM1, ANTI1], repeat=2):
+        built.clear()
+        assert ext_dims(one, src, dst.realize(), 3).certificate.certified
+        assert built == [2 if src.kind == KIND_SYMMETRIC else 3]
+
+
+def test_ext_zero_from_a_symmetric_source_runs_no_complex(monkeypatch):
+    # Ext^0(Z^s, X) = Ker f needs only the HL^0 cocycles, the right
+    # invariants, on either route; CL^0 is still counted first.
+    built = _spy_block_differentials(monkeypatch)
+    h = hemi_sl2(1)
+    v1 = simple_module(1).underlying
+    for x, want in ((antisymmetric(h, v1), 0), (symmetric(h, v1), 1)):
+        assert ext_dims(h, SimpleDescriptor(KIND_SYMMETRIC, 1), x, 0).dims == (want,)
+    for x, want in ((SYM1.realize(), 1), (ANTI1.realize(), 0), (TRIV.realize(), 0)):
+        assert ext_dims(trivial_algebra(), SYM1, x, 0).dims == (want,)
+    assert built == []
+    monkeypatch.setattr(cohomology, "COCHAIN_BUDGET", 1)
+    for algebra, x in ((h, symmetric(h, v1)),
+                       (trivial_algebra(), Bimodule(trivial_algebra(), 2, [Mat.zero(2, 2)],
+                                                    [Mat.zero(2, 2)]))):
+        with pytest.raises(InputError, match=f"^the cochain space CL\\^0 has dimension {x.dim}, "
+                                             "above the budget of 1$"):
+            ext_base_sym(algebra, x, 0)
+
+
+def test_closed_rows_answer_where_the_complex_is_refused():
+    # HL^0..6 of V_2^a over hemi_sl2(3) is refused by the complex at d_5;
+    # the closed rows count only Hom(h, M^R), 7 * 3 cochains.
+    h = hemi_sl2(3)
+    x = SimpleDescriptor(KIND_ANTISYMMETRIC, 2).realize(h)
+    with pytest.raises(InputError, match="^the block differential d_5 has 174399 rows, "):
+        leibniz_cohomology(h, x, 6)
+    res = ext_dims(h, SimpleDescriptor(KIND_TRIVIAL), x, 6)
+    assert res.certificate.certified and list(res.dims) == [0, 1, 0, 0, 1, 0, 0]
+

@@ -156,7 +156,7 @@ UNCHECKED = sorted([
     "bimodule.symmetric", "bimodule.antisymmetric", "bimodule.trivial_bimodule",
     "bimodule.sym_quotient", "bimodule.hom_module_action",
     "bimodule.OneDimBimodule.underlying_module",
-    "cohomology.induced_module", "ext.h_as_lie_module", "ext._cokernel_module",
+    "cohomology.induced_module", "cohomology.h_as_lie_module", "ext._cokernel_module",
     "repsl2.sl2", "repsl2.simple_module", "repsl2.direct_sum",
     "toral._transport", "toral._transport",
 ])
