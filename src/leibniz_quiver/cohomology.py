@@ -68,12 +68,15 @@ and g acting on h by ad and on M^R by L.
      and every square [y, y] lies in [h, h].  Hence HL^q = 0 for q >= 2.
 
 The zeros are a theorem, as the Whitehead identity behind
-``ce_dims_via_invariants`` is.  ``_hl_row`` takes this route when the
-Killing form of g is nondegenerate, which by Cartan's criterion says
-that g is semisimple, the rule of the E2 columns of ``ext``: M^R from
-``right_invariants``, M^g and (M^R)^g = M^g n M^R from one kernel each,
-and Hom_g(h, M^R) as the invariants of the one Hom construction,
-``hom_module_action`` of ``h_as_lie_module`` and HL^0.
+``ce_dims_via_invariants`` is.  One predicate of this module,
+``_killing_form_nondegenerate``, picks the route of every E2 row
+(``_hl_row``) and column (``_ce_dims``) of ``ext``: a nondegenerate
+Killing form says, by Cartan's criterion, that g is semisimple, and
+then the rows take this closed form and the columns the invariants.
+M^R comes from ``right_invariants``, M^g and (M^R)^g = M^g n M^R from
+one kernel each, and Hom_g(h, M^R) as the invariants of the one Hom
+construction, ``hom_module_action`` of ``h_as_lie_module`` and HL^0.
+Over any other g both come from their complexes.
 
 Cartan's formula also cuts the complex down above degree 0.  The
 argument needs no particular basis, only an element b of h with
@@ -786,18 +789,6 @@ def induced_module(m: Bimodule, sub: SubspaceBasis) -> LeftModule:
     return LeftModule(data.lie, sub.dim, [induced[i] for i in data.complement], check=False)
 
 
-def hl_modules(h: LeibnizAlgebra, m: Bimodule, cohom: CohomologyResult) -> list:
-    """The groups of ``cohom = leibniz_cohomology(h, m, qmax)`` as modules
-    over the Lie quotient of h.  HL^0 is the left action restricted to
-    the right invariants.  Every HL^q with q >= 1 is the zero-action
-    module of its dimension: by Cartan's formula (module docstring) h
-    acts by zero there, and the bases of the graded route live in the
-    eigenvalue-0 block C_0^q, on which h has no action to restrict."""
-    lie = quotient_data(h).lie
-    zero = [_zero_module(lie, g.dim) for g in cohom.groups[1:]]
-    return [induced_module(m, cohom[0].cocycles)] + zero
-
-
 @lru_cache(maxsize=None)
 def h_as_lie_module(h: LeibnizAlgebra) -> LeftModule:
     """h as a module over its Lie quotient by left brackets, built once per
@@ -819,38 +810,48 @@ def _hl_row(h: LeibnizAlgebra, m: Bimodule, top: int) -> tuple:
     quotient g of h, for top >= -1, after the checks of ``_check_pass``.
     With top = -1 there is only z0, and no complex on any route.
 
-    One route rule, that of the E2 columns of ``ext``: when the Killing
-    form of g is nondegenerate, g is semisimple (Cartan's criterion) and
-    the groups are the closed form of the module docstring.  HL^0 is the
-    left action induced on M^R, HL^1 the zero-action module of the
-    dimension the formula gives, and every group above it is zero.  For
-    top >= 1 the route builds Hom(h, M^R), and counts its dim h * dim M^R
-    cochains against COCHAIN_BUDGET first.  Over any other g the groups
-    are ``hl_modules(h, m, leibniz_cohomology(h, m, top))``."""
+    One route rule for every E2 row and column of ``ext``, the one of
+    ``_ce_dims``: when ``_killing_form_nondegenerate(g)`` holds, g is
+    semisimple (Cartan's criterion) and the dims of HL^1..HL^top are the
+    closed form of the module docstring, HL^1 from the formula and every
+    group above it zero.  For top >= 1 that route builds Hom(h, M^R),
+    and counts its dim h * dim M^R cochains against COCHAIN_BUDGET
+    first.  Over any other g they are those of
+    ``leibniz_cohomology(h, m, top)``, whose HL^0 cocycles are z0.  On
+    both routes HL^0 is the left action induced on z0, and every HL^q
+    with q >= 1 is the zero-action module of its dimension: by Cartan's
+    formula h acts by zero there, and the bases of the graded route
+    live in the eigenvalue-0 block C_0^q, on which h has no action to
+    restrict."""
     _check_pass(h, m, top)
     if top < 0:
         return right_invariants(m), []
     data = quotient_data(h)
-    if not _killing_form_nondegenerate(data.lie):
+    if _killing_form_nondegenerate(data.lie):
+        z0 = right_invariants(m)
+        hl0 = induced_module(m, z0)
+        dims = []
+        if top:
+            _check_budget("the space Hom(h, HL^0)", h.dim * z0.dim)
+            hom = hom_module_action(data.lie, h_as_lie_module(h), hl0)
+            dims = [_invariants_dim(hom.action, hom.dim)
+                    - _invariants_dim([m.left[i] for i in data.complement], m.dim)
+                    + _invariants_dim(hl0.action, z0.dim)] + [0] * (top - 1)
+    else:
         cohom = leibniz_cohomology(h, m, top)
-        return cohom[0].cocycles, hl_modules(h, m, cohom)
-    z0 = right_invariants(m)
-    groups = [induced_module(m, z0)]
-    if top:
-        _check_budget("the space Hom(h, HL^0)", h.dim * z0.dim)
-        hom = hom_module_action(data.lie, h_as_lie_module(h), groups[0])
-        hl1 = (_invariants_dim(hom.action, hom.dim)
-               - _invariants_dim([m.left[i] for i in data.complement], m.dim)
-               + _invariants_dim(groups[0].action, z0.dim))
-        groups += [_zero_module(data.lie, hl1)] + [_zero_module(data.lie, 0)] * (top - 1)
-    return z0, groups
+        z0, dims = cohom[0].cocycles, cohom.dims[1:]
+        hl0 = induced_module(m, z0)
+    zero = {d: _zero_module(data.lie, d) for d in set(dims)}  # one module per dimension
+    return z0, [hl0] + [zero[d] for d in dims]
 
 
 def hl_module_structure(h: LeibnizAlgebra, m: Bimodule, qmax: int) -> list:
     """[HL^0(h, m), ..., HL^qmax(h, m)] as modules over the Lie quotient
-    of h, by the one route rule of ``_hl_row``: the closed form over a
+    of h, by the route rule of ``_hl_row``: the closed form over a
     semisimple quotient, and the verified complex of
-    ``leibniz_cohomology(h, m, qmax)`` over any other."""
+    ``leibniz_cohomology(h, m, qmax)`` over any other, or over every
+    quotient where ``_killing_form_nondegenerate`` is patched to say
+    False."""
     if qmax < 0:
         raise DimensionError("qmax must be nonnegative")
     return _hl_row(h, m, qmax)[1]
@@ -939,15 +940,25 @@ def ce_dims_via_invariants(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
     unless its Killing form is nondegenerate (Cartan's criterion), a
     check made once per algebra, as is H^*(g, K) per algebra and pmax.
     A zero-dimensional M has M^g = 0 without an elimination; H^*(g, K)
-    is still read, so its degree range is still checked.  This is the
-    route the E2 pages of ``ext`` take over a semisimple Lie quotient;
-    over any other they take the full complex.
+    is still read, so its degree range is still checked.  ``_ce_dims``
+    reads every E2 column of ``ext`` this way over a semisimple quotient.
     """
     if not _killing_form_nondegenerate(g):
         raise InputError("the invariants shortcut needs a semisimple Lie algebra, "
                          "and the Killing form is degenerate")
     inv = _invariants_dim(m.action, m.dim)  # dim M^g
     return [b * inv for b in _trivial_ce_dims(g, pmax)]
+
+
+def _ce_dims(g: LieAlgebra, m: LeftModule, pmax: int) -> list:
+    """dim H^p(g, m) for p = 0..pmax, as an E2 column of ``ext`` reads
+    it, by the route rule of the rows (``_hl_row``): through invariants
+    (``ce_dims_via_invariants``) when ``_killing_form_nondegenerate(g)``
+    holds, from the Chevalley-Eilenberg complex (``ce_cohomology``)
+    otherwise."""
+    if _killing_form_nondegenerate(g):
+        return ce_dims_via_invariants(g, m, pmax)
+    return ce_cohomology(g, m, pmax).dims
 
 
 # ---------------------------------------------------------------------------

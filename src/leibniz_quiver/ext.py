@@ -7,14 +7,13 @@ Two standing tools:
   where f: X -> Hom(h, HL^0) sends m to x |-> x.m + m.x;
 * two first-quadrant spectral sequences converging to Ext(Y^a, X) and
   Ext(Z^s, X), with E2 terms given by Lie-algebra cohomology of the
-  quotient with Hom coefficient modules.  One rule picks the route of
-  every column and of every row: when the Killing form of the quotient
-  is nondegenerate, so that the quotient is semisimple, each column is
-  read through invariants (``ce_dims_via_invariants``) and the rows
-  HL^q from the closed form of ``cohomology._hl_row`` (the proof is in
-  the ``cohomology`` module docstring); over any other quotient each
-  column comes from the Chevalley-Eilenberg complex (``ce_cohomology``)
-  and the rows from the Leibniz complex (``leibniz_cohomology``).
+  quotient with Hom coefficient modules.  This module only builds the
+  Hom coefficients and assembles the pages: the route of every row and
+  of every column is picked in ``cohomology`` by one predicate on the
+  quotient, ``_killing_form_nondegenerate``.  Over a semisimple
+  quotient the rows HL^q come from the closed form of ``_hl_row`` and
+  the columns through invariants; over any other from the Leibniz and
+  the Chevalley-Eilenberg complexes (``_hl_row``, ``_ce_dims``).
 
 Nothing here assumes the sequences collapse: a certificate is computed
 from the E2 zero pattern and degreewise dimensions are only assembled
@@ -47,8 +46,7 @@ from .bimodule import (
     _simple_bimodule,
     hom_module_action,
 )
-from .cohomology import (_check_budget, _check_degrees, _hl_row, _killing_form_nondegenerate,
-                         ce_cohomology, ce_dims_via_invariants, h_as_lie_module,
+from .cohomology import (_ce_dims, _check_budget, _check_degrees, _hl_row, h_as_lie_module,
                          hl_module_structure, induced_module)
 from .repsl2 import SL2Module, WeightMultiset, decompose, hemi_sl2, sl2, simple_module
 
@@ -217,10 +215,9 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
     q = 0 is Ker(f), q = 1 is Coker(f), and q >= 2 is the full Hom
     space Hom(h, HL^(q-1)(h, X)) with the usual action.  The degree-0
     cocycles z0 that give f and the carriers HL^0..HL^(qmax-1) come from
-    one ``cohomology._hl_row(h, x, qmax - 1)``, which follows the route
-    rule of the E2 columns: the closed form over a semisimple Lie
-    quotient, the complex over any other.  qmax = 0 reads only z0, with
-    no complex on any route.
+    one ``cohomology._hl_row(h, x, qmax - 1)``, by its route rule: the
+    closed form over a semisimple Lie quotient, the complex over any
+    other.  qmax = 0 reads only z0, with no complex on any route.
     """
     if qmax < 0:
         raise DimensionError("degree must be nonnegative")
@@ -241,23 +238,12 @@ def ext_base_sym(h: LeibnizAlgebra, x: Bimodule, qmax: int) -> list:
 
 def _page_from_columns(h: LeibnizAlgebra, src: LeftModule, carriers: Sequence[LeftModule],
                        pmax: int) -> E2Page:
-    """The page whose column q is H^*(h_Lie, Hom(src, carriers[q])).
-
-    One route rule, the one that gave the carriers: when the Killing
-    form of h_Lie is nondegenerate, h_Lie is semisimple (Cartan's
-    criterion) and each column is H^*(h_Lie, K) (x)
-    Hom(src, carriers[q])^h_Lie by Whitehead's lemmas
-    (``ce_dims_via_invariants``), the carriers having come from the
-    closed form of ``cohomology._hl_row``; over any other h_Lie each
-    column comes from its Chevalley-Eilenberg complex (``ce_cohomology``),
-    and the carriers from the Leibniz complex.
-    """
+    """The page whose column q is H^*(h_Lie, Hom(src, carriers[q])):
+    each Hom is built here and read by ``cohomology._ce_dims``, whose
+    route rule is the one that gave the carriers."""
     glie = quotient_data(h).lie
-    coeffs = [hom_module_action(glie, src, w) for w in carriers]
-    semisimple = _killing_form_nondegenerate(glie)
-    cols = [ce_dims_via_invariants(glie, w, pmax) if semisimple
-            else ce_cohomology(glie, w, pmax).dims for w in coeffs]
-    return E2Page(pmax, len(coeffs) - 1, [[col[p] for col in cols] for p in range(pmax + 1)])
+    cols = [_ce_dims(glie, hom_module_action(glie, src, w), pmax) for w in carriers]
+    return E2Page(pmax, len(cols) - 1, [[col[p] for col in cols] for p in range(pmax + 1)])
 
 
 def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int) -> E2Page:
@@ -265,10 +251,10 @@ def e2_first(h: LeibnizAlgebra, y: LeftModule, x: Bimodule, pmax: int, qmax: int
 
         E2^{pq} = H^p(h_Lie, Hom(Y, HL^q(h, X))).
 
-    The rows HL^q are ``hl_module_structure(h, x, qmax)``, by the route
-    rule of the columns: the closed form over a semisimple Lie quotient,
-    where every row above q = 1 is zero, and the Leibniz complex over
-    any other.
+    The rows HL^q are ``hl_module_structure(h, x, qmax)``: the closed
+    form over a semisimple Lie quotient, where every row above q = 1 is
+    zero, and the Leibniz complex over any other, by the one route rule
+    of ``cohomology`` that also picks the route of the columns.
     """
     return _page_from_columns(h, y, hl_module_structure(h, x, qmax), pmax)
 
@@ -317,8 +303,8 @@ def ext_dims(h: LeibnizAlgebra, m_kind, n_bimodule: Bimodule, nmax: int,
     CollapseNotCertifiedError when the E2 zero pattern does not force
     collapse.
 
-    Each column of the page takes the one route that ``e2_first`` and
-    ``e2_second`` pick from the Lie quotient, so ``fast`` selects
+    Every row and column of the page takes the one route that
+    ``cohomology`` picks from the Lie quotient, so ``fast`` selects
     nothing; it is accepted and ignored so that callers written when it
     chose the invariants route keep working.
     """

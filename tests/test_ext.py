@@ -499,8 +499,10 @@ def test_degree_four_over_hemi_three_beyond_the_full_space_budget(monkeypatch):
     h = hemi_sl2(3)
     src, dst = SimpleDescriptor(KIND_TRIVIAL), SimpleDescriptor(KIND_ANTISYMMETRIC, 2)
     runs = [ext_dims(h, src, dst.realize(h), 4)]
-    monkeypatch.setattr(ext, "_killing_form_nondegenerate", lambda g: False)  # the complex route
+    built = _spy_block_differentials(monkeypatch)
+    monkeypatch.setattr(cohomology, "_killing_form_nondegenerate", lambda g: False)  # complexes
     runs.append(ext_dims(h, src, dst.realize(h), 4))
+    assert built == [4]  # the one graded pass for HL^0..4
     for res in runs:
         assert res.certificate.certified
         assert list(res.dims) == [0, 1, 0, 0, 1]
@@ -539,8 +541,10 @@ def test_weyl_fast_flag_gives_same_pages(skind, sw, dkind, dw, monkeypatch):
     h = hemi_sl2(1)
     src, x = SimpleDescriptor(skind, sw), SimpleDescriptor(dkind, dw).realize(h)
     quick = ext_dims(h, src, x, 3)
-    monkeypatch.setattr(ext, "_killing_form_nondegenerate", lambda g: False)
+    built = _spy_block_differentials(monkeypatch)
+    monkeypatch.setattr(cohomology, "_killing_form_nondegenerate", lambda g: False)
     slow = ext_dims(h, src, x, 3)
+    assert built == [2 if skind == KIND_SYMMETRIC else 3]
     assert slow.page.dims == quick.page.dims
     assert slow.dims == quick.dims
 
@@ -603,13 +607,14 @@ def test_the_route_of_every_column_follows_the_lie_quotient(monkeypatch):
     def refuse(*args):
         raise AssertionError("a column took the other route")
 
-    monkeypatch.setattr(ext, "ce_cohomology", refuse)
     h = hemi_sl2(1)
+    cohomology._trivial_ce_dims(quotient_data(h).lie, 3)  # H^*(sl2, K), read from its complex once
+    monkeypatch.setattr(cohomology, "ce_cohomology", refuse)
     for skind, sw, dkind, dw in EXT_ROWS:
         assert ext_dims(h, SimpleDescriptor(skind, sw), SimpleDescriptor(dkind, dw).realize(h),
                         3).certificate.certified
     monkeypatch.undo()
-    monkeypatch.setattr(ext, "ce_dims_via_invariants", refuse)
+    monkeypatch.setattr(cohomology, "ce_dims_via_invariants", refuse)
     one = trivial_algebra()
     for src, dst in product([OneDimBimodule("trivial"), OneDimBimodule("symmetric", 1),
                              OneDimBimodule("antisymmetric", 1)], repeat=2):
@@ -632,6 +637,33 @@ def test_the_route_of_every_row_follows_the_lie_quotient(monkeypatch):
         built.clear()
         assert ext_dims(one, src, dst.realize(), 3).certificate.certified
         assert built == [2 if src.kind == KIND_SYMMETRIC else 3]
+
+
+def test_one_switch_sends_every_row_and_column_through_its_complex(monkeypatch):
+    # cohomology._killing_form_nondegenerate is the one route switch.  Over
+    # sl2 one row of each spectral sequence builds neither a Leibniz block
+    # nor a Chevalley-Eilenberg complex; with only that name patched, every
+    # row comes from the Leibniz complex and each of the four columns of
+    # both pages from its CE complex, for the same dims, page and
+    # certificate.
+    h = hemi_sl2(1)
+    rows = ((SimpleDescriptor(KIND_TRIVIAL), SimpleDescriptor(KIND_ANTISYMMETRIC, 1)),
+            (SimpleDescriptor(KIND_SYMMETRIC, 1), SimpleDescriptor(KIND_ANTISYMMETRIC, 1)))
+
+    def run():
+        return [(res.dims, res.page.dims, res.certificate.witness)
+                for res in (ext_dims(h, src, dst.realize(h), 3) for src, dst in rows)]
+
+    closed = run()  # reads H^*(sl2, K) from its complex, once per process
+    built, ce = _spy_block_differentials(monkeypatch), []
+    real = cohomology.ce_cohomology
+    monkeypatch.setattr(cohomology, "ce_cohomology", lambda *args: ce.append(args) or real(*args))
+    assert run() == closed
+    assert built == [] and ce == []
+    monkeypatch.setattr(cohomology, "_killing_form_nondegenerate", lambda g: False)
+    assert run() == closed
+    assert built == [3, 2]
+    assert len(ce) == 8
 
 
 def test_ext_zero_from_a_symmetric_source_runs_no_complex(monkeypatch):

@@ -121,6 +121,18 @@ def test_only_linear_reads_matrix_storage(path):
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_rows"] == []
 
 
+def test_ext_leaves_the_route_rule_to_cohomology():
+    # One predicate in cohomology.py picks the route of every E2 row and
+    # column; ext.py builds the Hom coefficients and assembles the pages,
+    # so patching cohomology._killing_form_nondegenerate forces both.
+    tree = ast.parse((PACKAGE / "ext.py").read_text())
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    route = {"_killing_form_nondegenerate", "ce_cohomology", "ce_dims_via_invariants"}
+    assert named & route == set()
+
+
 def unchecked_sites(source: str) -> list:
     """The enclosing function of each call that passes ``check=False``,
     as a dotted name within the module."""
